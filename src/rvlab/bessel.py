@@ -1,5 +1,6 @@
-"""Fractional Bessel process R_t = ||B_t||, the divergence part Theta, and
-its variation / negative-moment / self-similarity experiments.
+"""Fractional Bessel process R_t = ||B_t||, the divergence part Theta, the
+gate of its variation limit (run by :func:`rvlab.ito.variation_experiment`)
+and its negative-moment / self-similarity experiments.
 
 Theta is evaluated pathwise through the representation
 
@@ -21,20 +22,18 @@ from scipy.special import gammaln
 from scipy.stats import ks_2samp
 
 from .core import (
-    LANE_XI,
     HurstParam,
     MultiPath,
     RealPath,
     SeedSpec,
     UniformGrid,
     as_hurst,
+    weighted_cumulative,
 )
 from .errors import ConfigError, DomainError, GateError, NumericalError
 from .fbm import sample_fbm_multi
-from .ito import DEFAULT_XI_DRAWS, DEFAULT_XI_PATHS, _cross_check, _weighted_cumulative, xi_mc_target
 from .parallel import replication_map
-from .report import CONVERGENCE_COLUMNS, ConvergenceReport, Report, aggregate, build_id
-from .variation import _strictly_decreasing, e_H, variation_Vnq
+from .report import Report, aggregate, build_id, loglog_fit
 
 __all__ = [
     "KqConstant",
@@ -43,7 +42,6 @@ __all__ = [
     "bessel_from_multipath",
     "theta_path",
     "require_variation_gate",
-    "theta_variation_experiment",
     "negative_moment_experiment",
     "KSOutcome",
     "self_similarity_test",
@@ -95,7 +93,7 @@ def theta_path(path: MultiPath, hurst: HurstParam | float) -> RealPath:
             "the sampler is corrupted)"
         )
     inv_r = np.concatenate([[0.0], 1.0 / interior])  # node 0 never used
-    drift = h * (d - 1) * _weighted_cumulative(inv_r, path.grid, h)
+    drift = h * (d - 1) * weighted_cumulative(inv_r, path.grid, h)
     values = r.values - drift
     values[0] = 0.0
     return RealPath(path.grid, values)
@@ -129,88 +127,6 @@ def require_variation_gate(d: int, hurst: HurstParam | float) -> None:
         raise GateError(
             f"Theta variation requires 2dH^2 > 1; got 2*{d}*{h}^2 = {2 * d * h * h:.4g} <= 1"
         )
-
-
-def _theta_rep(args: tuple, r: int):
-    d, h, horizon, n, master, base, method, xi_draws, xi_paths = args
-    grid = UniformGrid(horizon, n)
-    seed = SeedSpec(master, base + r)
-    path = sample_fbm_multi(h, d, grid, seed, method=method)
-    theta = theta_path(path, h)
-    p = 1.0 / h
-    v = variation_Vnq(theta, p).value
-    # ||B_s / R_s|| = 1, so the nu-integral target collapses to e_H * T.
-    target_a = e_H(h).value * horizon
-    if r < xi_paths:
-        bess = np.linalg.norm(path.values[1:], axis=1)
-        u = path.values[1:] / bess[:, None]
-        target_b, se_b = xi_mc_target(u, grid.dt, p, seed.stream(lane=LANE_XI), xi_draws)
-    else:
-        target_b, se_b = np.nan, np.nan
-    return v, target_a, abs(v - target_a), target_b, se_b
-
-
-_THETA_COLUMNS = CONVERGENCE_COLUMNS + ("target_mc", "target_mc_se")
-
-
-def theta_variation_experiment(
-    d: int,
-    hurst: HurstParam | float,
-    horizon: float,
-    grid_sizes: list[int],
-    replications: int,
-    seed: SeedSpec,
-    workers: int = 1,
-    method: str = "circulant",
-    xi_draws: int = DEFAULT_XI_DRAWS,
-    xi_paths: int | None = DEFAULT_XI_PATHS,
-) -> ConvergenceReport:
-    """L^1 convergence of V_n^{1/H}(Theta) to e_H * T under 2dH^2 > 1.
-
-    Because B_s / R_s is a unit vector, <B_s/R_s, xi> is standard normal
-    under the xi-measure and the limit collapses to e_H * T in closed form;
-    the xi-Monte-Carlo estimate of the same functional rides along as a
-    cross-check and must agree within 3 standard errors.
-    """
-    hp = as_hurst(hurst)
-    require_variation_gate(d, hp)
-    if d < 2:
-        raise GateError(f"the Bessel process needs d >= 2, got d={d}")
-    if sorted(grid_sizes) != list(grid_sizes) or len(set(grid_sizes)) != len(grid_sizes):
-        raise ConfigError("grid_sizes must be strictly increasing")
-    if replications < 2:
-        raise ConfigError("need at least 2 replications for standard errors")
-    xi_paths = replications if xi_paths is None else min(max(xi_paths, 1), replications)
-    rows = []
-    for n in grid_sizes:
-        args = (
-            d, hp.h, horizon, n,
-            seed.master_seed, seed.replication_index, method, xi_draws, xi_paths,
-        )
-        per_rep = replication_map(functools.partial(_theta_rep, args), replications, workers)
-        target_mc, target_mc_se = _cross_check(per_rep, n)
-        est, _ = aggregate([v for v, *_ in per_rep])
-        target = horizon * e_H(hp).value
-        abs_err, stderr = aggregate([dev for _, _, dev, *_ in per_rep])
-        rows.append(
-            (n, est, target, abs_err, abs_err / target, stderr, target_mc, target_mc_se)
-        )
-    flags = {
-        "monotone_decreasing": _strictly_decreasing([r[4] for r in rows]),
-        "targets_agree_3se": True,
-    }
-    meta = {
-        "experiment": "theta-variation",
-        "dimension": d,
-        "hurst": hp.h,
-        "horizon": horizon,
-        "replications": replications,
-        "master_seed": seed.master_seed,
-        "xi_draws": xi_draws,
-        "xi_paths": xi_paths,
-        "build": build_id(),
-    }
-    return ConvergenceReport(columns=_THETA_COLUMNS, rows=rows, flags=flags, meta=meta)
 
 
 def _moment_grid(t_list: list[float], max_n: int = 4096) -> UniformGrid:
@@ -271,19 +187,13 @@ def negative_moment_experiment(
         target = constant.value * t ** (-hp.h * q)
         abs_err = abs(est - target)
         rows.append((t, est, target, abs_err, abs_err / target, stderr))
-    log_t = np.log(t_list)
-    log_est = np.log([row[1] for row in rows])
-    design = np.vstack([log_t, np.ones_like(log_t)]).T
-    (slope, intercept), *_ = np.linalg.lstsq(design, log_est, rcond=None)
-    fitted = design @ np.array([slope, intercept])
-    ss_res = float(np.sum((log_est - fitted) ** 2))
-    ss_tot = float(np.sum((log_est - log_est.mean()) ** 2))
+    slope, intercept, r2 = loglog_fit(t_list, [row[1] for row in rows])
     extra = {
-        "slope": float(slope),
+        "slope": slope,
         "slope_target": -hp.h * q,
-        "intercept": float(intercept),
+        "intercept": intercept,
         "intercept_target": float(np.log(constant.value)),
-        "r_squared": 1.0 - ss_res / ss_tot if ss_tot > 0 else 1.0,
+        "r_squared": r2,
         "k_q": constant.value,
     }
     meta = {

@@ -15,6 +15,7 @@ import click
 
 from .core import SeedSpec, UniformGrid, write_path_csv
 from .errors import ConfigError, NumericalError, RvlabError
+from .fbm import SAMPLERS, sample_fbm_multi, sampler
 from .harness import (
     EXIT_CONFIG,
     EXIT_NUMERICAL,
@@ -86,7 +87,7 @@ def main() -> None:
 @click.option("--horizon", type=float, default=1.0, show_default=True)
 @click.option("--grid-size", type=int, default=1024, show_default=True)
 @click.option("--dim", type=int, default=1, show_default=True)
-@click.option("--method", type=click.Choice(["circulant", "cholesky"]),
+@click.option("--method", type=click.Choice(SAMPLERS),
               default="circulant", show_default=True)
 @click.option("--replication", type=int, default=0, show_default=True,
               help="Replication index of the stream to draw.")
@@ -94,17 +95,13 @@ def main() -> None:
 @out_option
 def fbm_cmd(hurst, horizon, grid_size, dim, method, replication, seed, out):
     """Sample one fBm path and write it as CSV (t,value or t,v1,...,vd)."""
-    from . import fbm as fbm_mod
-
     try:
         grid = UniformGrid(horizon, grid_size)
         spec = SeedSpec(seed, replication)
         if dim == 1:
-            sampler = (fbm_mod.sample_fbm_circulant if method == "circulant"
-                       else fbm_mod.sample_fbm_cholesky)
-            path = sampler(hurst, grid, spec)
+            path = sampler(method)(hurst, grid, spec)
         else:
-            path = fbm_mod.sample_fbm_multi(hurst, dim, grid, spec, method=method)
+            path = sample_fbm_multi(hurst, dim, grid, spec, method=method)
     except NumericalError as exc:
         click.echo(f"error: {exc}", err=True)
         sys.exit(EXIT_NUMERICAL)

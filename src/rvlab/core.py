@@ -1,5 +1,7 @@
 """Core value types: Hurst parameter, uniform grids, sampled paths, step
-functions and reproducible seed derivation.
+functions and reproducible seed derivation, plus the two numerical kernels
+every layer shares: compensated summation and the singular time-weight
+integral.
 
 Everything here is immutable; paths wrap read-only numpy arrays so they can
 be shared freely across worker processes and threads.
@@ -24,6 +26,7 @@ __all__ = [
     "SeedSpec",
     "as_hurst",
     "compensated_sum",
+    "weighted_cumulative",
     "write_path_csv",
 ]
 
@@ -224,6 +227,26 @@ def compensated_sum(values: Iterable[float]) -> float:
     Used wherever the reduction order is part of the determinism contract.
     """
     return math.fsum(values)
+
+
+def _cell_weights(grid: UniformGrid, h: float) -> np.ndarray:
+    """Exact cell integrals of s^{2H-1}: (t_{i+1}^{2H} - t_i^{2H}) / (2H)."""
+    nodes = grid.nodes()
+    return (nodes[1:] ** (2 * h) - nodes[:-1] ** (2 * h)) / (2 * h)
+
+
+def weighted_cumulative(values: np.ndarray, grid: UniformGrid, h: float) -> np.ndarray:
+    """int_0^{t_k} g(s) s^{2H-1} ds at every node k, from right-endpoint g samples.
+
+    The singular weight is integrated exactly per cell against the
+    piecewise-constant extension of g's right-endpoint node values, so g(0)
+    (``values[0]``) is never used.
+    """
+    weights = _cell_weights(grid, h)
+    out = np.empty(grid.n + 1)
+    out[0] = 0.0
+    np.cumsum(values[1:] * weights, out=out[1:])
+    return out
 
 
 def write_path_csv(path: "RealPath | MultiPath", fh: TextIO) -> None:

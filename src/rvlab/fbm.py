@@ -17,7 +17,7 @@ import logging
 import numpy as np
 
 from .core import HurstParam, MultiPath, RealPath, SeedSpec, UniformGrid, as_hurst
-from .errors import DomainError, EmbeddingError, FactorizationError
+from .errors import ConfigError, DomainError, EmbeddingError, FactorizationError
 
 __all__ = [
     "covariance",
@@ -26,12 +26,17 @@ __all__ = [
     "sample_fbm_cholesky",
     "sample_fbm_circulant",
     "sample_fbm_multi",
+    "sampler",
+    "SAMPLERS",
     "CHOLESKY_MAX_N",
 ]
 
 log = logging.getLogger(__name__)
 
 CHOLESKY_MAX_N = 4096
+
+# Registered sampler methods; ``sampler(name)`` resolves sample_fbm_<name>.
+SAMPLERS = ("circulant", "cholesky")
 
 # Relative eigenvalue tolerance of the circulant embedding: eigenvalues in
 # [-tol * max_eig, 0) are clamped to zero (the embedding is provably
@@ -106,13 +111,13 @@ def _covariance_cholesky(h: float, horizon: float, n: int) -> np.ndarray:
 
 
 def sample_fbm_cholesky(
-    hurst: HurstParam | float, grid: UniformGrid, seed: SeedSpec
+    hurst: HurstParam | float, grid: UniformGrid, seed: SeedSpec, component: int = 0
 ) -> RealPath:
     """Exact fBm sample via Cholesky factorization of the covariance matrix.
 
     The returned path has Gram matrix R_H(t_i, t_j) on the nonzero nodes and
-    is deterministic given ``seed``.  Guarded to n <= 4096 (the factorization
-    is O(n^3)).
+    is deterministic given ``seed`` and ``component`` (the sub-stream).
+    Guarded to n <= 4096 (the factorization is O(n^3)).
     """
     hp = as_hurst(hurst)
     if grid.n > CHOLESKY_MAX_N:
@@ -121,7 +126,7 @@ def sample_fbm_cholesky(
             f"got n = {grid.n} (use the circulant sampler)"
         )
     chol = _covariance_cholesky(hp.h, grid.horizon, grid.n)
-    z = seed.stream().standard_normal(grid.n)
+    z = seed.stream(component=component).standard_normal(grid.n)
     values = np.concatenate([[0.0], chol @ z])
     return RealPath(grid, values)
 
@@ -173,7 +178,7 @@ def circulant_eigenvalues(hurst: HurstParam | float, grid: UniformGrid) -> np.nd
 
 
 def sample_fbm_circulant(
-    hurst: HurstParam | float, grid: UniformGrid, seed: SeedSpec
+    hurst: HurstParam | float, grid: UniformGrid, seed: SeedSpec, component: int = 0
 ) -> RealPath:
     """Exact fBm sample via FFT circulant embedding of the increments.
 
@@ -185,7 +190,7 @@ def sample_fbm_circulant(
     hp = as_hurst(hurst)
     n = grid.n
     root = _embedding_sqrt(hp.h, grid.horizon, n)
-    gen = seed.stream()
+    gen = seed.stream(component=component)
     a = gen.standard_normal(n + 1)
     b = gen.standard_normal(max(n - 1, 0))
     m = 2 * n
@@ -198,6 +203,13 @@ def sample_fbm_circulant(
     fgn = np.fft.ifft(w).real[:n] * np.sqrt(m)
     values = np.concatenate([[0.0], np.cumsum(fgn)])
     return RealPath(grid, values)
+
+
+def sampler(method: str):
+    """The 1-dim sampler registered as ``method``, looked up at call time."""
+    if method not in SAMPLERS:
+        raise ConfigError(f"unknown sampler method {method!r}; registered: {list(SAMPLERS)}")
+    return globals()[f"sample_fbm_{method}"]
 
 
 def sample_fbm_multi(
@@ -214,26 +226,8 @@ def sample_fbm_multi(
     """
     if d < 1:
         raise DomainError(f"dimension must be >= 1, got {d}")
-    sampler = {"circulant": sample_fbm_circulant, "cholesky": sample_fbm_cholesky}
-    if method not in sampler:
-        raise DomainError(f"unknown sampler method {method!r}")
+    sample = sampler(method)
     cols = np.empty((grid.n + 1, d))
     for j in range(d):
-        cols[:, j] = _sample_component(sampler[method], hurst, grid, seed, j).values
+        cols[:, j] = sample(hurst, grid, seed, component=j).values
     return MultiPath(grid, cols)
-
-
-def _sample_component(sampler, hurst, grid, seed: SeedSpec, component: int) -> RealPath:
-    spec = _ComponentSeed(seed, component)
-    return sampler(hurst, grid, spec)
-
-
-class _ComponentSeed:
-    """Adapter presenting component j's sub-stream through the SeedSpec API."""
-
-    def __init__(self, base: SeedSpec, component: int):
-        self._base = base
-        self._component = component
-
-    def stream(self, component: int = 0, lane: int = 0) -> np.random.Generator:
-        return self._base.stream(component=self._component + component, lane=lane)

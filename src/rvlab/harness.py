@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import bessel, fbm, ito, kernel, variation
+from . import bessel, fbm, ito, kernel
 from .core import HurstParam, SeedSpec, UniformGrid
 from .errors import ConfigError
 from .parallel import replication_map
@@ -156,66 +156,28 @@ def _tol(config: ExperimentConfig, key: str) -> float:
     return float(config.tolerances.get(key, spec.default_tolerances[key]))
 
 
-def _run_fbm_variation(config: ExperimentConfig, workers: int) -> Report:
-    report = variation.fbm_variation_experiment(
+# Integrand of each divergence experiment when params name none.
+_DEFAULT_INTEGRAND = {
+    "divergence-variation": "quadratic",
+    "divergence-variation-multi": "radial_quadratic",
+}
+
+
+def _run_variation(config: ExperimentConfig, workers: int) -> Report:
+    params = config.params
+    report = ito.variation_experiment(
+        config.experiment,
         config.hurst,
         config.horizon,
         list(config.grid_sizes),
         config.replications,
         SeedSpec(config.master_seed),
         workers=workers,
-        method=config.params.get("method", "circulant"),
-    )
-    tol = _tol(config, "rel_err_final")
-    report.flags["rel_err_final_ok"] = report.rows[-1][4] < tol
-    return report
-
-
-def _run_divergence_variation(config: ExperimentConfig, workers: int) -> Report:
-    report = ito.divergence_variation_experiment(
-        config.params.get("integrand", "quadratic"),
-        config.hurst,
-        config.horizon,
-        list(config.grid_sizes),
-        config.replications,
-        SeedSpec(config.master_seed),
-        workers=workers,
-        method=config.params.get("method", "circulant"),
-    )
-    report.flags["rel_err_final_ok"] = report.rows[-1][4] < _tol(config, "rel_err_final")
-    return report
-
-
-def _run_divergence_variation_multi(config: ExperimentConfig, workers: int) -> Report:
-    report = ito.divergence_variation_multi_experiment(
-        config.params.get("integrand", "radial_quadratic"),
-        config.dimension,
-        config.hurst,
-        config.horizon,
-        list(config.grid_sizes),
-        config.replications,
-        SeedSpec(config.master_seed),
-        workers=workers,
-        method=config.params.get("method", "circulant"),
-        xi_draws=int(config.params.get("xi_draws", ito.DEFAULT_XI_DRAWS)),
-        xi_paths=_maybe_int(config.params.get("xi_paths")),
-    )
-    report.flags["rel_err_final_ok"] = report.rows[-1][4] < _tol(config, "rel_err_final")
-    return report
-
-
-def _run_theta_variation(config: ExperimentConfig, workers: int) -> Report:
-    report = bessel.theta_variation_experiment(
-        config.dimension,
-        config.hurst,
-        config.horizon,
-        list(config.grid_sizes),
-        config.replications,
-        SeedSpec(config.master_seed),
-        workers=workers,
-        method=config.params.get("method", "circulant"),
-        xi_draws=int(config.params.get("xi_draws", ito.DEFAULT_XI_DRAWS)),
-        xi_paths=_maybe_int(config.params.get("xi_paths")),
+        method=params.get("method", "circulant"),
+        integrand=params.get("integrand", _DEFAULT_INTEGRAND.get(config.experiment)),
+        dimension=config.dimension,
+        xi_draws=int(params.get("xi_draws", ito.DEFAULT_XI_DRAWS)),
+        xi_paths=_maybe_int(params.get("xi_paths")),
     )
     report.flags["rel_err_final_ok"] = report.rows[-1][4] < _tol(config, "rel_err_final")
     return report
@@ -306,8 +268,7 @@ def _run_kernel_check(config: ExperimentConfig, workers: int) -> Report:
 def _cov_rep(args: tuple, r: int) -> tuple:
     h, horizon, n, master, base, method = args
     grid = UniformGrid(horizon, n)
-    sampler = fbm.sample_fbm_cholesky if method == "cholesky" else fbm.sample_fbm_circulant
-    return tuple(sampler(h, grid, SeedSpec(master, base + r)).values[1:])
+    return tuple(fbm.sampler(method)(h, grid, SeedSpec(master, base + r)).values[1:])
 
 
 def _run_covariance_check(config: ExperimentConfig, workers: int) -> Report:
@@ -374,20 +335,20 @@ def _register(name, runner, params=(), tolerances=None):
 
 
 _register(
-    "fbm-variation", _run_fbm_variation, params=("method",),
+    "fbm-variation", _run_variation, params=("method",),
     tolerances={"rel_err_final": 0.05},
 )
 _register(
-    "divergence-variation", _run_divergence_variation, params=("integrand", "method"),
+    "divergence-variation", _run_variation, params=("integrand", "method"),
     tolerances={"rel_err_final": 0.10},
 )
 _register(
-    "divergence-variation-multi", _run_divergence_variation_multi,
+    "divergence-variation-multi", _run_variation,
     params=("integrand", "method", "xi_draws", "xi_paths"),
     tolerances={"rel_err_final": 0.10},
 )
 _register(
-    "theta-variation", _run_theta_variation,
+    "theta-variation", _run_variation,
     params=("method", "xi_draws", "xi_paths"),
     tolerances={"rel_err_final": 0.10},
 )

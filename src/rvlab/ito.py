@@ -1,5 +1,5 @@
-"""Divergence integrals via Ito representations and their 1/H-variation
-experiments.
+"""Divergence integrals via Ito representations and the one engine behind
+the four 1/H-variation experiments.
 
 Divergence (Skorohod) integrals are never discretized directly: for a
 potential f the process X_t = int_0^t f'(B_s) dB_s is evaluated pathwise
@@ -17,8 +17,9 @@ are analytic facts about those integrands, not runtime checks.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -31,12 +32,14 @@ from .core import (
     UniformGrid,
     as_hurst,
     compensated_sum,
+    weighted_cumulative,
 )
-from .errors import ConfigError, DegenerateInputError, DomainError, NumericalError
-from .fbm import sample_fbm_circulant, sample_fbm_cholesky, sample_fbm_multi
+from .bessel import require_variation_gate, theta_path
+from .errors import ConfigError, DegenerateInputError, GateError, NumericalError
+from .fbm import sample_fbm_multi, sampler
 from .parallel import replication_map
-from .report import CONVERGENCE_COLUMNS, ConvergenceReport, Report, aggregate, build_id
-from .variation import _strictly_decreasing, e_H, variation_Vnq
+from .report import CONVERGENCE_COLUMNS, ConvergenceReport, Report, aggregate, build_id, loglog_fit
+from .variation import e_H, variation_Vnq
 
 __all__ = [
     "SmoothIntegrandSpec",
@@ -45,12 +48,10 @@ __all__ = [
     "MULTI_INTEGRANDS",
     "register_integrand",
     "register_multi_integrand",
-    "weighted_time_integral",
     "divergence_reading",
     "divergence_via_ito",
     "divergence_via_ito_multi",
-    "divergence_variation_experiment",
-    "divergence_variation_multi_experiment",
+    "variation_experiment",
     "lp_scaling_experiment",
     "DEFAULT_XI_DRAWS",
     "DEFAULT_XI_PATHS",
@@ -254,45 +255,6 @@ def _lookup(label: str, registry: dict, kind: str):
     return registry[label]
 
 
-def _cell_weights(grid: UniformGrid, h: float) -> np.ndarray:
-    """Exact cell integrals of s^{2H-1}: (t_{i+1}^{2H} - t_i^{2H}) / (2H)."""
-    nodes = grid.nodes()
-    return (nodes[1:] ** (2 * h) - nodes[:-1] ** (2 * h)) / (2 * h)
-
-
-def weighted_time_integral(
-    values: np.ndarray, grid: UniformGrid, hurst: HurstParam | float, upto: int
-) -> float:
-    """int_0^{t_upto} g(s) s^{2H-1} ds with right-endpoint g samples.
-
-    The singular weight is integrated exactly per cell against the
-    piecewise-constant extension of g's right-endpoint node values; the
-    first cell therefore never needs g(0).  Requires 2H - 1 in (-1, 0].
-    """
-    h = as_hurst(hurst).h
-    if h > 0.5:
-        raise DomainError(
-            f"weighted time integral requires 2H-1 in (-1, 0], got H = {h}"
-        )
-    values = np.asarray(values, dtype=float)
-    if values.shape != (grid.n + 1,):
-        raise DomainError(
-            f"need one sample per node ({grid.n + 1}), got shape {values.shape}"
-        )
-    if not 0 <= upto <= grid.n:
-        raise DomainError(f"upto index {upto} outside 0..{grid.n}")
-    weights = _cell_weights(grid, h)
-    return compensated_sum(values[1 : upto + 1] * weights[:upto])
-
-
-def _weighted_cumulative(values: np.ndarray, grid: UniformGrid, h: float) -> np.ndarray:
-    weights = _cell_weights(grid, h)
-    out = np.empty(grid.n + 1)
-    out[0] = 0.0
-    np.cumsum(values[1:] * weights, out=out[1:])
-    return out
-
-
 def divergence_reading(hurst: HurstParam | float) -> str:
     """Whether H supports the plain divergence reading of the Ito formula
     (H in (1/4, 1/2)) or only the extended-domain one."""
@@ -325,7 +287,7 @@ def divergence_via_ito(
     _check_finite(f_vals, f"f({spec.label}) of the path", grid)
     fpp_vals = np.asarray(spec.f_pp(path.values), dtype=float)
     _check_finite(fpp_vals, f"f''({spec.label}) of the path", grid)
-    drift = h * _weighted_cumulative(fpp_vals, grid, h)
+    drift = h * weighted_cumulative(fpp_vals, grid, h)
     values = f_vals - f_vals[0] - drift
     values[0] = 0.0
     return RealPath(grid, values)
@@ -342,77 +304,10 @@ def divergence_via_ito_multi(
     _check_finite(f_vals, f"F({spec.label}) of the path", grid)
     lap_vals = np.asarray(spec.laplacian(path.values), dtype=float)
     _check_finite(lap_vals, f"Laplacian({spec.label}) of the path", grid)
-    drift = h * _weighted_cumulative(lap_vals, grid, h)
+    drift = h * weighted_cumulative(lap_vals, grid, h)
     values = f_vals - f_vals[0] - drift
     values[0] = 0.0
     return RealPath(grid, values)
-
-
-def _sampler(method: str):
-    if method == "circulant":
-        return sample_fbm_circulant
-    if method == "cholesky":
-        return sample_fbm_cholesky
-    raise ConfigError(f"unknown sampler method {method!r}")
-
-
-def _divergence_variation_rep(args: tuple, r: int) -> tuple[float, float, float]:
-    label, h, horizon, n, master, base, method = args
-    spec = INTEGRANDS[label]
-    grid = UniformGrid(horizon, n)
-    path = _sampler(method)(h, grid, SeedSpec(master, base + r))
-    x = divergence_via_ito(spec, path, h)
-    v = variation_Vnq(x, 1.0 / h).value
-    u_abs = np.abs(np.asarray(spec.f_prime(path.values[1:]), dtype=float))
-    target = e_H(h).value * compensated_sum(u_abs ** (1.0 / h)) * grid.dt
-    return v, target, abs(v - target)
-
-
-def divergence_variation_experiment(
-    label: str,
-    hurst: HurstParam | float,
-    horizon: float,
-    grid_sizes: list[int],
-    replications: int,
-    seed: SeedSpec,
-    workers: int = 1,
-    method: str = "circulant",
-) -> ConvergenceReport:
-    """L^1 convergence of V_n^{1/H}(X) to e_H int_0^T |f'(B_s)|^{1/H} ds.
-
-    The limit target is computed per path by a right-endpoint Riemann sum of
-    |u_s|^{1/H}; the report tracks the Monte Carlo L^1 distance per grid
-    size.
-    """
-    hp = as_hurst(hurst)
-    spec = _lookup(label, INTEGRANDS, "1-dim")
-    _validate_experiment_shape(grid_sizes, replications)
-    rows = []
-    for n in grid_sizes:
-        args = (spec.label, hp.h, horizon, n, seed.master_seed, seed.replication_index, method)
-        per_rep = replication_map(
-            functools.partial(_divergence_variation_rep, args), replications, workers
-        )
-        est, _ = aggregate([v for v, _, _ in per_rep])
-        target, _ = aggregate([t for _, t, _ in per_rep])
-        if target == 0.0:
-            raise DegenerateInputError(
-                f"integrand {label!r} has an identically zero variation target"
-            )
-        abs_err, stderr = aggregate([dev for _, _, dev in per_rep])
-        rows.append((n, est, target, abs_err, abs_err / abs(target), stderr))
-    flags = {"monotone_decreasing": _strictly_decreasing([r[4] for r in rows])}
-    meta = {
-        "experiment": "divergence-variation",
-        "integrand": spec.label,
-        "hurst": hp.h,
-        "horizon": horizon,
-        "replications": replications,
-        "master_seed": seed.master_seed,
-        "reading": divergence_reading(hp),
-        "build": build_id(),
-    }
-    return ConvergenceReport(columns=CONVERGENCE_COLUMNS, rows=rows, flags=flags, meta=meta)
 
 
 def xi_mc_target(
@@ -448,24 +343,6 @@ def xi_mc_target(
     return mean, se
 
 
-def _divergence_variation_multi_rep(args: tuple, r: int):
-    label, d, h, horizon, n, master, base, method, xi_draws, xi_paths = args
-    spec = MULTI_INTEGRANDS[label]
-    grid = UniformGrid(horizon, n)
-    seed = SeedSpec(master, base + r)
-    path = sample_fbm_multi(h, d, grid, seed, method=method)
-    x = divergence_via_ito_multi(spec, path, h)
-    p = 1.0 / h
-    v = variation_Vnq(x, p).value
-    u = np.asarray(spec.gradient(path.values), dtype=float)[1:]  # right endpoints
-    target_a = e_H(h).value * compensated_sum(np.linalg.norm(u, axis=1) ** p) * grid.dt
-    if r < xi_paths:
-        target_b, se_b = xi_mc_target(u, grid.dt, p, seed.stream(lane=LANE_XI), xi_draws)
-    else:
-        target_b, se_b = np.nan, np.nan
-    return v, target_a, abs(v - target_a), target_b, se_b
-
-
 def _cross_check(per_rep, n: int) -> tuple[float, float]:
     """Compare closed-form and xi-MC targets on the replication subset.
 
@@ -473,10 +350,10 @@ def _cross_check(per_rep, n: int) -> tuple[float, float]:
     must agree within 3 combined standard errors; a violation means the two
     target routes are internally inconsistent and aborts the experiment.
     """
-    sub = [(ta, tb, se) for _, ta, _, tb, se in per_rep if np.isfinite(tb)]
+    sub = [(ta, tb, se) for _, ta, _, tb, se in per_rep if math.isfinite(tb)]
     mean_a = compensated_sum(ta for ta, _, _ in sub) / len(sub)
     mean_b = compensated_sum(tb for _, tb, _ in sub) / len(sub)
-    se_b = float(np.sqrt(compensated_sum(se**2 for _, _, se in sub))) / len(sub)
+    se_b = math.sqrt(compensated_sum(se**2 for _, _, se in sub)) / len(sub)
     if abs(mean_a - mean_b) > 3 * se_b:
         raise NumericalError(
             f"closed-form and xi-Monte-Carlo targets disagree at n={n}: "
@@ -487,10 +364,66 @@ def _cross_check(per_rep, n: int) -> tuple[float, float]:
 
 _DUAL_TARGET_COLUMNS = CONVERGENCE_COLUMNS + ("target_mc", "target_mc_se")
 
+# fBm is the divergence integral of the identity potential (u = 1).  fBm and
+# Theta (u = B/R) have unit-norm integrands, so their limit is e_H * T in
+# closed form; the d-dim cases also estimate the limit by xi Monte Carlo.
+_UNIT_TARGET = ("fbm-variation", "theta-variation")
+_XI_TARGET = ("divergence-variation-multi", "theta-variation")
 
-def divergence_variation_multi_experiment(
-    label: str,
-    d: int,
+
+class _VariationJob(NamedTuple):
+    """One grid size of a variation experiment, as shipped to the workers."""
+
+    experiment: str
+    integrand: str | None
+    dimension: int
+    hurst: float
+    horizon: float
+    n: int
+    master_seed: int
+    base_replication: int
+    method: str
+    xi_draws: int
+    xi_paths: int  # replications r < xi_paths carry the xi target
+
+
+def _variation_rep(job: _VariationJob, r: int) -> tuple[float, ...]:
+    """One replication: (V_n^{1/H}(X), target, |V - target|, xi target, xi s.e.).
+
+    The xi pair is NaN for replications outside the xi subset.
+    """
+    h, p = job.hurst, 1.0 / job.hurst
+    grid = UniformGrid(job.horizon, job.n)
+    seed = SeedSpec(job.master_seed, job.base_replication + r)
+    path = sample_fbm_multi(h, job.dimension, grid, seed, method=job.method)
+    u_norm = None  # right-endpoint ||u_s||; None when it is identically 1
+    if job.experiment == "theta-variation":
+        x = theta_path(path, h)
+        u = path.values[1:] / np.linalg.norm(path.values[1:], axis=1)[:, None]
+    elif job.experiment == "divergence-variation-multi":
+        spec = MULTI_INTEGRANDS[job.integrand]
+        x = divergence_via_ito_multi(spec, path, h)
+        u = np.asarray(spec.gradient(path.values), dtype=float)[1:]
+        u_norm = np.linalg.norm(u, axis=1)
+    else:
+        spec = INTEGRANDS[job.integrand]
+        b = path.component(0)
+        x = divergence_via_ito(spec, b, h)
+        if job.experiment == "divergence-variation":
+            u_norm = np.abs(np.asarray(spec.f_prime(b.values[1:]), dtype=float))
+    v = variation_Vnq(x, p).value
+    if u_norm is None:
+        target = e_H(h).value * job.horizon
+    else:
+        target = e_H(h).value * compensated_sum(u_norm**p) * grid.dt
+    xi = (np.nan, np.nan)
+    if r < job.xi_paths:
+        xi = xi_mc_target(u, grid.dt, p, seed.stream(lane=LANE_XI), job.xi_draws)
+    return (v, target, abs(v - target), *xi)
+
+
+def variation_experiment(
+    experiment: str,
     hurst: HurstParam | float,
     horizon: float,
     grid_sizes: list[int],
@@ -498,56 +431,82 @@ def divergence_variation_multi_experiment(
     seed: SeedSpec,
     workers: int = 1,
     method: str = "circulant",
+    integrand: str | None = None,
+    dimension: int = 1,
     xi_draws: int = DEFAULT_XI_DRAWS,
     xi_paths: int | None = DEFAULT_XI_PATHS,
 ) -> ConvergenceReport:
-    """Multidimensional 1/H-variation limit with dual-route target.
+    """L^1 convergence of V_n^{1/H}(X) to e_H int_0^T ||u_s||^{1/H} ds.
 
-    The target is computed two ways and cross-checked: (a) closed form
-    e_H int ||u_s||^{1/H} ds, using that <u, xi> is N(0, ||u||^2) under the
-    Gaussian xi-measure, and (b) Monte Carlo over xi.  Disagreement beyond
-    3 standard errors aborts.
+    ``experiment`` selects X: fBm itself (``fbm-variation``), the divergence
+    integral of a registered 1-dim or d-dim ``integrand``
+    (``divergence-variation``, ``divergence-variation-multi``), or Theta under
+    the gate 2dH^2 > 1 (``theta-variation``).  Per-path targets are
+    right-endpoint Riemann sums of ||u||^{1/H}; unit-norm integrands use the
+    closed form e_H * T.  The d-dim cases cross-check the target against
+    Monte Carlo over xi (the closed form holds because <u, xi> is
+    N(0, ||u||^2) under the Gaussian xi-measure), and disagreement beyond 3
+    standard errors aborts.
     """
     hp = as_hurst(hurst)
-    spec = _lookup(label, MULTI_INTEGRANDS, "d-dim")
-    if d < 1:
-        raise ConfigError(f"dimension must be >= 1, got {d}")
-    _validate_experiment_shape(grid_sizes, replications)
-    xi_paths = replications if xi_paths is None else min(max(xi_paths, 1), replications)
-    rows = []
-    for n in grid_sizes:
-        args = (
-            spec.label, d, hp.h, horizon, n,
-            seed.master_seed, seed.replication_index, method, xi_draws, xi_paths,
-        )
-        per_rep = replication_map(
-            functools.partial(_divergence_variation_multi_rep, args), replications, workers
-        )
-        target_mc, target_mc_se = _cross_check(per_rep, n)
-        est, _ = aggregate([v for v, *_ in per_rep])
-        target, _ = aggregate([ta for _, ta, *_ in per_rep])
-        abs_err, stderr = aggregate([dev for _, _, dev, *_ in per_rep])
-        rows.append(
-            (n, est, target, abs_err, abs_err / abs(target), stderr, target_mc, target_mc_se)
-        )
-    flags = {
-        "monotone_decreasing": _strictly_decreasing([r[4] for r in rows]),
-        "targets_agree_3se": True,  # enforced above; a violation raises
-    }
     meta = {
-        "experiment": "divergence-variation-multi",
-        "integrand": spec.label,
-        "dimension": d,
+        "experiment": experiment,
         "hurst": hp.h,
         "horizon": horizon,
         "replications": replications,
         "master_seed": seed.master_seed,
-        "xi_draws": xi_draws,
-        "xi_paths": xi_paths,
-        "reading": divergence_reading(hp),
         "build": build_id(),
     }
-    return ConvergenceReport(columns=_DUAL_TARGET_COLUMNS, rows=rows, flags=flags, meta=meta)
+    if experiment == "fbm-variation":
+        integrand, dimension = "identity", 1
+        meta["method"] = method
+    elif experiment == "divergence-variation":
+        integrand, dimension = _lookup(integrand, INTEGRANDS, "1-dim").label, 1
+    elif experiment == "divergence-variation-multi":
+        integrand = _lookup(integrand, MULTI_INTEGRANDS, "d-dim").label
+        if dimension < 1:
+            raise ConfigError(f"dimension must be >= 1, got {dimension}")
+    elif experiment == "theta-variation":
+        require_variation_gate(dimension, hp)
+        if dimension < 2:
+            raise GateError(f"the Bessel process needs d >= 2, got d={dimension}")
+    else:
+        raise ConfigError(f"unknown variation experiment {experiment!r}")
+    _validate_experiment_shape(grid_sizes, replications)
+    if experiment.startswith("divergence"):
+        meta.update(integrand=integrand, reading=divergence_reading(hp))
+    dual = experiment in _XI_TARGET
+    if dual:
+        xi_paths = replications if xi_paths is None else min(max(xi_paths, 1), replications)
+        meta.update(dimension=dimension, xi_draws=xi_draws, xi_paths=xi_paths)
+    rows = []
+    for n in grid_sizes:
+        job = _VariationJob(
+            experiment, integrand, dimension, hp.h, horizon, n, seed.master_seed,
+            seed.replication_index, method, xi_draws, xi_paths if dual else 0,
+        )
+        per_rep = replication_map(functools.partial(_variation_rep, job), replications, workers)
+        target_mc = _cross_check(per_rep, n) if dual else ()
+        est, _ = aggregate([v for v, *_ in per_rep])
+        if experiment in _UNIT_TARGET:
+            target = horizon * e_H(hp).value
+        else:
+            target, _ = aggregate([t for _, t, *_ in per_rep])
+            if target == 0.0:
+                raise DegenerateInputError(
+                    f"integrand {integrand!r} has an identically zero variation target"
+                )
+        abs_err, stderr = aggregate([dev for _, _, dev, *_ in per_rep])
+        rows.append((n, est, target, abs_err, abs_err / abs(target), stderr, *target_mc))
+    flags = {"monotone_decreasing": _strictly_decreasing([row[4] for row in rows])}
+    if dual:
+        flags["targets_agree_3se"] = True  # enforced by _cross_check; a violation raises
+    columns = _DUAL_TARGET_COLUMNS if dual else CONVERGENCE_COLUMNS
+    return ConvergenceReport(columns=columns, rows=rows, flags=flags, meta=meta)
+
+
+def _strictly_decreasing(values: list[float]) -> bool:
+    return all(b < a for a, b in zip(values, values[1:]))
 
 
 def default_interval_pairs(horizon: float) -> list[tuple[float, float]]:
@@ -560,7 +519,7 @@ def _lp_rep(args: tuple, r: int) -> list[float]:
     label, h, horizon, grid_n, index_pairs, master, base, method = args
     spec = INTEGRANDS[label]
     grid = UniformGrid(horizon, grid_n)
-    path = _sampler(method)(h, grid, SeedSpec(master, base + r))
+    path = sampler(method)(h, grid, SeedSpec(master, base + r))
     x = divergence_via_ito(spec, path, h)
     p = 1.0 / h
     return [float(np.abs(x.values[ib] - x.values[ia]) ** p) for ia, ib in index_pairs]
@@ -619,14 +578,7 @@ def lp_scaling_experiment(
             "all sampled moments vanish for some interval; the integrand is "
             "degenerate (constant potential?)"
         )
-    log_w = np.log(widths)
-    log_m = np.log(means)
-    design = np.vstack([log_w, np.ones_like(log_w)]).T
-    (slope, intercept), res, *_ = np.linalg.lstsq(design, log_m, rcond=None)
-    fitted = design @ np.array([slope, intercept])
-    ss_res = float(np.sum((log_m - fitted) ** 2))
-    ss_tot = float(np.sum((log_m - log_m.mean()) ** 2))
-    r2 = 1.0 - ss_res / ss_tot if ss_tot > 0 else 1.0
+    slope, intercept, r2 = loglog_fit(widths, means)
     meta = {
         "experiment": "lp-scaling",
         "integrand": spec.label,
@@ -638,12 +590,7 @@ def lp_scaling_experiment(
         "reading": divergence_reading(hp),
         "build": build_id(),
     }
-    extra = {
-        "slope": float(slope),
-        "intercept": float(intercept),
-        "r_squared": r2,
-        "slope_target": 1.0,
-    }
+    extra = {"slope": slope, "intercept": intercept, "r_squared": r2, "slope_target": 1.0}
     return Report(columns=("width", "estimate", "stderr"), rows=rows, extra=extra, meta=meta)
 
 

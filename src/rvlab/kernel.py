@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import functools
 import warnings
-from dataclasses import dataclass
 
 import numpy as np
 from scipy import integrate
@@ -28,7 +27,6 @@ from .errors import DomainError, QuadratureError
 from .fbm import covariance
 
 __all__ = [
-    "KernelConstants",
     "constant_cH",
     "kernel_K",
     "kernel_dKdt",
@@ -64,27 +62,6 @@ def constant_cH(hurst: HurstParam | float) -> float:
     h = hp.h
     log_beta = gammaln(1 - 2 * h) + gammaln(h + 0.5) - gammaln(1.5 - h)
     return float(np.sqrt(2 * h / ((1 - 2 * h) * np.exp(log_beta))))
-
-
-@dataclass(frozen=True)
-class KernelConstants:
-    """Normalization constant and quadrature tolerance bundled per H.
-
-    Only constants with closed forms live here; the structural-bound and
-    embedding constants have none and are fitted and reported by the tests,
-    never hard-coded.
-    """
-
-    c_h: float
-    tol_q: float
-
-    @classmethod
-    def for_hurst(
-        cls, hurst: HurstParam | float, tol_q: float = DEFAULT_KERNEL_TOL
-    ) -> "KernelConstants":
-        if not tol_q > 0:
-            raise DomainError("quadrature tolerance must be positive")
-        return cls(c_h=constant_cH(hurst), tol_q=tol_q)
 
 
 def _quad(func, a, b, rtol, points=None, limit=400) -> float:

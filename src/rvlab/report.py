@@ -13,11 +13,13 @@ import math
 from dataclasses import dataclass, field
 from typing import Sequence
 
+import numpy as np
+
 from . import __version__
 from .core import compensated_sum
 from .errors import ConfigError, DomainError
 
-__all__ = ["aggregate", "Report", "ConvergenceReport", "CONVERGENCE_COLUMNS", "build_id"]
+__all__ = ["aggregate", "loglog_fit", "Report", "ConvergenceReport", "CONVERGENCE_COLUMNS", "build_id"]
 
 CONVERGENCE_COLUMNS = ("n", "estimate", "target", "abs_err", "rel_err", "stderr")
 
@@ -47,6 +49,18 @@ def aggregate(values: Sequence[float]) -> tuple[float, float | None]:
     # sum((v - mean)^2) / (m (m - 1)).
     ss = compensated_sum((v - mean) ** 2 for v in values)
     return mean, math.sqrt(ss / (m * (m - 1)))
+
+
+def loglog_fit(x: Sequence[float], y: Sequence[float]) -> tuple[float, float, float]:
+    """Least-squares line through (log x, log y): (slope, intercept, R^2)."""
+    log_x = np.log(x)
+    log_y = np.log(y)
+    design = np.vstack([log_x, np.ones_like(log_x)]).T
+    (slope, intercept), *_ = np.linalg.lstsq(design, log_y, rcond=None)
+    fitted = design @ np.array([slope, intercept])
+    ss_res = float(np.sum((log_y - fitted) ** 2))
+    ss_tot = float(np.sum((log_y - log_y.mean()) ** 2))
+    return float(slope), float(intercept), 1.0 - ss_res / ss_tot if ss_tot > 0 else 1.0
 
 
 def _fmt(value) -> str:

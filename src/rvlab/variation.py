@@ -1,9 +1,10 @@
-"""q-variation statistics and the fBm 1/H-variation convergence experiment.
+"""q-variation statistics and the Gaussian moment constant e_H.
 
 The q-variation of a sampled path is the finite sum of q-th powers of
 absolute increments over the path's own grid.  For fBm with q = 1/H it
 converges in L^1 to e_H * T, where e_H is the absolute 1/H-moment of a
-standard Gaussian; the experiment measures that convergence grid by grid.
+standard Gaussian; :func:`rvlab.ito.variation_experiment` measures that
+convergence grid by grid.
 """
 
 from __future__ import annotations
@@ -14,17 +15,14 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import gammaln
 
-from .core import HurstParam, RealPath, SeedSpec, UniformGrid, as_hurst, compensated_sum
-from .errors import ConfigError, DomainError
-from .parallel import replication_map
-from .report import CONVERGENCE_COLUMNS, ConvergenceReport, aggregate, build_id
+from .core import HurstParam, RealPath, as_hurst, compensated_sum
+from .errors import DomainError
 
 __all__ = [
     "VariationResult",
     "EHConstant",
     "variation_Vnq",
     "e_H",
-    "fbm_variation_experiment",
 ]
 
 
@@ -67,65 +65,3 @@ def e_H(hurst: HurstParam | float) -> EHConstant:
     """Absolute Gaussian moment E|Z|^{1/H}, evaluated via log-Gamma."""
     h = as_hurst(hurst).h
     return EHConstant(h=h, value=_e_h_value(h))
-
-
-def _variation_rep(args: tuple, r: int) -> tuple[float, float]:
-    """One replication: (V_n^{1/H}(B), |V - T e_H|)."""
-    h, horizon, n, master_seed, base_rep, method = args
-    from . import fbm  # local import keeps the worker picklable and light
-
-    sampler = fbm.sample_fbm_circulant if method == "circulant" else fbm.sample_fbm_cholesky
-    grid = UniformGrid(horizon, n)
-    path = sampler(h, grid, SeedSpec(master_seed, base_rep + r))
-    v = variation_Vnq(path, 1.0 / h).value
-    target = horizon * _e_h_value(h)
-    return v, abs(v - target)
-
-
-def fbm_variation_experiment(
-    hurst: HurstParam | float,
-    horizon: float,
-    grid_sizes: list[int],
-    replications: int,
-    seed: SeedSpec,
-    workers: int = 1,
-    method: str = "circulant",
-) -> ConvergenceReport:
-    """Monte Carlo convergence of V_n^{1/H}(B) to its L^1 limit T * e_H.
-
-    For each grid size the report row carries the mean statistic, the limit
-    target, the Monte Carlo L^1 error E|V - T e_H| with a jackknife standard
-    error, and the relative error used by the monotone-trend flag.
-    """
-    hp = as_hurst(hurst)
-    if sorted(grid_sizes) != list(grid_sizes) or len(set(grid_sizes)) != len(grid_sizes):
-        raise ConfigError("grid_sizes must be strictly increasing")
-    if replications < 2:
-        raise ConfigError("need at least 2 replications for standard errors")
-    target = horizon * e_H(hp).value
-    rows = []
-    for n in grid_sizes:
-        args = (hp.h, horizon, n, seed.master_seed, seed.replication_index, method)
-        per_rep = replication_map(
-            functools.partial(_variation_rep, args), replications, workers
-        )
-        est, _ = aggregate([v for v, _ in per_rep])
-        abs_err, stderr = aggregate([dev for _, dev in per_rep])
-        rows.append((n, est, target, abs_err, abs_err / target, stderr))
-    flags = {"monotone_decreasing": _strictly_decreasing([r[4] for r in rows])}
-    meta = {
-        "experiment": "fbm-variation",
-        "hurst": hp.h,
-        "horizon": horizon,
-        "replications": replications,
-        "master_seed": seed.master_seed,
-        "method": method,
-        "build": build_id(),
-    }
-    return ConvergenceReport(
-        columns=CONVERGENCE_COLUMNS, rows=rows, flags=flags, meta=meta
-    )
-
-
-def _strictly_decreasing(values: list[float]) -> bool:
-    return all(b < a for a, b in zip(values, values[1:]))

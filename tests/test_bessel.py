@@ -14,9 +14,9 @@ from rvlab.bessel import (
     self_similarity_suite,
     self_similarity_test,
     theta_path,
-    theta_variation_experiment,
 )
 from rvlab.fbm import sample_fbm_multi
+from rvlab.ito import variation_experiment
 from rvlab.variation import e_H
 
 
@@ -150,13 +150,13 @@ class TestVariationGate:
 
     def test_experiment_gate_fires_before_sampling(self):
         with pytest.raises(GateError):
-            theta_variation_experiment(3, 0.35, 1.0, [64], 8, SeedSpec(0))
+            variation_experiment("theta-variation", 0.35, 1.0, [64], 8, SeedSpec(0), dimension=3)
 
 
 class TestThetaVariationExperiment:
     def test_target_is_eh_times_horizon(self):
-        report = theta_variation_experiment(
-            3, 0.45, 1.0, [128], 16, SeedSpec(75), xi_draws=4000
+        report = variation_experiment(
+            "theta-variation", 0.45, 1.0, [128], 16, SeedSpec(75), dimension=3, xi_draws=4000
         )
         row = report.rows[0]
         assert row[2] == pytest.approx(e_H(0.45).value, rel=1e-12)

@@ -148,6 +148,25 @@ class TestRunCommand:
         assert result.exit_code == 2
         assert "unknown config keys" in result.output
 
+    def test_unknown_sampler_method_exits_2_without_report(self, runner, tmp_path):
+        out = tmp_path / "report.csv"
+        config = {
+            "experiment": "fbm-variation",
+            "grid_sizes": [16],
+            "replications": 4,
+            "params": {"method": "bogus"},
+        }
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps(config))
+        for extra in ([], ["--out", str(out)]):
+            result = runner.invoke(
+                main, ["run", "--config", str(cfg_path), "--workers", "1", *extra]
+            )
+            assert result.exit_code == 2, result.output
+            assert "bogus" in result.output
+            assert "n,estimate" not in result.output
+        assert not out.exists()
+
     def test_experiments_listing(self, runner):
         result = runner.invoke(main, ["experiments"])
         assert result.exit_code == 0

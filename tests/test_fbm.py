@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from rvlab.core import SeedSpec, UniformGrid
-from rvlab.errors import DomainError, EmbeddingError, FactorizationError
+from rvlab.errors import ConfigError, DomainError, EmbeddingError, FactorizationError
 from rvlab.fbm import (
     CHOLESKY_MAX_N,
     circulant_eigenvalues,
@@ -249,5 +249,5 @@ class TestMultiSampler:
         grid = UniformGrid(1.0, 4)
         with pytest.raises(DomainError):
             sample_fbm_multi(0.3, 0, grid, SeedSpec(0))
-        with pytest.raises(DomainError):
+        with pytest.raises(ConfigError, match="euler"):
             sample_fbm_multi(0.3, 2, grid, SeedSpec(0), method="euler")

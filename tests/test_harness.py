@@ -1,7 +1,9 @@
 """Tests for config validation, the experiment registry, aggregation,
 report serialization and worker-count determinism."""
 
+import dataclasses
 import json
+import pathlib
 
 import numpy as np
 import pytest
@@ -197,3 +199,36 @@ def test_reports_identical_across_worker_counts(config):
     baseline = run_experiment(config, workers=1).to_csv()
     for workers in (2, 8):
         assert run_experiment(config, workers=workers).to_csv() == baseline
+
+
+@pytest.mark.parametrize(
+    "config",
+    [c for c in SMALL_CONFIGS if c.experiment != "covariance-check"],
+    ids=lambda c: c.experiment,
+)
+def test_unknown_sampler_method_rejected(config):
+    bogus = dataclasses.replace(config, params={**config.params, "method": "bogus"})
+    with pytest.raises(ConfigError, match="bogus"):
+        run_experiment(bogus)
+
+
+# Reports of the reduced configs, pinned byte for byte.  They change only
+# with a deliberate change of the random-stream contract, which regenerates
+# them and says so in CHANGES.md.
+GOLDEN = pathlib.Path(__file__).parent / "golden"
+GOLDEN_CONFIGS = SMALL_CONFIGS + [
+    ExperimentConfig(
+        experiment="kernel-check", hurst=0.3, master_seed=5,
+        params={"lattice": 2, "rtol": 1e-6},
+    ),
+]
+
+
+def test_golden_configs_cover_every_experiment():
+    assert sorted(c.experiment for c in GOLDEN_CONFIGS) == registered_experiments()
+
+
+@pytest.mark.parametrize("config", GOLDEN_CONFIGS, ids=lambda c: c.experiment)
+def test_report_matches_golden_bytes(config):
+    expected = (GOLDEN / f"{config.experiment}.csv").read_text(encoding="utf-8")
+    assert run_experiment(config).to_csv() == expected

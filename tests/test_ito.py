@@ -4,7 +4,7 @@ variation/scaling experiments on whitelisted integrands."""
 import numpy as np
 import pytest
 
-from rvlab.core import SeedSpec, UniformGrid
+from rvlab.core import SeedSpec, UniformGrid, weighted_cumulative
 from rvlab.errors import ConfigError, DegenerateInputError, DomainError, NumericalError
 from rvlab.fbm import sample_fbm_circulant, sample_fbm_multi
 from rvlab.ito import (
@@ -20,12 +20,10 @@ from rvlab.ito import (
     lp_scaling_experiment,
     register_integrand,
     register_multi_integrand,
-    divergence_variation_experiment,
-    divergence_variation_multi_experiment,
-    weighted_time_integral,
+    variation_experiment,
     xi_mc_target,
 )
-from rvlab.variation import e_H, fbm_variation_experiment
+from rvlab.variation import e_H
 
 
 class TestWeightedTimeIntegral:
@@ -35,14 +33,14 @@ class TestWeightedTimeIntegral:
         for h in (0.3, 0.45):
             for upto in (16, 64):
                 t = grid.node(upto)
-                got = weighted_time_integral(ones, grid, h, upto)
+                got = weighted_cumulative(ones, grid, h)[upto]
                 assert got == pytest.approx(t ** (2 * h) / (2 * h), rel=1e-12)
 
     def test_half_reduces_to_riemann_sum(self):
         grid = UniformGrid(2.0, 32)
         rng = np.random.default_rng(1)
         g = rng.standard_normal(33)
-        got = weighted_time_integral(g, grid, 0.5, 32)
+        got = weighted_cumulative(g, grid, 0.5)[32]
         assert got == pytest.approx(np.sum(g[1:]) * grid.dt, rel=1e-12)
 
     def test_linear_integrand_converges(self):
@@ -52,7 +50,7 @@ class TestWeightedTimeIntegral:
         errors = {}
         for n in (2**8, 2**12):
             grid = UniformGrid(1.0, n)
-            got = weighted_time_integral(grid.nodes(), grid, h, n)
+            got = weighted_cumulative(grid.nodes(), grid, h)[n]
             errors[n] = abs(got - exact)
         assert errors[2**12] < 5e-4
         assert errors[2**12] < errors[2**8] / 8
@@ -61,26 +59,13 @@ class TestWeightedTimeIntegral:
         # Lipschitz integrand: error vs a fine reference halves when n doubles.
         h, horizon = 0.35, 1.0
         reference_grid = UniformGrid(horizon, 2**14)
-        reference = weighted_time_integral(
-            np.cos(reference_grid.nodes()), reference_grid, h, 2**14
-        )
+        reference = weighted_cumulative(np.cos(reference_grid.nodes()), reference_grid, h)[2**14]
         errors = []
         for n in (256, 512, 1024):
             grid = UniformGrid(horizon, n)
-            errors.append(
-                abs(weighted_time_integral(np.cos(grid.nodes()), grid, h, n) - reference)
-            )
+            errors.append(abs(weighted_cumulative(np.cos(grid.nodes()), grid, h)[n] - reference))
         for coarse, fine in zip(errors, errors[1:]):
             assert 1.5 <= coarse / fine <= 2.5
-
-    def test_preconditions(self):
-        grid = UniformGrid(1.0, 4)
-        with pytest.raises(DomainError):
-            weighted_time_integral(np.ones(5), grid, 0.7, 4)
-        with pytest.raises(DomainError):
-            weighted_time_integral(np.ones(4), grid, 0.3, 4)
-        with pytest.raises(DomainError):
-            weighted_time_integral(np.ones(5), grid, 0.3, 5)
 
 
 class TestIntegrandRegistry:
@@ -117,7 +102,9 @@ class TestIntegrandRegistry:
 
     def test_unknown_label_in_experiment(self):
         with pytest.raises(ConfigError, match="unknown 1-dim integrand"):
-            divergence_variation_experiment("nope", 0.45, 1.0, [64], 4, SeedSpec(0))
+            variation_experiment(
+                "divergence-variation", 0.45, 1.0, [64], 4, SeedSpec(0), integrand="nope"
+            )
 
 
 class TestDivergence:
@@ -215,14 +202,18 @@ class TestDivergenceMulti:
 class TestScalarDivergenceVariation:
     def test_identity_reduces_to_fbm_variation(self):
         h, grids, m = 0.45, [64, 128], 24
-        via_thm = divergence_variation_experiment("identity", h, 1.0, grids, m, SeedSpec(17))
-        via_fbm = fbm_variation_experiment(h, 1.0, grids, m, SeedSpec(17))
+        via_thm = variation_experiment(
+            "divergence-variation", h, 1.0, grids, m, SeedSpec(17), integrand="identity"
+        )
+        via_fbm = variation_experiment("fbm-variation", h, 1.0, grids, m, SeedSpec(17))
         for row_a, row_b in zip(via_thm.rows, via_fbm.rows):
             assert row_a[1] == row_b[1]  # same paths, same statistic
             assert row_a[2] == pytest.approx(row_b[2], rel=1e-12)  # e_H * T
 
     def test_quadratic_small_run_structure(self):
-        report = divergence_variation_experiment("quadratic", 0.45, 1.0, [128, 512], 40, SeedSpec(9))
+        report = variation_experiment(
+            "divergence-variation", 0.45, 1.0, [128, 512], 40, SeedSpec(9), integrand="quadratic"
+        )
         assert report.meta["reading"] == "divergence"
         assert [r[0] for r in report.rows] == [128, 512]
         # the Monte Carlo L^1 error should already be moderate at n = 512
@@ -230,11 +221,14 @@ class TestScalarDivergenceVariation:
 
     def test_constant_integrand_is_degenerate(self):
         with pytest.raises(DegenerateInputError):
-            divergence_variation_experiment("constant", 0.45, 1.0, [64], 8, SeedSpec(0))
+            variation_experiment(
+                "divergence-variation", 0.45, 1.0, [64], 8, SeedSpec(0), integrand="constant"
+            )
 
     def test_error_trend_over_grid_ladder(self):
-        report = divergence_variation_experiment(
-            "quadratic", 0.45, 1.0, [64, 256, 1024, 4096], 100, SeedSpec(103)
+        report = variation_experiment(
+            "divergence-variation", 0.45, 1.0, [64, 256, 1024, 4096], 100, SeedSpec(103),
+            integrand="quadratic",
         )
         assert report.flags["monotone_decreasing"], [r[4] for r in report.rows]
         assert report.rows[-1][4] < 0.10
@@ -243,16 +237,20 @@ class TestScalarDivergenceVariation:
 class TestMultiDivergenceVariation:
     def test_dimension_one_matches_scalar_experiment(self):
         h, grids, m = 0.45, [128], 16
-        multi = divergence_variation_multi_experiment(
-            "radial_quadratic", 1, h, 1.0, grids, m, SeedSpec(19), xi_draws=2000
+        multi = variation_experiment(
+            "divergence-variation-multi", h, 1.0, grids, m, SeedSpec(19),
+            integrand="radial_quadratic", dimension=1, xi_draws=2000,
         )
-        scalar = divergence_variation_experiment("quadratic", h, 1.0, grids, m, SeedSpec(19))
+        scalar = variation_experiment(
+            "divergence-variation", h, 1.0, grids, m, SeedSpec(19), integrand="quadratic"
+        )
         assert multi.rows[0][1] == scalar.rows[0][1]
         assert multi.rows[0][2] == pytest.approx(scalar.rows[0][2], rel=1e-12)
 
     def test_dual_targets_agree(self):
-        report = divergence_variation_multi_experiment(
-            "radial_quadratic", 3, 0.45, 1.0, [256], 20, SeedSpec(19), xi_draws=4000
+        report = variation_experiment(
+            "divergence-variation-multi", 0.45, 1.0, [256], 20, SeedSpec(19),
+            integrand="radial_quadratic", dimension=3, xi_draws=4000,
         )
         row = report.rows[0]
         assert row[6] == pytest.approx(row[2], abs=3 * row[7])

@@ -15,7 +15,6 @@ from rvlab.core import StepFunction, UniformGrid
 from rvlab.errors import DomainError
 from rvlab.fbm import covariance
 from rvlab.kernel import (
-    KernelConstants,
     constant_cH,
     covariance_via_kernel,
     extended_inner,
@@ -58,13 +57,6 @@ class TestConstantCH:
             constant_cH(0.5)
         with pytest.raises(DomainError):
             constant_cH(0.7)
-
-    def test_constants_bundle(self):
-        consts = KernelConstants.for_hurst(0.3, tol_q=1e-9)
-        assert consts.c_h == constant_cH(0.3)
-        assert consts.tol_q == 1e-9
-        with pytest.raises(DomainError):
-            KernelConstants.for_hurst(0.3, tol_q=0.0)
 
 
 class TestKernelK:
