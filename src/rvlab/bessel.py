@@ -33,7 +33,7 @@ from .core import (
 from .errors import ConfigError, DomainError, GateError, NumericalError
 from .fbm import sample_fbm_multi
 from .parallel import replication_map
-from .report import Report, aggregate, build_id, loglog_fit
+from .report import Report, aggregate, build_id, check_shape, loglog_fit
 
 __all__ = [
     "KqConstant",
@@ -170,10 +170,9 @@ def negative_moment_experiment(
         raise GateError(f"the Bessel process needs d >= 2, got d={d}")
     if len(t_list) < 2:
         raise ConfigError("need at least two times for the scaling regression")
-    if sorted(t_list) != list(t_list) or min(t_list) <= 0:
-        raise ConfigError("t_list must be positive and increasing")
-    if replications < 2:
-        raise ConfigError("need at least 2 replications for standard errors")
+    if sorted(set(t_list)) != list(t_list) or min(t_list) <= 0:
+        raise ConfigError("t_list must be positive and strictly increasing")
+    check_shape(replications)
     grid = _moment_grid(t_list)
     indices = tuple(grid.index_of(t) for t in t_list)
     args = (

@@ -9,7 +9,9 @@ environment variable.  Exit codes: 0 pass, 1 tolerance failure,
 
 from __future__ import annotations
 
+import dataclasses
 import sys
+from typing import Callable
 
 import click
 
@@ -32,8 +34,8 @@ seed_option = click.option(
     help="Master seed (env fallback: RVL_DEFAULT_SEED).",
 )
 workers_option = click.option(
-    "--workers", type=int, default=None,
-    help="Worker processes; defaults to logical cores.",
+    "--workers", type=click.IntRange(min=1), default=None,
+    help="Worker processes, at most one per logical core; defaults to logical cores.",
 )
 out_option = click.option("--out", type=click.Path(dir_okay=False), default=None)
 format_option = click.option(
@@ -42,11 +44,11 @@ format_option = click.option(
 )
 
 
-def _grids(text: str) -> tuple[int, ...]:
+def _csv(text: str, cast: Callable, option: str) -> list:
     try:
-        return tuple(int(part) for part in text.split(","))
+        return [cast(part) for part in text.split(",")]
     except ValueError as exc:
-        raise ConfigError(f"bad --grids value {text!r}: {exc}") from exc
+        raise ConfigError(f"bad {option} value {text!r}: {exc}") from exc
 
 
 def _dispatch(config: ExperimentConfig, workers: int | None) -> int:
@@ -65,10 +67,9 @@ def _exit_code(exc: RvlabError) -> int:
     return EXIT_CONFIG
 
 
-def _run(config_kwargs: dict, workers: int | None) -> None:
+def _run(make_config: Callable[[], ExperimentConfig], workers: int | None) -> None:
     try:
-        config = ExperimentConfig(**config_kwargs)
-        code = _dispatch(config, workers)
+        code = _dispatch(make_config(), workers)
     except RvlabError as exc:
         click.echo(f"error: {exc}", err=True)
         sys.exit(_exit_code(exc))
@@ -102,12 +103,9 @@ def fbm_cmd(hurst, horizon, grid_size, dim, method, replication, seed, out):
             path = sampler(method)(hurst, grid, spec)
         else:
             path = sample_fbm_multi(hurst, dim, grid, spec, method=method)
-    except NumericalError as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(EXIT_NUMERICAL)
     except RvlabError as exc:
         click.echo(f"error: {exc}", err=True)
-        sys.exit(EXIT_CONFIG)
+        sys.exit(_exit_code(exc))
     if out:
         with open(out, "w", encoding="utf-8") as fh:
             write_path_csv(path, fh)
@@ -127,9 +125,9 @@ def fbm_cmd(hurst, horizon, grid_size, dim, method, replication, seed, out):
 def variation_cmd(hurst, horizon, grids, paths, seed, workers, out, fmt):
     """fBm 1/H-variation convergence experiment."""
     _run(
-        dict(
+        lambda: ExperimentConfig(
             experiment="fbm-variation", hurst=hurst, horizon=horizon,
-            grid_sizes=_grids(grids), replications=paths, master_seed=seed,
+            grid_sizes=_csv(grids, int, "--grids"), replications=paths, master_seed=seed,
             output_path=out, output_format=fmt,
         ),
         workers,
@@ -165,9 +163,9 @@ def ito_check_cmd(hurst, integrand, dim, mode, horizon, grids, paths, seed,
     else:
         experiment = "divergence-variation" if dim == 1 else "divergence-variation-multi"
     _run(
-        dict(
+        lambda: ExperimentConfig(
             experiment=experiment, hurst=hurst, dimension=dim, horizon=horizon,
-            grid_sizes=_grids(grids), replications=paths, master_seed=seed,
+            grid_sizes=_csv(grids, int, "--grids"), replications=paths, master_seed=seed,
             output_path=out, output_format=fmt, params={"integrand": integrand},
         ),
         workers,
@@ -200,19 +198,20 @@ def bessel_cmd(dim, hurst, horizon, grids, paths, which, q, t_list, a_list, t,
     """Fractional Bessel process experiments."""
     name = {"variation": "theta-variation", "moments": "negative-moments",
             "selfsim": "self-similarity"}[which]
-    params: dict = {}
-    if which == "moments":
-        params = {"q": q, "t_list": [float(x) for x in t_list.split(",")]}
-    elif which == "selfsim":
-        params = {"a_list": [float(x) for x in a_list.split(",")], "t": t}
-    _run(
-        dict(
+
+    def make_config() -> ExperimentConfig:
+        params: dict = {}
+        if which == "moments":
+            params = {"q": q, "t_list": _csv(t_list, float, "--t-list")}
+        elif which == "selfsim":
+            params = {"a_list": _csv(a_list, float, "--a-list"), "t": t}
+        return ExperimentConfig(
             experiment=name, hurst=hurst, dimension=dim, horizon=horizon,
-            grid_sizes=_grids(grids), replications=paths, master_seed=seed,
+            grid_sizes=_csv(grids, int, "--grids"), replications=paths, master_seed=seed,
             output_path=out, output_format=fmt, params=params,
-        ),
-        workers,
-    )
+        )
+
+    _run(make_config, workers)
 
 
 @main.command("kernel-check")
@@ -228,7 +227,7 @@ def kernel_check_cmd(hurst, tol, lattice, horizon, workers, out, fmt):
     """Covariance reproduction identity of the Volterra kernel; emits
     t,s,lhs,rhs,rel_err rows."""
     _run(
-        dict(
+        lambda: ExperimentConfig(
             experiment="kernel-check", hurst=hurst, horizon=horizon,
             output_path=out, output_format=fmt,
             params={"rtol": tol, "lattice": lattice},
@@ -244,23 +243,14 @@ def kernel_check_cmd(hurst, tol, lattice, horizon, workers, out, fmt):
 @out_option
 def run_cmd(config_path, workers, out):
     """Run an experiment described by a JSON config file."""
-    try:
-        with open(config_path, "r", encoding="utf-8") as fh:
-            config = ExperimentConfig.from_json(fh.read())
-        if out:
-            config = ExperimentConfig.from_dict({**config_dict(config), "output_path": out})
-        code = _dispatch(config, workers)
-    except RvlabError as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(_exit_code(exc))
-    sys.exit(code)
+    with open(config_path, "r", encoding="utf-8") as fh:
+        text = fh.read()
 
+    def make_config() -> ExperimentConfig:
+        config = ExperimentConfig.from_json(text)
+        return dataclasses.replace(config, output_path=out) if out else config
 
-def config_dict(config: ExperimentConfig) -> dict:
-    doc = config.echo()
-    doc["output_path"] = config.output_path
-    doc["output_format"] = config.output_format
-    return doc
+    _run(make_config, workers)
 
 
 @main.command("experiments")

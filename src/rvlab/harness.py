@@ -12,10 +12,13 @@ error, 3 numerical failure.
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 import json
+import sys
 import time
 from dataclasses import dataclass, field
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -23,7 +26,7 @@ from . import bessel, fbm, ito, kernel
 from .core import HurstParam, SeedSpec, UniformGrid
 from .errors import ConfigError
 from .parallel import replication_map
-from .report import Report, aggregate, build_id
+from .report import Report, aggregate, build_id, check_shape
 
 __all__ = [
     "ExperimentConfig",
@@ -41,24 +44,48 @@ EXIT_TOLERANCE = 1
 EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
 
-_CONFIG_KEYS = {
-    "experiment",
-    "hurst",
-    "dimension",
-    "horizon",
-    "grid_sizes",
-    "replications",
-    "master_seed",
-    "tolerances",
-    "output_path",
-    "output_format",
-    "params",
-}
+_KINDS = {bool: "true or false", int: "an integer", float: "a finite number", str: "a string",
+          dict: "an object"}
+
+
+def _typed(name: str, value, like):
+    """``value`` checked against the JSON type of ``like``.
+
+    An int takes an int but not a bool, a float a finite int or float
+    (returned as a float), a bool only a bool, and a list a non-empty list
+    or tuple whose elements match ``like[0]`` (returned as the type of
+    ``like``).
+    """
+    if isinstance(like, (list, tuple)):
+        if not isinstance(value, (list, tuple)) or not value:
+            raise ConfigError(f"{name} must be a non-empty list, got {value!r}")
+        return type(like)(_typed(f"{name}[{i}]", v, like[0]) for i, v in enumerate(value))
+    kind = type(like)
+    if kind is float and isinstance(value, (int, float)):
+        ok = abs(value) <= sys.float_info.max
+    else:
+        ok = isinstance(value, kind)
+    if not ok or isinstance(value, bool) != (kind is bool):
+        raise ConfigError(f"{name} must be {_KINDS[kind]}, got {value!r}")
+    return float(value) if kind is float else value
+
+
+class _Derived(NamedTuple):
+    """A default worked out from the rest of the config; ``like`` gives its type."""
+
+    like: object
+    of: Callable
 
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Validated experiment request; see the module docstring for semantics."""
+    """Validated experiment request; see the module docstring for semantics.
+
+    Every field with a default, and every param and tolerance, takes the JSON
+    type of its default (see :func:`_typed`); ints given for floats are
+    stored as floats.  Params and tolerances hold only the keys the config
+    gave; the runners read them, defaults included, through :meth:`param`.
+    """
 
     experiment: str
     hurst: float = 0.3
@@ -73,47 +100,60 @@ class ExperimentConfig:
     params: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.experiment not in _REGISTRY:
+        if not isinstance(self.experiment, str) or self.experiment not in _REGISTRY:
             raise ConfigError(
                 f"unknown experiment {self.experiment!r}; "
                 f"registered: {registered_experiments()}"
             )
+        spec = _REGISTRY[self.experiment]
+        for f in dataclasses.fields(self):
+            like = f.default if f.default_factory is dataclasses.MISSING else f.default_factory()
+            if like is not None and like is not dataclasses.MISSING:
+                object.__setattr__(self, f.name, _typed(f.name, getattr(self, f.name), like))
+        for group in ("params", "tolerances"):
+            given, declared = getattr(self, group), getattr(spec, group)
+            unknown = set(given) - set(declared)
+            if unknown:
+                raise ConfigError(
+                    f"unknown {group} for {self.experiment!r}: {sorted(unknown)}; "
+                    f"allowed: {sorted(declared)}"
+                )
+            typed = {
+                key: _typed(f"{group}.{key}", value, getattr(declared[key], "like", declared[key]))
+                for key, value in given.items()
+            }
+            object.__setattr__(self, group, typed)
+        if self.output_path is not None and not isinstance(self.output_path, str):
+            raise ConfigError(f"output_path must be a string, got {self.output_path!r}")
         HurstParam(self.hurst)  # range gate
         if not self.horizon > 0:
             raise ConfigError(f"horizon must be positive, got {self.horizon}")
-        sizes = list(self.grid_sizes)
-        if not sizes or any(int(n) != n or n < 1 for n in sizes) or sizes != sorted(set(sizes)):
-            raise ConfigError("grid_sizes must be strictly increasing positive integers")
-        if self.replications < 1:
-            raise ConfigError("replications must be >= 1")
+        if self.dimension != 1 and not spec.dimensional:
+            raise ConfigError(
+                f"{self.experiment!r} does not read dimension; got dimension={self.dimension}"
+            )
+        xi_paths = self.param("xi_paths") if "xi_paths" in spec.params else None
+        check_shape(self.replications, self.grid_sizes, xi_paths)
         SeedSpec(self.master_seed)  # 64-bit gate
         if self.output_format not in ("csv", "json"):
             raise ConfigError(f"output format must be csv or json, got {self.output_format!r}")
-        spec = _REGISTRY[self.experiment]
-        unknown = set(self.params) - spec.param_keys
-        if unknown:
-            raise ConfigError(
-                f"unknown params for {self.experiment!r}: {sorted(unknown)}; "
-                f"allowed: {sorted(spec.param_keys)}"
-            )
-        unknown_tol = set(self.tolerances) - spec.tolerance_keys
-        if unknown_tol:
-            raise ConfigError(
-                f"unknown tolerances for {self.experiment!r}: {sorted(unknown_tol)}; "
-                f"allowed: {sorted(spec.tolerance_keys)}"
-            )
+
+    def param(self, key: str, group: str = "params"):
+        """``params[key]``, or ``tolerances[key]``, as given, else its registered default."""
+        given = getattr(self, group)
+        if key in given:
+            return given[key]
+        default = getattr(_REGISTRY[self.experiment], group)[key]
+        return default.of(self) if isinstance(default, _Derived) else default
 
     @classmethod
     def from_dict(cls, doc: dict) -> "ExperimentConfig":
-        unknown = set(doc) - _CONFIG_KEYS
+        unknown = set(doc) - {f.name for f in dataclasses.fields(cls)}
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
         if "experiment" not in doc:
             raise ConfigError("config needs an 'experiment' key")
-        kwargs = dict(doc)
-        if "grid_sizes" in kwargs:
-            kwargs["grid_sizes"] = tuple(int(n) for n in kwargs["grid_sizes"])
-        return cls(**kwargs)
+        return cls(**doc)
 
     @classmethod
     def from_json(cls, text: str) -> "ExperimentConfig":
@@ -126,45 +166,23 @@ class ExperimentConfig:
         return cls.from_dict(doc)
 
     def echo(self) -> dict:
-        return {
-            "experiment": self.experiment,
-            "hurst": self.hurst,
-            "dimension": self.dimension,
-            "horizon": self.horizon,
-            "grid_sizes": list(self.grid_sizes),
-            "replications": self.replications,
-            "master_seed": self.master_seed,
-            "tolerances": dict(self.tolerances),
-            "params": dict(self.params),
-        }
+        """The config as validated, without where its report goes."""
+        return {key: value for key, value in vars(self).items() if not key.startswith("output")}
 
 
 @dataclass(frozen=True)
 class _ExperimentSpec:
-    runner: "callable"
-    param_keys: frozenset
-    tolerance_keys: frozenset
-    default_tolerances: dict
-
-
-def _maybe_int(value):
-    return None if value is None else int(value)
+    runner: Callable
+    params: dict  # key -> default, or a _Derived one
+    tolerances: dict
+    dimensional: bool  # reads ``dimension``; the others take only 1
 
 
 def _tol(config: ExperimentConfig, key: str) -> float:
-    spec = _REGISTRY[config.experiment]
-    return float(config.tolerances.get(key, spec.default_tolerances[key]))
-
-
-# Integrand of each divergence experiment when params name none.
-_DEFAULT_INTEGRAND = {
-    "divergence-variation": "quadratic",
-    "divergence-variation-multi": "radial_quadratic",
-}
+    return config.param(key, "tolerances")
 
 
 def _run_variation(config: ExperimentConfig, workers: int) -> Report:
-    params = config.params
     report = ito.variation_experiment(
         config.experiment,
         config.hurst,
@@ -173,11 +191,8 @@ def _run_variation(config: ExperimentConfig, workers: int) -> Report:
         config.replications,
         SeedSpec(config.master_seed),
         workers=workers,
-        method=params.get("method", "circulant"),
-        integrand=params.get("integrand", _DEFAULT_INTEGRAND.get(config.experiment)),
         dimension=config.dimension,
-        xi_draws=int(params.get("xi_draws", ito.DEFAULT_XI_DRAWS)),
-        xi_paths=_maybe_int(params.get("xi_paths")),
+        **{key: config.param(key) for key in _REGISTRY[config.experiment].params},
     )
     report.flags["rel_err_final_ok"] = report.rows[-1][4] < _tol(config, "rel_err_final")
     return report
@@ -186,82 +201,66 @@ def _run_variation(config: ExperimentConfig, workers: int) -> Report:
 def _run_negative_moments(config: ExperimentConfig, workers: int) -> Report:
     report = bessel.negative_moment_experiment(
         config.dimension,
-        float(config.params.get("q", 1.0)),
+        config.param("q"),
         config.hurst,
-        [float(t) for t in config.params.get("t_list", (0.25, 0.5, 1.0, 2.0))],
+        config.param("t_list"),
         config.replications,
         SeedSpec(config.master_seed),
         workers=workers,
-        method=config.params.get("method", "circulant"),
+        method=config.param("method"),
     )
-    slope_ok = abs(report.extra["slope"] - report.extra["slope_target"]) <= _tol(
-        config, "slope_tol"
-    )
-    intercept_ok = abs(
-        report.extra["intercept"] - report.extra["intercept_target"]
-    ) <= _tol(config, "intercept_tol")
-    report.flags["slope_ok"] = bool(slope_ok)
-    report.flags["intercept_ok"] = bool(intercept_ok)
+    for key in ("slope", "intercept"):
+        gap = abs(report.extra[key] - report.extra[f"{key}_target"])
+        report.flags[f"{key}_ok"] = gap <= _tol(config, f"{key}_tol")
     return report
 
 
 def _run_self_similarity(config: ExperimentConfig, workers: int) -> Report:
-    t = float(config.params.get("t", 0.5))
-    a_list = [float(a) for a in config.params.get("a_list", (2.0, 4.0))]
-    control = config.params.get("control", True)
+    a_list = config.param("a_list")
     return bessel.self_similarity_suite(
         config.dimension,
         config.hurst,
-        [(a, t) for a in a_list],
+        [(a, config.param("t")) for a in a_list],
         config.replications,
         SeedSpec(config.master_seed),
         workers=workers,
-        grid_size=int(config.params.get("grid_size", 1024)),
-        method=config.params.get("method", "circulant"),
-        level=float(config.params.get("level", bessel.DEFAULT_KS_LEVEL)),
-        control_a=max(a_list) if control else None,
+        grid_size=config.param("grid_size"),
+        method=config.param("method"),
+        level=config.param("level"),
+        control_a=max(a_list) if config.param("control") else None,
     )
 
 
 def _run_lp_scaling(config: ExperimentConfig, workers: int) -> Report:
-    integrand = config.params.get("integrand", "identity")
-    intervals = config.params.get("intervals")
-    if intervals is not None:
-        intervals = [(float(a), float(b)) for a, b in intervals]
     report = ito.lp_scaling_experiment(
-        integrand,
+        config.param("integrand"),
         config.hurst,
         config.horizon,
-        intervals,
+        config.param("intervals"),
         config.replications,
         SeedSpec(config.master_seed),
         workers=workers,
-        grid_size=int(config.params.get("grid_size", 4096)),
-        method=config.params.get("method", "circulant"),
+        grid_size=config.param("grid_size"),
+        method=config.param("method"),
     )
-    default = 0.05 if integrand == "identity" else 0.15
-    tol = float(config.tolerances.get("slope_tol", default))
-    report.flags["slope_ok"] = abs(report.extra["slope"] - 1.0) <= tol
+    report.flags["slope_ok"] = abs(report.extra["slope"] - 1.0) <= _tol(config, "slope_tol")
     return report
 
 
 def _run_kernel_check(config: ExperimentConfig, workers: int) -> Report:
-    hp = HurstParam(config.hurst)
-    hp.require_rough("the kernel reproduction check")
     rows = kernel.kernel_check_table(
-        hp,
+        config.hurst,
         horizon=config.horizon,
-        lattice=int(config.params.get("lattice", 5)),
-        rtol=float(config.params.get("rtol", kernel.DEFAULT_L2_TOL)),
+        lattice=config.param("lattice"),
+        rtol=config.param("rtol"),
     )
-    tol = _tol(config, "rel_err_max")
     worst = max(r[4] for r in rows)
     return Report(
         columns=("t", "s", "lhs", "rhs", "rel_err"),
         rows=rows,
         extra={"max_rel_err": worst},
-        flags={"reproduction_ok": worst < tol},
-        meta={"experiment": "kernel-check", "hurst": hp.h, "build": build_id()},
+        flags={"reproduction_ok": worst < _tol(config, "rel_err_max")},
+        meta={"experiment": "kernel-check", "hurst": config.hurst, "build": build_id()},
     )
 
 
@@ -324,56 +323,41 @@ def _run_covariance_check(config: ExperimentConfig, workers: int) -> Report:
 _REGISTRY: dict[str, _ExperimentSpec] = {}
 
 
-def _register(name, runner, params=(), tolerances=None):
-    tolerances = tolerances or {}
-    _REGISTRY[name] = _ExperimentSpec(
-        runner=runner,
-        param_keys=frozenset(params),
-        tolerance_keys=frozenset(tolerances),
-        default_tolerances=dict(tolerances),
-    )
+def _register(name, runner, params=None, tolerances=None, dimensional=False):
+    _REGISTRY[name] = _ExperimentSpec(runner, params or {}, tolerances or {}, dimensional)
 
 
-_register(
-    "fbm-variation", _run_variation, params=("method",),
-    tolerances={"rel_err_final": 0.05},
-)
-_register(
-    "divergence-variation", _run_variation, params=("integrand", "method"),
-    tolerances={"rel_err_final": 0.10},
-)
-_register(
-    "divergence-variation-multi", _run_variation,
-    params=("integrand", "method", "xi_draws", "xi_paths"),
-    tolerances={"rel_err_final": 0.10},
-)
-_register(
-    "theta-variation", _run_variation,
-    params=("method", "xi_draws", "xi_paths"),
-    tolerances={"rel_err_final": 0.10},
-)
-_register(
-    "negative-moments", _run_negative_moments,
-    params=("q", "t_list", "method"),
-    tolerances={"slope_tol": 0.02, "intercept_tol": 0.05},
-)
-_register(
-    "self-similarity", _run_self_similarity,
-    params=("t", "a_list", "grid_size", "method", "level", "control"),
-)
-_register(
-    "lp-scaling", _run_lp_scaling,
-    params=("integrand", "intervals", "grid_size", "method"),
-    tolerances={"slope_tol": None},
-)
-_register(
-    "kernel-check", _run_kernel_check, params=("lattice", "rtol"),
-    tolerances={"rel_err_max": 1e-4},
-)
-_register(
-    "covariance-check", _run_covariance_check,
-    tolerances={"max_z": 3.0},
-)
+_XI_PATHS = _Derived(1, lambda config: config.replications)  # every path
+
+_register("fbm-variation", _run_variation, params={"method": "circulant"},
+          tolerances={"rel_err_final": 0.05})
+_register("divergence-variation", _run_variation,
+          params={"integrand": "quadratic", "method": "circulant"},
+          tolerances={"rel_err_final": 0.10})
+_register("divergence-variation-multi", _run_variation,
+          params={"integrand": "radial_quadratic", "method": "circulant",
+                  "xi_draws": ito.DEFAULT_XI_DRAWS, "xi_paths": _XI_PATHS},
+          tolerances={"rel_err_final": 0.10}, dimensional=True)
+_register("theta-variation", _run_variation,
+          params={"method": "circulant", "xi_draws": ito.DEFAULT_XI_DRAWS, "xi_paths": _XI_PATHS},
+          tolerances={"rel_err_final": 0.10}, dimensional=True)
+_register("negative-moments", _run_negative_moments,
+          params={"q": 1.0, "t_list": [0.25, 0.5, 1.0, 2.0], "method": "circulant"},
+          tolerances={"slope_tol": 0.02, "intercept_tol": 0.05}, dimensional=True)
+_register("self-similarity", _run_self_similarity,
+          params={"t": 0.5, "a_list": [2.0, 4.0], "grid_size": 1024, "method": "circulant",
+                  "level": bessel.DEFAULT_KS_LEVEL, "control": True},
+          dimensional=True)
+_register("lp-scaling", _run_lp_scaling,
+          params={"integrand": "identity", "grid_size": 4096, "method": "circulant",
+                  "intervals": _Derived([[1.0]], lambda c: ito.default_interval_pairs(c.horizon))},
+          # criterion 09's bounds: the u = 1 exponent is held tighter
+          tolerances={"slope_tol": _Derived(
+              1.0, lambda c: 0.05 if c.param("integrand") == "identity" else 0.15)})
+_register("kernel-check", _run_kernel_check,
+          params={"lattice": 5, "rtol": kernel.DEFAULT_L2_TOL},
+          tolerances={"rel_err_max": 1e-4})
+_register("covariance-check", _run_covariance_check, tolerances={"max_z": 3.0})
 
 
 def registered_experiments() -> list[str]:

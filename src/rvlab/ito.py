@@ -38,7 +38,8 @@ from .bessel import require_variation_gate, theta_path
 from .errors import ConfigError, DegenerateInputError, GateError, NumericalError
 from .fbm import sample_fbm_multi, sampler
 from .parallel import replication_map
-from .report import CONVERGENCE_COLUMNS, ConvergenceReport, Report, aggregate, build_id, loglog_fit
+from .report import CONVERGENCE_COLUMNS, ConvergenceReport, Report, aggregate, build_id
+from .report import check_shape, loglog_fit
 from .variation import e_H, variation_Vnq
 
 __all__ = [
@@ -54,15 +55,10 @@ __all__ = [
     "variation_experiment",
     "lp_scaling_experiment",
     "DEFAULT_XI_DRAWS",
-    "DEFAULT_XI_PATHS",
 ]
 
 # nu-integral Monte Carlo: 10^4 standard-normal draws as antithetic pairs.
 DEFAULT_XI_DRAWS = 10_000
-# Replications carrying the xi cross-check target; None means every path,
-# so target and target_mc columns average the same replication set.  Small
-# runs may restrict this for speed.
-DEFAULT_XI_PATHS: int | None = None
 
 _FD_TOL = 1e-4
 
@@ -434,7 +430,7 @@ def variation_experiment(
     integrand: str | None = None,
     dimension: int = 1,
     xi_draws: int = DEFAULT_XI_DRAWS,
-    xi_paths: int | None = DEFAULT_XI_PATHS,
+    xi_paths: int | None = None,
 ) -> ConvergenceReport:
     """L^1 convergence of V_n^{1/H}(X) to e_H int_0^T ||u_s||^{1/H} ds.
 
@@ -446,7 +442,8 @@ def variation_experiment(
     closed form e_H * T.  The d-dim cases cross-check the target against
     Monte Carlo over xi (the closed form holds because <u, xi> is
     N(0, ||u||^2) under the Gaussian xi-measure), and disagreement beyond 3
-    standard errors aborts.
+    standard errors aborts.  Only the first ``xi_paths`` replications (all
+    when None, so both target columns average the same paths) carry xi.
     """
     hp = as_hurst(hurst)
     meta = {
@@ -464,20 +461,18 @@ def variation_experiment(
         integrand, dimension = _lookup(integrand, INTEGRANDS, "1-dim").label, 1
     elif experiment == "divergence-variation-multi":
         integrand = _lookup(integrand, MULTI_INTEGRANDS, "d-dim").label
-        if dimension < 1:
-            raise ConfigError(f"dimension must be >= 1, got {dimension}")
     elif experiment == "theta-variation":
         require_variation_gate(dimension, hp)
         if dimension < 2:
             raise GateError(f"the Bessel process needs d >= 2, got d={dimension}")
     else:
         raise ConfigError(f"unknown variation experiment {experiment!r}")
-    _validate_experiment_shape(grid_sizes, replications)
+    dual = experiment in _XI_TARGET
+    xi_paths = replications if xi_paths is None else xi_paths
+    check_shape(replications, grid_sizes, xi_paths if dual else None)
     if experiment.startswith("divergence"):
         meta.update(integrand=integrand, reading=divergence_reading(hp))
-    dual = experiment in _XI_TARGET
     if dual:
-        xi_paths = replications if xi_paths is None else min(max(xi_paths, 1), replications)
         meta.update(dimension=dimension, xi_draws=xi_draws, xi_paths=xi_paths)
     rows = []
     for n in grid_sizes:
@@ -548,6 +543,8 @@ def lp_scaling_experiment(
     spec = _lookup(label, INTEGRANDS, "1-dim")
     if interval_pairs is None:
         interval_pairs = default_interval_pairs(horizon)
+    if any(len(pair) != 2 for pair in interval_pairs):
+        raise ConfigError(f"intervals must be (a, b) pairs, got {interval_pairs}")
     widths = [b - a for a, b in interval_pairs]
     if len(set(widths)) < 3:
         raise ConfigError("scaling regression needs at least 3 distinct interval widths")
@@ -559,8 +556,7 @@ def lp_scaling_experiment(
         if a < horizon / 4 - 1e-12:
             raise ConfigError(f"intervals must stay away from 0: a >= T/4, got a={a}")
         index_pairs.append((grid.index_of(a), grid.index_of(b)))
-    if replications < 2:
-        raise ConfigError("need at least 2 replications for standard errors")
+    check_shape(replications)
 
     args = (
         spec.label, hp.h, horizon, grid_size, tuple(index_pairs),
@@ -592,10 +588,3 @@ def lp_scaling_experiment(
     }
     extra = {"slope": slope, "intercept": intercept, "r_squared": r2, "slope_target": 1.0}
     return Report(columns=("width", "estimate", "stderr"), rows=rows, extra=extra, meta=meta)
-
-
-def _validate_experiment_shape(grid_sizes: list[int], replications: int) -> None:
-    if sorted(grid_sizes) != list(grid_sizes) or len(set(grid_sizes)) != len(grid_sizes):
-        raise ConfigError("grid_sizes must be strictly increasing")
-    if replications < 2:
-        raise ConfigError("need at least 2 replications for standard errors")

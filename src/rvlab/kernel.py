@@ -317,6 +317,9 @@ def kernel_check_table(
     """Rows (t, s, lhs, rhs, rel_err) of the reproduction identity on a
     lattice of times i*T/lattice, restricted to s <= t by symmetry."""
     hp = as_hurst(hurst)
+    hp.require_rough("the kernel reproduction check")
+    if lattice < 1 or not rtol > 50 * np.finfo(float).eps:
+        raise DomainError(f"need lattice >= 1 and rtol > 50 eps, got {lattice} and {rtol}")
     times = [i * horizon / lattice for i in range(1, lattice + 1)]
     rows = []
     for t in times:

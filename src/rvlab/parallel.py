@@ -30,7 +30,8 @@ def replication_map(fn: Callable[[int], T], replications: int, workers: int = 1)
     """Evaluate ``fn(i)`` for i in 0..replications-1, in index order.
 
     With ``workers`` > 1 the index classes i mod workers run in parallel
-    processes; the returned list is always ordered by replication index.
+    processes, at most one per logical core; the returned list is always
+    ordered by replication index.
     """
     if replications < 0:
         raise ValueError("replications must be nonnegative")
@@ -39,7 +40,7 @@ def replication_map(fn: Callable[[int], T], replications: int, workers: int = 1)
     shards = [list(range(w, replications, workers)) for w in range(workers)]
     shards = [s for s in shards if s]
     out: list = [None] * replications
-    with ProcessPoolExecutor(max_workers=len(shards)) as pool:
+    with ProcessPoolExecutor(max_workers=min(len(shards), default_workers())) as pool:
         for pairs in pool.map(_run_shard, [fn] * len(shards), shards):
             for i, value in pairs:
                 out[i] = value

@@ -19,7 +19,7 @@ from . import __version__
 from .core import compensated_sum
 from .errors import ConfigError, DomainError
 
-__all__ = ["aggregate", "loglog_fit", "Report", "ConvergenceReport", "CONVERGENCE_COLUMNS", "build_id"]
+__all__ = ["aggregate", "check_shape", "loglog_fit", "Report", "ConvergenceReport", "CONVERGENCE_COLUMNS", "build_id"]
 
 CONVERGENCE_COLUMNS = ("n", "estimate", "target", "abs_err", "rel_err", "stderr")
 
@@ -49,6 +49,25 @@ def aggregate(values: Sequence[float]) -> tuple[float, float | None]:
     # sum((v - mean)^2) / (m (m - 1)).
     ss = compensated_sum((v - mean) ** 2 for v in values)
     return mean, math.sqrt(ss / (m * (m - 1)))
+
+
+def check_shape(
+    replications: int, grid_sizes: Sequence[int] | None = None, xi_paths: int | None = None
+) -> None:
+    """The one grid and replication rule of every experiment.
+
+    A standard error needs at least 2 replications; grid sizes, where an
+    experiment has them, are strictly increasing positive integers; the
+    replications carrying the xi target number 1..replications.
+    """
+    if grid_sizes is not None and (
+        not grid_sizes or min(grid_sizes) < 1 or list(grid_sizes) != sorted(set(grid_sizes))
+    ):
+        raise ConfigError("grid_sizes must be strictly increasing positive integers")
+    if replications < 2:
+        raise ConfigError("need at least 2 replications for standard errors")
+    if xi_paths is not None and not 1 <= xi_paths <= replications:
+        raise ConfigError(f"xi_paths must lie in 1..{replications}, got {xi_paths}")
 
 
 def loglog_fit(x: Sequence[float], y: Sequence[float]) -> tuple[float, float, float]:

@@ -182,6 +182,8 @@ class TestNegativeMoments:
             negative_moment_experiment(3, 1.0, 0.45, [1.0, float(np.sqrt(2))], 16, SeedSpec(0))
         with pytest.raises(ConfigError):
             negative_moment_experiment(3, 1.0, 0.45, [1.0], 16, SeedSpec(0))
+        with pytest.raises(ConfigError, match="increasing"):
+            negative_moment_experiment(3, 1.0, 0.45, [0.5, 0.5, 1.0], 16, SeedSpec(0))
 
 
 class TestSelfSimilarity:

@@ -110,6 +110,20 @@ class TestExperimentCommands:
         assert result.exit_code == 2
         assert "2dH" in result.output
 
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["variation", "--grids", "16,x"],
+            ["bessel", "--experiment", "moments", "--t-list", "a,b"],
+            ["bessel", "--experiment", "selfsim", "--a-list", "x"],
+        ],
+        ids=lambda args: args[-2],
+    )
+    def test_bad_comma_list_exits_2(self, runner, args):
+        result = runner.invoke(main, [*args, "--hurst", "0.45", "--paths", "4", "--workers", "1"])
+        assert result.exit_code == 2, result.output
+        assert result.output.startswith(f"error: bad {args[-2]} value")
+
     def test_kernel_check_rejects_half(self, runner):
         result = runner.invoke(main, ["kernel-check", "--hurst", "0.5"])
         assert result.exit_code == 2
@@ -166,6 +180,52 @@ class TestRunCommand:
             assert "bogus" in result.output
             assert "n,estimate" not in result.output
         assert not out.exists()
+
+    def test_out_writes_the_bytes_of_output_path(self, runner, tmp_path):
+        by_config, by_flag = tmp_path / "config.csv", tmp_path / "flag.csv"
+        config = {
+            "experiment": "fbm-variation", "grid_sizes": [16], "replications": 4,
+            "master_seed": 5, "output_path": str(by_config),
+        }
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps(config))
+        args = ["run", "--config", str(cfg_path), "--workers", "1"]
+        assert runner.invoke(main, args).exit_code in (0, 1)
+        assert runner.invoke(main, [*args, "--out", str(by_flag)]).exit_code in (0, 1)
+        assert by_flag.read_bytes() == by_config.read_bytes()
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            {"grid_sizes": 5},
+            {"grid_sizes": [16.7]},
+            {"dimension": 3},
+            {"horizon": 1e999},
+            {"tolerances": {"rel_err_final": "x"}},
+        ],
+        ids=str,
+    )
+    def test_bad_config_exits_2_without_report(self, runner, tmp_path, overrides):
+        out = tmp_path / "report.csv"
+        config = {"experiment": "fbm-variation", "grid_sizes": [16], "replications": 4, **overrides}
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps(config))
+        result = runner.invoke(
+            main, ["run", "--config", str(cfg_path), "--workers", "1", "--out", str(out)]
+        )
+        assert result.exit_code == 2, result.output
+        assert result.output.startswith("error: ")
+        assert result.exception is None or isinstance(result.exception, SystemExit)
+        assert not out.exists()
+
+    @pytest.mark.parametrize("workers", ["0", "-1"])
+    def test_workers_below_one_exits_2(self, runner, workers):
+        result = runner.invoke(
+            main, ["variation", "--hurst", "0.3", "--grids", "16", "--paths", "4",
+                   "--workers", workers],
+        )
+        assert result.exit_code == 2
+        assert "--workers" in result.output
 
     def test_experiments_listing(self, runner):
         result = runner.invoke(main, ["experiments"])

@@ -8,6 +8,7 @@ import pathlib
 import numpy as np
 import pytest
 
+from rvlab import parallel
 from rvlab.errors import ConfigError, DomainError, GateError
 from rvlab.harness import ExperimentConfig, registered_experiments, run_experiment
 from rvlab.parallel import replication_map
@@ -46,9 +47,35 @@ class TestReplicationMap:
         sharded = replication_map(_cube, 13, workers=4)
         assert sequential == sharded
 
+    def test_pool_is_capped_at_cpu_count_but_keeps_shards(self, monkeypatch):
+        pools = []
+        monkeypatch.setattr(parallel, "ProcessPoolExecutor", lambda max_workers: _InlinePool(
+            max_workers, pools))
+        monkeypatch.setattr(parallel.os, "cpu_count", lambda: 3)
+        assert replication_map(_cube, 20, workers=8) == [i**3 for i in range(20)]
+        assert pools == [(3, 8)]  # 8 index-mod-8 shards on 3 processes
+
 
 def _cube(i: int) -> int:
     return i**3
+
+
+class _InlinePool:
+    """Stands in for a process pool: records (max_workers, shards), runs inline."""
+
+    def __init__(self, max_workers, log):
+        self.max_workers, self.log = max_workers, log
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, *iterables):
+        shards = list(iterables[-1])
+        self.log.append((self.max_workers, len(shards)))
+        return map(fn, *iterables[:-1], shards)
 
 
 class TestExperimentConfig:
@@ -83,11 +110,75 @@ class TestExperimentConfig:
         with pytest.raises(ConfigError):
             ExperimentConfig.from_json("{not json")
 
+    def test_int_for_float_runs_the_float_config(self):
+        base = dict(experiment="negative-moments", hurst=0.45, dimension=3, replications=16)
+        as_int = ExperimentConfig.from_dict(
+            {**base, "horizon": 1, "params": {"q": 1, "t_list": [0.5, 1]}}
+        )
+        as_float = ExperimentConfig.from_dict(
+            {**base, "horizon": 1.0, "params": {"q": 1.0, "t_list": [0.5, 1.0]}}
+        )
+        assert as_int.param("q") == 1.0 and isinstance(as_int.param("q"), float)
+        assert run_experiment(as_int).to_csv() == run_experiment(as_float).to_csv()
+
     def test_registry_listing(self):
         names = registered_experiments()
         assert "fbm-variation" in names
         assert "kernel-check" in names
         assert names == sorted(names)
+
+
+# Inputs that crashed with a traceback, silently ran another computation or
+# exited with the numerical code; each is now a config error before any run.
+BAD_CONFIGS = [
+    ("fbm-variation", {"grid_sizes": 5}),
+    ("fbm-variation", {"hurst": "x"}),
+    ("fbm-variation", {"replications": "10"}),
+    ("fbm-variation", {"replications": 4.5}),
+    ("fbm-variation", {"horizon": "1"}),
+    ("negative-moments", {"params": {"t_list": 1.0}}),
+    ("lp-scaling", {"params": {"intervals": [1, 2]}}),
+    ("fbm-variation", {"tolerances": {"rel_err_final": "x"}}),
+    ("lp-scaling", {"tolerances": {"slope_tol": None}}),
+    ("fbm-variation", {"grid_sizes": [16.7]}),
+    ("kernel-check", {"params": {"lattice": 2.9}}),
+    ("fbm-variation", {"dimension": 3}),
+    ("covariance-check", {"dimension": 4}),
+    ("divergence-variation-multi", {"params": {"xi_paths": 0}}),
+    ("self-similarity", {"params": {"control": "false"}}),
+    ("negative-moments", {"params": {"q": "1"}}),
+    ("fbm-variation", {"horizon": float("inf")}),  # JSON 1e999
+    ("theta-variation", {"dimension": 3, "params": {"xi_paths": 6}}),
+    ("fbm-variation", {"replications": 1}),
+    ("fbm-variation", {"hurst": True}),
+    ("fbm-variation", {"params": []}),
+    ("fbm-variation", {"output_path": 5}),
+    ("fbm-variation", {"experiment": ["x"]}),
+]
+
+
+@pytest.mark.parametrize(
+    "experiment, overrides", BAD_CONFIGS, ids=lambda v: v if isinstance(v, str) else str(v)
+)
+def test_bad_config_rejected(experiment, overrides):
+    doc = {"experiment": experiment, "grid_sizes": [16], "replications": 5, **overrides}
+    with pytest.raises((ConfigError, DomainError)):
+        ExperimentConfig.from_dict(doc)
+
+
+@pytest.mark.parametrize(
+    "experiment, params",
+    [
+        ("kernel-check", {"lattice": 0}),
+        ("kernel-check", {"rtol": 0.0}),
+        ("lp-scaling", {"intervals": [[0.25, 0.5, 0.75]]}),
+    ],
+    ids=str,
+)
+def test_bad_driver_input_rejected_before_work(experiment, params):
+    config = ExperimentConfig(experiment=experiment, hurst=0.3, replications=4, params=params)
+    with pytest.raises((ConfigError, DomainError)):
+        run_experiment(config)
 
 
 class TestGates:
