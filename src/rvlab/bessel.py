@@ -1,11 +1,13 @@
-"""Fractional Bessel process R_t = ||B_t||, the divergence part Theta, the
-gate of its variation limit (run by :func:`rvlab.ito.variation_experiment`)
-and its negative-moment / self-similarity experiments.
+"""Fractional Bessel process R_t = ||B_t||, the divergence part Theta, its
+d >= 2 and 2dH^2 > 1 gates (its variation limit is run by
+:func:`rvlab.ito.variation_experiment`), the constant K_q and the
+negative-moment / self-similarity experiments.
 
 Theta is evaluated pathwise through the representation
 
     Theta_t = R_t - H (d - 1) int_0^t s^{2H-1} / R_s ds,
 
+the Ito-type formula of :func:`rvlab.core.ito_representation` with F = ||x||,
 never through an abstract divergence operator.  The drift integrand 1/R_s
 is sampled at cell right endpoints (R_0 = 0 makes the left endpoint
 undefined; the true integrand behaves like s^{H-1}, which is integrable, so
@@ -28,19 +30,18 @@ from .core import (
     SeedSpec,
     UniformGrid,
     as_hurst,
-    weighted_cumulative,
+    ito_representation,
 )
 from .errors import ConfigError, DomainError, GateError, NumericalError
-from .fbm import sample_fbm_multi
+from .fbm import PathJob
 from .parallel import replication_map
 from .report import Report, aggregate, build_id, check_shape, loglog_fit
 
 __all__ = [
-    "KqConstant",
     "k_q",
-    "BesselPaths",
     "bessel_from_multipath",
     "theta_path",
+    "require_bessel_dimension",
     "require_variation_gate",
     "negative_moment_experiment",
     "KSOutcome",
@@ -52,21 +53,18 @@ __all__ = [
 DEFAULT_KS_LEVEL = 0.01
 
 
-@dataclass(frozen=True)
-class KqConstant:
-    """K_q = E||Z||^{-q} for Z ~ N(0, I_d): 2^{-q/2} Gamma((d-q)/2) / Gamma(d/2)."""
-
-    d: int
-    q: float
-    value: float
-
-
-def k_q(d: int, q: float) -> KqConstant:
-    """Negative moment constant, defined only for 0 < q < d."""
+def k_q(d: int, q: float) -> float:
+    """K_q = E||Z||^{-q} for Z ~ N(0, I_d): 2^{-q/2} Gamma((d-q)/2) / Gamma(d/2),
+    defined only for 0 < q < d."""
     if not 0 < q < d:
         raise GateError(f"negative moment requires 0 < q < d, got q={q}, d={d}")
-    value = float(np.exp(-0.5 * q * np.log(2.0) + gammaln((d - q) / 2) - gammaln(d / 2)))
-    return KqConstant(d=d, q=q, value=value)
+    return float(np.exp(-0.5 * q * np.log(2.0) + gammaln((d - q) / 2) - gammaln(d / 2)))
+
+
+def require_bessel_dimension(d: int) -> None:
+    """The Bessel process R = ||B|| is studied only for d >= 2."""
+    if d < 2:
+        raise GateError(f"the Bessel process needs d >= 2, got d={d}")
 
 
 def bessel_from_multipath(path: MultiPath) -> RealPath:
@@ -93,31 +91,8 @@ def theta_path(path: MultiPath, hurst: HurstParam | float) -> RealPath:
             "the sampler is corrupted)"
         )
     inv_r = np.concatenate([[0.0], 1.0 / interior])  # node 0 never used
-    drift = h * (d - 1) * weighted_cumulative(inv_r, path.grid, h)
-    values = r.values - drift
-    values[0] = 0.0
-    return RealPath(path.grid, values)
-
-
-@dataclass(frozen=True)
-class BesselPaths:
-    """A d-dim driving path with its radius and zero-mean part bundled.
-
-    Derived triples satisfy r = ||base|| nodewise and r - theta equals the
-    nonnegative, nondecreasing drift H (d-1) int s^{2H-1}/R_s ds.
-    """
-
-    base: MultiPath
-    r: RealPath
-    theta: RealPath
-
-    @classmethod
-    def derive(cls, base: MultiPath, hurst: HurstParam | float) -> "BesselPaths":
-        return cls(base=base, r=bessel_from_multipath(base), theta=theta_path(base, hurst))
-
-    @property
-    def drift(self) -> np.ndarray:
-        return self.r.values - self.theta.values
+    # (d - 1) stays in the scalar weight: folding it into 1/R changes bits
+    return ito_representation(r.values, h * (d - 1), inv_r, path.grid, h)
 
 
 def require_variation_gate(d: int, hurst: HurstParam | float) -> None:
@@ -139,11 +114,8 @@ def _moment_grid(t_list: list[float], max_n: int = 4096) -> UniformGrid:
     raise ConfigError(f"t_list {t_list} does not fit a uniform grid with n <= {max_n}")
 
 
-def _moment_rep(args: tuple, r: int) -> list[float]:
-    d, q, h, horizon, n, indices, master, base, method = args
-    grid = UniformGrid(horizon, n)
-    path = sample_fbm_multi(h, d, grid, SeedSpec(master, base + r), method=method)
-    radii = np.linalg.norm(path.values, axis=1)[list(indices)]
+def _moment_rep(paths: PathJob, q: float, indices: tuple, r: int) -> list[float]:
+    radii = np.linalg.norm(paths.sample(r).values, axis=1)[list(indices)]
     if np.any(radii == 0.0):
         raise NumericalError("degenerate Bessel path: R = 0 at a requested time")
     return [float(rad ** (-q)) for rad in radii]
@@ -166,8 +138,7 @@ def negative_moment_experiment(
     """
     hp = as_hurst(hurst)
     constant = k_q(d, q)  # gates 0 < q < d
-    if d < 2:
-        raise GateError(f"the Bessel process needs d >= 2, got d={d}")
+    require_bessel_dimension(d)
     if len(t_list) < 2:
         raise ConfigError("need at least two times for the scaling regression")
     if sorted(set(t_list)) != list(t_list) or min(t_list) <= 0:
@@ -175,15 +146,14 @@ def negative_moment_experiment(
     check_shape(replications)
     grid = _moment_grid(t_list)
     indices = tuple(grid.index_of(t) for t in t_list)
-    args = (
-        d, q, hp.h, grid.horizon, grid.n, indices,
-        seed.master_seed, seed.replication_index, method,
+    paths = PathJob(hp.h, d, grid.horizon, grid.n, seed, method)
+    per_rep = replication_map(
+        functools.partial(_moment_rep, paths, q, indices), replications, workers
     )
-    per_rep = replication_map(functools.partial(_moment_rep, args), replications, workers)
     rows = []
     for k, t in enumerate(t_list):
         est, stderr = aggregate([per_rep[r][k] for r in range(replications)])
-        target = constant.value * t ** (-hp.h * q)
+        target = constant * t ** (-hp.h * q)
         abs_err = abs(est - target)
         rows.append((t, est, target, abs_err, abs_err / target, stderr))
     slope, intercept, r2 = loglog_fit(t_list, [row[1] for row in rows])
@@ -191,9 +161,9 @@ def negative_moment_experiment(
         "slope": slope,
         "slope_target": -hp.h * q,
         "intercept": intercept,
-        "intercept_target": float(np.log(constant.value)),
+        "intercept_target": float(np.log(constant)),
         "r_squared": r2,
-        "k_q": constant.value,
+        "k_q": constant,
     }
     meta = {
         "experiment": "negative-moments",
@@ -213,11 +183,8 @@ def negative_moment_experiment(
     )
 
 
-def _theta_terminal_rep(args: tuple, r: int) -> float:
-    d, h, horizon, n, master, base, method = args
-    grid = UniformGrid(horizon, n)
-    path = sample_fbm_multi(h, d, grid, SeedSpec(master, base + r), method=method)
-    return float(theta_path(path, h).values[-1])
+def _theta_terminal_rep(paths: PathJob, r: int) -> float:
+    return float(theta_path(paths.sample(r), paths.hurst).values[-1])
 
 
 @dataclass(frozen=True)
@@ -229,22 +196,6 @@ class KSOutcome:
     scaling: str  # "a^-H" or the deliberately wrong "a^-2H"
     statistic: float
     p_value: float
-
-
-def _theta_samples(
-    d: int,
-    h: float,
-    horizon: float,
-    grid_size: int,
-    replications: int,
-    seed: SeedSpec,
-    workers: int,
-    method: str,
-) -> np.ndarray:
-    args = (d, h, horizon, grid_size, seed.master_seed, seed.replication_index, method)
-    return np.array(
-        replication_map(functools.partial(_theta_terminal_rep, args), replications, workers)
-    )
 
 
 def self_similarity_test(
@@ -269,18 +220,17 @@ def self_similarity_test(
     reject.
     """
     hp = as_hurst(hurst)
-    if d < 2:
-        raise GateError(f"the Bessel process needs d >= 2, got d={d}")
+    require_bessel_dimension(d)
     if not a > 0:
         raise DomainError(f"scale factor a must be positive, got {a}")
     if not t > 0:
         raise DomainError(f"time t must be positive, got {t}")
-    arm_scaled = _theta_samples(
-        d, hp.h, a * t, grid_size, replications, seed, workers, method
-    )
-    arm_plain = _theta_samples(
-        d, hp.h, t, grid_size, replications, seed.replicate(replications), workers, method
-    )
+    arms = []
+    for horizon, arm_seed in ((a * t, seed), (t, seed.replicate(replications))):
+        paths = PathJob(hp.h, d, horizon, grid_size, arm_seed, method)
+        rep = functools.partial(_theta_terminal_rep, paths)
+        arms.append(np.array(replication_map(rep, replications, workers)))
+    arm_scaled, arm_plain = arms
     exponent = -2 * hp.h if wrong_scaling else -hp.h
     stat, p_value = ks_2samp(arm_scaled * a**exponent, arm_plain)
     return KSOutcome(
@@ -315,6 +265,10 @@ def self_similarity_suite(
     hp = as_hurst(hurst)
     if not pairs:
         raise ConfigError("need at least one (a, t) pair")
+    if not 0 < level < 1:
+        raise ConfigError(f"KS level must lie in (0, 1), got {level}")
+    if control_a == 1:
+        raise ConfigError("a power control at a = 1 is never rejected: a^-H = a^-2H there")
     threshold = level / len(pairs)
     rows = []
     ok = True

@@ -1,7 +1,7 @@
 """Core value types: Hurst parameter, uniform grids, sampled paths, step
-functions and reproducible seed derivation, plus the two numerical kernels
-every layer shares: compensated summation and the singular time-weight
-integral.
+functions and reproducible seed derivation, plus the singular time-weight
+integral and the Ito-type representation built on it, which every
+transform of a sampled path (divergence integrals, Theta) goes through.
 
 Everything here is immutable; paths wrap read-only numpy arrays so they can
 be shared freely across worker processes and threads.
@@ -9,9 +9,8 @@ be shared freely across worker processes and threads.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from typing import Iterable, TextIO
+from typing import TextIO
 
 import numpy as np
 
@@ -25,7 +24,7 @@ __all__ = [
     "StepFunction",
     "SeedSpec",
     "as_hurst",
-    "compensated_sum",
+    "ito_representation",
     "weighted_cumulative",
     "write_path_csv",
 ]
@@ -221,14 +220,6 @@ class SeedSpec:
         return SeedSpec(self.master_seed, self.replication_index + index)
 
 
-def compensated_sum(values: Iterable[float]) -> float:
-    """Exactly rounded left-to-right summation (Shewchuk, via math.fsum).
-
-    Used wherever the reduction order is part of the determinism contract.
-    """
-    return math.fsum(values)
-
-
 def _cell_weights(grid: UniformGrid, h: float) -> np.ndarray:
     """Exact cell integrals of s^{2H-1}: (t_{i+1}^{2H} - t_i^{2H}) / (2H)."""
     nodes = grid.nodes()
@@ -247,6 +238,20 @@ def weighted_cumulative(values: np.ndarray, grid: UniformGrid, h: float) -> np.n
     out[0] = 0.0
     np.cumsum(values[1:] * weights, out=out[1:])
     return out
+
+
+def ito_representation(
+    f_vals: np.ndarray, weight: float, g_vals: np.ndarray, grid: UniformGrid, h: float
+) -> RealPath:
+    """X_t = f_t - f_0 - weight int_0^t g(s) s^{2H-1} ds at every node, X_0 = 0.
+
+    The Ito-type formula F(B_t) - F(0) - H int_0^t (Laplacian F)(B_s) s^{2H-1} ds
+    behind both representations: f = F(B), g = Laplacian F(B) and weight H
+    for divergence integrals; f = R, g = 1/R and weight H (d - 1) for Theta.
+    """
+    values = f_vals - f_vals[0] - weight * weighted_cumulative(g_vals, grid, h)
+    values[0] = 0.0
+    return RealPath(grid, values)
 
 
 def write_path_csv(path: "RealPath | MultiPath", fh: TextIO) -> None:

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import functools
 import logging
+from typing import NamedTuple
 
 import numpy as np
 
@@ -26,6 +27,7 @@ __all__ = [
     "sample_fbm_cholesky",
     "sample_fbm_circulant",
     "sample_fbm_multi",
+    "PathJob",
     "sampler",
     "SAMPLERS",
     "CHOLESKY_MAX_N",
@@ -231,3 +233,21 @@ def sample_fbm_multi(
     for j in range(d):
         cols[:, j] = sample(hurst, grid, seed, component=j).values
     return MultiPath(grid, cols)
+
+
+class PathJob(NamedTuple):
+    """What replication r of an experiment draws: d independent fBm
+    components on the n-cell grid of [0, horizon] from ``seed.replicate(r)``."""
+
+    hurst: float
+    dimension: int
+    horizon: float
+    n: int
+    seed: SeedSpec
+    method: str
+
+    def sample(self, r: int) -> MultiPath:
+        grid = UniformGrid(self.horizon, self.n)
+        return sample_fbm_multi(
+            self.hurst, self.dimension, grid, self.seed.replicate(r), self.method
+        )

@@ -23,7 +23,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import bessel, fbm, ito, kernel
-from .core import HurstParam, SeedSpec, UniformGrid
+from .core import HurstParam, SeedSpec
 from .errors import ConfigError
 from .parallel import replication_map
 from .report import Report, aggregate, build_id, check_shape
@@ -264,10 +264,8 @@ def _run_kernel_check(config: ExperimentConfig, workers: int) -> Report:
     )
 
 
-def _cov_rep(args: tuple, r: int) -> tuple:
-    h, horizon, n, master, base, method = args
-    grid = UniformGrid(horizon, n)
-    return tuple(fbm.sampler(method)(h, grid, SeedSpec(master, base + r)).values[1:])
+def _cov_rep(paths: fbm.PathJob, r: int) -> np.ndarray:
+    return paths.sample(r).values[1:, 0]
 
 
 def _run_covariance_check(config: ExperimentConfig, workers: int) -> Report:
@@ -287,8 +285,8 @@ def _run_covariance_check(config: ExperimentConfig, workers: int) -> Report:
     threshold = _tol(config, "max_z")
     empirical = {}
     for arm, method in enumerate(("cholesky", "circulant")):
-        args = (h, config.horizon, n, config.master_seed, arm * m, method)
-        draws = replication_map(functools.partial(_cov_rep, args), m, workers)
+        paths = fbm.PathJob(h, 1, config.horizon, n, SeedSpec(config.master_seed, arm * m), method)
+        draws = replication_map(functools.partial(_cov_rep, paths), m, workers)
         x = np.asarray(draws)
         empirical[method] = x.T @ x / m
     rows = []

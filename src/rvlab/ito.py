@@ -7,9 +7,10 @@ through the change-of-variable formula
 
     X_t = f(B_t) - f(0) - H int_0^t f''(B_s) s^{2H-1} ds,
 
-with the singular time weight integrated exactly cell by cell against
-right-endpoint samples.  The admissible integrands form a fixed whitelist
-(registered below with finite-difference validation of the supplied
+(:func:`rvlab.core.ito_representation`, shared with Theta) with the singular
+time weight integrated exactly cell by cell against right-endpoint samples;
+every replication draws its path through :class:`rvlab.fbm.PathJob`.  The
+admissible integrands form a fixed whitelist (registered below with finite-difference validation of the supplied
 derivatives); the Hoelder-regularity hypotheses behind the limit theorems
 are analytic facts about those integrands, not runtime checks.
 """
@@ -31,12 +32,11 @@ from .core import (
     SeedSpec,
     UniformGrid,
     as_hurst,
-    compensated_sum,
-    weighted_cumulative,
+    ito_representation,
 )
-from .bessel import require_variation_gate, theta_path
-from .errors import ConfigError, DegenerateInputError, GateError, NumericalError
-from .fbm import sample_fbm_multi, sampler
+from .bessel import require_bessel_dimension, require_variation_gate, theta_path
+from .errors import ConfigError, DegenerateInputError, NumericalError
+from .fbm import PathJob
 from .parallel import replication_map
 from .report import CONVERGENCE_COLUMNS, ConvergenceReport, Report, aggregate, build_id
 from .report import check_shape, loglog_fit
@@ -258,14 +258,17 @@ def divergence_reading(hurst: HurstParam | float) -> str:
     return "divergence" if 0.25 < h < 0.5 else "extended-domain"
 
 
-def _check_finite(values: np.ndarray, label: str, grid: UniformGrid) -> None:
+def _on_path(fn: Callable, path: RealPath | MultiPath, label: str) -> np.ndarray:
+    """``fn`` at every node of the path, checked finite."""
+    values = np.asarray(fn(path.values), dtype=float)
     bad = np.flatnonzero(~np.isfinite(values))
     if bad.size:
         i = int(bad[0])
         raise NumericalError(
-            f"{label} is non-finite at node {i} (t = {grid.node(i)}); "
+            f"{label} of the path is non-finite at node {i} (t = {path.grid.node(i)}); "
             "the integrand's growth condition overflowed"
         )
+    return values
 
 
 def divergence_via_ito(
@@ -278,15 +281,9 @@ def divergence_via_ito(
     label.
     """
     h = as_hurst(hurst).h
-    grid = path.grid
-    f_vals = np.asarray(spec.f(path.values), dtype=float)
-    _check_finite(f_vals, f"f({spec.label}) of the path", grid)
-    fpp_vals = np.asarray(spec.f_pp(path.values), dtype=float)
-    _check_finite(fpp_vals, f"f''({spec.label}) of the path", grid)
-    drift = h * weighted_cumulative(fpp_vals, grid, h)
-    values = f_vals - f_vals[0] - drift
-    values[0] = 0.0
-    return RealPath(grid, values)
+    f_vals = _on_path(spec.f, path, f"f({spec.label})")
+    fpp_vals = _on_path(spec.f_pp, path, f"f''({spec.label})")
+    return ito_representation(f_vals, h, fpp_vals, path.grid, h)
 
 
 def divergence_via_ito_multi(
@@ -295,15 +292,9 @@ def divergence_via_ito_multi(
     """d-dimensional analogue: X_t = F(B_t) - F(0) - H int_0^t (sum_i
     d^2F/dx_i^2)(B_s) s^{2H-1} ds."""
     h = as_hurst(hurst).h
-    grid = path.grid
-    f_vals = np.asarray(spec.f(path.values), dtype=float)
-    _check_finite(f_vals, f"F({spec.label}) of the path", grid)
-    lap_vals = np.asarray(spec.laplacian(path.values), dtype=float)
-    _check_finite(lap_vals, f"Laplacian({spec.label}) of the path", grid)
-    drift = h * weighted_cumulative(lap_vals, grid, h)
-    values = f_vals - f_vals[0] - drift
-    values[0] = 0.0
-    return RealPath(grid, values)
+    f_vals = _on_path(spec.f, path, f"F({spec.label})")
+    lap_vals = _on_path(spec.laplacian, path, f"Laplacian({spec.label})")
+    return ito_representation(f_vals, h, lap_vals, path.grid, h)
 
 
 def xi_mc_target(
@@ -347,9 +338,9 @@ def _cross_check(per_rep, n: int) -> tuple[float, float]:
     target routes are internally inconsistent and aborts the experiment.
     """
     sub = [(ta, tb, se) for _, ta, _, tb, se in per_rep if math.isfinite(tb)]
-    mean_a = compensated_sum(ta for ta, _, _ in sub) / len(sub)
-    mean_b = compensated_sum(tb for _, tb, _ in sub) / len(sub)
-    se_b = math.sqrt(compensated_sum(se**2 for _, _, se in sub)) / len(sub)
+    mean_a = math.fsum(ta for ta, _, _ in sub) / len(sub)
+    mean_b = math.fsum(tb for _, tb, _ in sub) / len(sub)
+    se_b = math.sqrt(math.fsum(se**2 for _, _, se in sub)) / len(sub)
     if abs(mean_a - mean_b) > 3 * se_b:
         raise NumericalError(
             f"closed-form and xi-Monte-Carlo targets disagree at n={n}: "
@@ -370,15 +361,9 @@ _XI_TARGET = ("divergence-variation-multi", "theta-variation")
 class _VariationJob(NamedTuple):
     """One grid size of a variation experiment, as shipped to the workers."""
 
+    paths: PathJob
     experiment: str
     integrand: str | None
-    dimension: int
-    hurst: float
-    horizon: float
-    n: int
-    master_seed: int
-    base_replication: int
-    method: str
     xi_draws: int
     xi_paths: int  # replications r < xi_paths carry the xi target
 
@@ -388,10 +373,9 @@ def _variation_rep(job: _VariationJob, r: int) -> tuple[float, ...]:
 
     The xi pair is NaN for replications outside the xi subset.
     """
-    h, p = job.hurst, 1.0 / job.hurst
-    grid = UniformGrid(job.horizon, job.n)
-    seed = SeedSpec(job.master_seed, job.base_replication + r)
-    path = sample_fbm_multi(h, job.dimension, grid, seed, method=job.method)
+    h, p = job.paths.hurst, 1.0 / job.paths.hurst
+    path = job.paths.sample(r)
+    grid = path.grid
     u_norm = None  # right-endpoint ||u_s||; None when it is identically 1
     if job.experiment == "theta-variation":
         x = theta_path(path, h)
@@ -407,14 +391,15 @@ def _variation_rep(job: _VariationJob, r: int) -> tuple[float, ...]:
         x = divergence_via_ito(spec, b, h)
         if job.experiment == "divergence-variation":
             u_norm = np.abs(np.asarray(spec.f_prime(b.values[1:]), dtype=float))
-    v = variation_Vnq(x, p).value
+    v = variation_Vnq(x, p)
     if u_norm is None:
-        target = e_H(h).value * job.horizon
+        target = e_H(h) * job.paths.horizon
     else:
-        target = e_H(h).value * compensated_sum(u_norm**p) * grid.dt
+        target = e_H(h) * math.fsum(u_norm**p) * grid.dt
     xi = (np.nan, np.nan)
     if r < job.xi_paths:
-        xi = xi_mc_target(u, grid.dt, p, seed.stream(lane=LANE_XI), job.xi_draws)
+        stream = job.paths.seed.replicate(r).stream(lane=LANE_XI)
+        xi = xi_mc_target(u, grid.dt, p, stream, job.xi_draws)
     return (v, target, abs(v - target), *xi)
 
 
@@ -463,8 +448,7 @@ def variation_experiment(
         integrand = _lookup(integrand, MULTI_INTEGRANDS, "d-dim").label
     elif experiment == "theta-variation":
         require_variation_gate(dimension, hp)
-        if dimension < 2:
-            raise GateError(f"the Bessel process needs d >= 2, got d={dimension}")
+        require_bessel_dimension(dimension)
     else:
         raise ConfigError(f"unknown variation experiment {experiment!r}")
     dual = experiment in _XI_TARGET
@@ -477,14 +461,14 @@ def variation_experiment(
     rows = []
     for n in grid_sizes:
         job = _VariationJob(
-            experiment, integrand, dimension, hp.h, horizon, n, seed.master_seed,
-            seed.replication_index, method, xi_draws, xi_paths if dual else 0,
+            PathJob(hp.h, dimension, horizon, n, seed, method),
+            experiment, integrand, xi_draws, xi_paths if dual else 0,
         )
         per_rep = replication_map(functools.partial(_variation_rep, job), replications, workers)
         target_mc = _cross_check(per_rep, n) if dual else ()
         est, _ = aggregate([v for v, *_ in per_rep])
         if experiment in _UNIT_TARGET:
-            target = horizon * e_H(hp).value
+            target = horizon * e_H(hp)
         else:
             target, _ = aggregate([t for _, t, *_ in per_rep])
             if target == 0.0:
@@ -510,13 +494,9 @@ def default_interval_pairs(horizon: float) -> list[tuple[float, float]]:
     return [(a, a + horizon / k) for k in (16, 32, 64, 128, 256)]
 
 
-def _lp_rep(args: tuple, r: int) -> list[float]:
-    label, h, horizon, grid_n, index_pairs, master, base, method = args
-    spec = INTEGRANDS[label]
-    grid = UniformGrid(horizon, grid_n)
-    path = sampler(method)(h, grid, SeedSpec(master, base + r))
-    x = divergence_via_ito(spec, path, h)
-    p = 1.0 / h
+def _lp_rep(paths: PathJob, label: str, index_pairs: tuple, r: int) -> list[float]:
+    x = divergence_via_ito(INTEGRANDS[label], paths.sample(r).component(0), paths.hurst)
+    p = 1.0 / paths.hurst
     return [float(np.abs(x.values[ib] - x.values[ia]) ** p) for ia, ib in index_pairs]
 
 
@@ -558,11 +538,9 @@ def lp_scaling_experiment(
         index_pairs.append((grid.index_of(a), grid.index_of(b)))
     check_shape(replications)
 
-    args = (
-        spec.label, hp.h, horizon, grid_size, tuple(index_pairs),
-        seed.master_seed, seed.replication_index, method,
-    )
-    per_rep = replication_map(functools.partial(_lp_rep, args), replications, workers)
+    paths = PathJob(hp.h, 1, horizon, grid_size, seed, method)
+    rep = functools.partial(_lp_rep, paths, spec.label, tuple(index_pairs))
+    per_rep = replication_map(rep, replications, workers)
     rows = []
     means = []
     for k, width in enumerate(widths):

@@ -16,13 +16,14 @@ over indicator differences, so no quadrature over t is ever needed.
 from __future__ import annotations
 
 import functools
+import math
 import warnings
 
 import numpy as np
 from scipy import integrate
 from scipy.special import gammaln
 
-from .core import HurstParam, StepFunction, as_hurst, compensated_sum
+from .core import HurstParam, StepFunction, as_hurst
 from .errors import DomainError, QuadratureError
 from .fbm import covariance
 
@@ -65,13 +66,18 @@ def constant_cH(hurst: HurstParam | float) -> float:
 
 
 def _quad(func, a, b, rtol, points=None, limit=400) -> float:
-    """scipy.integrate.quad with an explicit convergence check."""
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", integrate.IntegrationWarning)
-        result = integrate.quad(
-            func, a, b, epsabs=0.0, epsrel=rtol, limit=limit, points=points,
-            full_output=True,
-        )
+    """scipy.integrate.quad with explicit convergence and overflow checks."""
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", integrate.IntegrationWarning)
+            result = integrate.quad(
+                func, a, b, epsabs=0.0, epsrel=rtol, limit=limit, points=points,
+                full_output=True,
+            )
+    except OverflowError as exc:
+        raise QuadratureError(
+            f"quadrature on [{a}, {b}] overflowed: {exc}", achieved=math.inf
+        ) from exc
     value, abserr = result[0], result[1]
     if abserr > max(rtol * abs(value), 1e-13):
         raise QuadratureError(
@@ -239,7 +245,7 @@ def seminorm_components(
         )
         / (2 * h)
     )
-    first = compensated_sum(cells)
+    first = math.fsum(cells)
 
     if np.all(a == a[0]):
         return first, 0.0
@@ -283,7 +289,7 @@ def extended_inner(hurst: HurstParam | float, phi: StepFunction, t: float) -> fl
     grid.index_of(t)  # t must be a grid time
     nodes = grid.nodes()
     r = covariance(hp, nodes, t)
-    return compensated_sum(phi.coefficients * np.diff(r))
+    return math.fsum(phi.coefficients * np.diff(r))
 
 
 def covariance_via_kernel(

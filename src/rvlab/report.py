@@ -16,7 +16,6 @@ from typing import Sequence
 import numpy as np
 
 from . import __version__
-from .core import compensated_sum
 from .errors import ConfigError, DomainError
 
 __all__ = ["aggregate", "check_shape", "loglog_fit", "Report", "ConvergenceReport", "CONVERGENCE_COLUMNS", "build_id"]
@@ -42,12 +41,12 @@ def aggregate(values: Sequence[float]) -> tuple[float, float | None]:
     m = len(values)
     if m == 0:
         raise DomainError("aggregate needs at least one value")
-    mean = compensated_sum(values) / m
+    mean = math.fsum(values) / m
     if m == 1:
         return mean, None
     # Jackknife variance of the mean; for the mean statistic this reduces to
     # sum((v - mean)^2) / (m (m - 1)).
-    ss = compensated_sum((v - mean) ** 2 for v in values)
+    ss = math.fsum((v - mean) ** 2 for v in values)
     return mean, math.sqrt(ss / (m * (m - 1)))
 
 

@@ -4,38 +4,27 @@ The q-variation of a sampled path is the finite sum of q-th powers of
 absolute increments over the path's own grid.  For fBm with q = 1/H it
 converges in L^1 to e_H * T, where e_H is the absolute 1/H-moment of a
 standard Gaussian; :func:`rvlab.ito.variation_experiment` measures that
-convergence grid by grid.
+convergence grid by grid.  Both are plain floats.
 """
 
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+import math
 
 import numpy as np
 from scipy.special import gammaln
 
-from .core import HurstParam, RealPath, as_hurst, compensated_sum
+from .core import HurstParam, RealPath, as_hurst
 from .errors import DomainError
 
 __all__ = [
-    "VariationResult",
-    "EHConstant",
     "variation_Vnq",
     "e_H",
 ]
 
 
-@dataclass(frozen=True)
-class VariationResult:
-    """Value of V_n^q(X) together with the grid size and exponent used."""
-
-    n: int
-    q: float
-    value: float
-
-
-def variation_Vnq(path: RealPath, q: float) -> VariationResult:
+def variation_Vnq(path: RealPath, q: float) -> float:
     """q-variation V_n^q(X) = sum_i |X_{t_{i+1}} - X_{t_i}|^q.
 
     The sum runs left to right with compensated summation so the value is
@@ -43,16 +32,7 @@ def variation_Vnq(path: RealPath, q: float) -> VariationResult:
     """
     if not q > 0:
         raise DomainError(f"variation exponent must be positive, got {q}")
-    increments = np.abs(path.increments()) ** q
-    return VariationResult(n=path.grid.n, q=q, value=compensated_sum(increments))
-
-
-@dataclass(frozen=True)
-class EHConstant:
-    """The constant e_H = E|B_1|^{1/H} = 2^{1/(2H)} Gamma((1/H + 1)/2) / Gamma(1/2)."""
-
-    h: float
-    value: float
+    return math.fsum(np.abs(path.increments()) ** q)
 
 
 @functools.lru_cache(maxsize=64)
@@ -61,7 +41,6 @@ def _e_h_value(h: float) -> float:
     return float(np.exp(0.5 * p * np.log(2.0) + gammaln(0.5 * (p + 1)) - gammaln(0.5)))
 
 
-def e_H(hurst: HurstParam | float) -> EHConstant:
-    """Absolute Gaussian moment E|Z|^{1/H}, evaluated via log-Gamma."""
-    h = as_hurst(hurst).h
-    return EHConstant(h=h, value=_e_h_value(h))
+def e_H(hurst: HurstParam | float) -> float:
+    """e_H = E|Z|^{1/H} = 2^{1/(2H)} Gamma((1/H + 1)/2) / Gamma(1/2), via log-Gamma."""
+    return _e_h_value(as_hurst(hurst).h)

@@ -6,7 +6,6 @@ import pytest
 from rvlab.core import MultiPath, SeedSpec, UniformGrid
 from rvlab.errors import ConfigError, DomainError, GateError, NumericalError
 from rvlab.bessel import (
-    BesselPaths,
     bessel_from_multipath,
     k_q,
     negative_moment_experiment,
@@ -101,11 +100,12 @@ class TestThetaPath:
         h, d = 0.45, 3
         grid = UniformGrid(1.0, 64)
         base = sample_fbm_multi(h, d, grid, SeedSpec(72, 5))
-        bundle = BesselPaths.derive(base, h)
-        assert np.array_equal(bundle.r.values, np.linalg.norm(base.values, axis=1))
-        assert bundle.theta.values[0] == 0.0
-        assert np.all(bundle.drift >= 0.0)
-        assert np.all(np.diff(bundle.drift) >= 0.0)
+        r, theta = bessel_from_multipath(base), theta_path(base, h)
+        drift = r.values - theta.values
+        assert np.array_equal(r.values, np.linalg.norm(base.values, axis=1))
+        assert theta.values[0] == 0.0
+        assert np.all(drift >= 0.0)
+        assert np.all(np.diff(drift) >= 0.0)
 
     def test_refinement_keeps_terminal_mean(self):
         # No coupled refinement is required: Monte Carlo means of Theta_T
@@ -125,14 +125,14 @@ class TestThetaPath:
 
 class TestKqConstant:
     def test_closed_form_for_d3_q1(self):
-        assert k_q(3, 1.0).value == pytest.approx(np.sqrt(2 / np.pi), rel=1e-12)
+        assert k_q(3, 1.0) == pytest.approx(np.sqrt(2 / np.pi), rel=1e-12)
 
     def test_monte_carlo_validation(self):
         rng = np.random.default_rng(99)
         z = rng.standard_normal((200_000, 3))
         inv_norms = 1.0 / np.linalg.norm(z, axis=1)
         se = inv_norms.std(ddof=1) / np.sqrt(len(inv_norms))
-        assert abs(k_q(3, 1.0).value - inv_norms.mean()) < 3 * se
+        assert abs(k_q(3, 1.0) - inv_norms.mean()) < 3 * se
 
     @pytest.mark.parametrize("q", [3.0, 3.5])
     def test_gate_rejects_q_at_or_above_d(self, q):
@@ -159,7 +159,7 @@ class TestThetaVariationExperiment:
             "theta-variation", 0.45, 1.0, [128], 16, SeedSpec(75), dimension=3, xi_draws=4000
         )
         row = report.rows[0]
-        assert row[2] == pytest.approx(e_H(0.45).value, rel=1e-12)
+        assert row[2] == pytest.approx(e_H(0.45), rel=1e-12)
         assert row[6] == pytest.approx(row[2], abs=3 * row[7])
         assert report.flags["targets_agree_3se"]
 

@@ -218,6 +218,30 @@ class TestRunCommand:
         assert result.exception is None or isinstance(result.exception, SystemExit)
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "config, code",
+        [
+            # a^-H = a^-2H at a = 1: the power control can never be rejected
+            ({"experiment": "self-similarity", "dimension": 3, "replications": 8,
+              "params": {"a_list": [1.0], "grid_size": 16}}, 2),
+            # the kernel's inner integrand overflows a Python float
+            ({"experiment": "kernel-check", "hurst": 0.3, "horizon": 1e-300,
+              "params": {"lattice": 1}}, 3),
+        ],
+        ids=["selfsim-control-at-1", "kernel-overflow"],
+    )
+    def test_run_that_cannot_decide_exits_without_report(self, runner, tmp_path, config, code):
+        out = tmp_path / "report.csv"
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps(config))
+        result = runner.invoke(
+            main, ["run", "--config", str(cfg_path), "--workers", "1", "--out", str(out)]
+        )
+        assert result.exit_code == code, result.output
+        assert result.output.startswith("error: ")
+        assert result.exception is None or isinstance(result.exception, SystemExit)
+        assert not out.exists()
+
     @pytest.mark.parametrize("workers", ["0", "-1"])
     def test_workers_below_one_exits_2(self, runner, workers):
         result = runner.invoke(

@@ -12,7 +12,7 @@ from rvlab.core import (
     SeedSpec,
     StepFunction,
     UniformGrid,
-    compensated_sum,
+    ito_representation,
     write_path_csv,
 )
 from rvlab.errors import DomainError
@@ -131,9 +131,17 @@ class TestSeedSpec:
         assert spec.master_seed == 9
 
 
-def test_compensated_sum_survives_cancellation():
-    assert compensated_sum([1e16, 1.0, -1e16]) == 1.0
-    assert compensated_sum([]) == 0.0
+def test_ito_representation_drift_is_the_exact_time_weight():
+    # g = 1 makes the drift weight * t^{2H} / (2H), integrated exactly per cell
+    h, weight = 0.3, 0.7
+    grid = UniformGrid(2.0, 8)
+    f = np.linspace(1.0, 3.0, 9)
+    x = ito_representation(f, weight, np.ones(9), grid, h)
+    t = grid.nodes()
+    assert x.values[0] == 0.0
+    np.testing.assert_allclose(
+        x.values, f - f[0] - weight * t ** (2 * h) / (2 * h), rtol=1e-13, atol=1e-15
+    )
 
 
 def test_write_path_csv_headers_and_values():

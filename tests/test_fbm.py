@@ -7,6 +7,8 @@ from rvlab.core import SeedSpec, UniformGrid
 from rvlab.errors import ConfigError, DomainError, EmbeddingError, FactorizationError
 from rvlab.fbm import (
     CHOLESKY_MAX_N,
+    SAMPLERS,
+    PathJob,
     circulant_eigenvalues,
     covariance,
     fgn_autocovariance,
@@ -238,12 +240,19 @@ class TestMultiSampler:
         ]
         assert np.mean(norms_sq) == pytest.approx(d * 1.0 ** (2 * h), rel=0.05)
 
-    def test_dimension_one_reduces_bitwise(self):
+    @pytest.mark.parametrize("method", SAMPLERS)
+    def test_dimension_one_reduces_bitwise(self, method):
         grid = UniformGrid(1.0, 64)
         seed = SeedSpec(7, 3)
-        multi = sample_fbm_multi(0.3, 1, grid, seed)
-        single = sample_fbm_circulant(0.3, grid, seed)
+        multi = sample_fbm_multi(0.3, 1, grid, seed, method)
+        single = {"circulant": sample_fbm_circulant, "cholesky": sample_fbm_cholesky}[method](
+            0.3, grid, seed
+        )
         assert multi.values[:, 0].tobytes() == single.values.tobytes()
+        # replication r of a path job is the multi sample of seed.replicate(r)
+        job = PathJob(0.3, 2, 1.0, 64, SeedSpec(7), method)
+        direct = sample_fbm_multi(0.3, 2, grid, SeedSpec(7).replicate(3), method)
+        assert job.sample(3).values.tobytes() == direct.values.tobytes()
 
     def test_rejects_bad_dimension_and_method(self):
         grid = UniformGrid(1.0, 4)

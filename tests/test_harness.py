@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from rvlab import parallel
-from rvlab.errors import ConfigError, DomainError, GateError
+from rvlab.errors import ConfigError, DomainError, GateError, QuadratureError
 from rvlab.harness import ExperimentConfig, registered_experiments, run_experiment
 from rvlab.parallel import replication_map
 from rvlab.report import ConvergenceReport, Report, aggregate
@@ -172,12 +172,29 @@ def test_bad_config_rejected(experiment, overrides):
         ("kernel-check", {"lattice": 0}),
         ("kernel-check", {"rtol": 0.0}),
         ("lp-scaling", {"intervals": [[0.25, 0.5, 0.75]]}),
+        # a KS level outside (0, 1), and a power control at a = 1, where
+        # a^-H = a^-2H, decide no gate
+        ("self-similarity", {"level": 5.0}),
+        ("self-similarity", {"level": 0.0}),
+        ("self-similarity", {"a_list": [1.0]}),
     ],
     ids=str,
 )
 def test_bad_driver_input_rejected_before_work(experiment, params):
-    config = ExperimentConfig(experiment=experiment, hurst=0.3, replications=4, params=params)
+    config = ExperimentConfig(
+        experiment=experiment, hurst=0.3, replications=4, params=params,
+        dimension=3 if experiment == "self-similarity" else 1,
+    )
     with pytest.raises((ConfigError, DomainError)):
+        run_experiment(config)
+
+
+def test_kernel_overflow_is_a_quadrature_error():
+    # s ** (H - 3/2) overflows a Python float in the kernel's inner integrand
+    config = ExperimentConfig(
+        experiment="kernel-check", hurst=0.3, horizon=1e-300, params={"lattice": 1}
+    )
+    with pytest.raises(QuadratureError, match="overflowed"):
         run_experiment(config)
 
 

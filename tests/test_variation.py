@@ -35,19 +35,16 @@ def gaussian_abs_moment(p: float) -> float:
 class TestVariationStatistic:
     def test_constant_path_has_zero_variation(self):
         path = RealPath(UniformGrid(1.0, 4), np.zeros(5))
-        assert variation_Vnq(path, 1.7).value == 0.0
+        assert variation_Vnq(path, 1.7) == 0.0
 
     def test_linear_path_first_variation_is_horizon(self):
         grid = UniformGrid(2.0, 8)
         path = RealPath(grid, grid.nodes())
-        assert variation_Vnq(path, 1.0).value == pytest.approx(2.0, rel=1e-14)
+        assert variation_Vnq(path, 1.0) == pytest.approx(2.0, rel=1e-14)
 
     def test_hand_sum(self):
         path = RealPath(UniformGrid(1.0, 2), np.array([0.0, 1.0, -1.0]))
-        result = variation_Vnq(path, 2.0)
-        assert result.value == 5.0
-        assert result.n == 2
-        assert result.q == 2.0
+        assert variation_Vnq(path, 2.0) == 5.0
 
     def test_rejects_nonpositive_exponent(self):
         path = RealPath(UniformGrid(1.0, 2), np.zeros(3))
@@ -60,44 +57,44 @@ class TestVariationStatistic:
         values = np.concatenate([[0.0], rng.standard_normal(32)])
         path = RealPath(grid, values)
         q = 1.0 / 0.3
-        base = variation_Vnq(path, q).value
+        base = variation_Vnq(path, q)
 
         # level shifts change increments only through rounding of v + c
         shifted = RealPath(grid, values + 3.7)
-        assert variation_Vnq(shifted, q).value == pytest.approx(base, rel=1e-12)
+        assert variation_Vnq(shifted, q) == pytest.approx(base, rel=1e-12)
 
         negated = RealPath(grid, -values)
-        assert variation_Vnq(negated, q).value == base
+        assert variation_Vnq(negated, q) == base
 
         doubled = RealPath(grid, 2.0 * values)
-        assert variation_Vnq(doubled, 2.0).value == 4.0 * variation_Vnq(path, 2.0).value
+        assert variation_Vnq(doubled, 2.0) == 4.0 * variation_Vnq(path, 2.0)
 
         c = -1.83
         scaled = RealPath(grid, c * values)
-        assert variation_Vnq(scaled, q).value == pytest.approx(
+        assert variation_Vnq(scaled, q) == pytest.approx(
             abs(c) ** q * base, rel=1e-12
         )
 
 
 class TestEHConstant:
     def test_brownian_value(self):
-        assert e_H(0.5).value == pytest.approx(1.0, rel=1e-14)
+        assert e_H(0.5) == pytest.approx(1.0, rel=1e-14)
 
     def test_quarter_gives_fourth_moment(self):
-        assert e_H(0.25).value == pytest.approx(3.0, rel=1e-12)
+        assert e_H(0.25) == pytest.approx(3.0, rel=1e-12)
 
     def test_third_against_integration_oracle(self):
         expected = 2.0 ** 1.5 / np.sqrt(np.pi)  # 2^{3/2} Gamma(2) / sqrt(pi)
-        got = e_H(1.0 / 3.0).value
+        got = e_H(1.0 / 3.0)
         assert got == pytest.approx(expected, rel=1e-12)
         assert got == pytest.approx(gaussian_abs_moment(3.0), rel=1e-10)
 
     @pytest.mark.parametrize("h", [0.25, 0.3, 0.4, 0.5])
     def test_closed_form_matches_oracle(self, h):
-        assert e_H(h).value == pytest.approx(gaussian_abs_moment(1.0 / h), rel=1e-10)
+        assert e_H(h) == pytest.approx(gaussian_abs_moment(1.0 / h), rel=1e-10)
 
     def test_strictly_decreasing_on_lattice(self):
-        values = [e_H(h).value for h in (0.25, 0.3, 0.4, 0.5)]
+        values = [e_H(h) for h in (0.25, 0.3, 0.4, 0.5)]
         assert all(b < a for a, b in zip(values, values[1:]))
 
 
@@ -131,13 +128,13 @@ class TestVariationExperiment:
         grid_1 = UniformGrid(1.0, n)
         v_t = np.array(
             [
-                variation_Vnq(sample_fbm_circulant(h, grid_t, SeedSpec(61, r)), q).value
+                variation_Vnq(sample_fbm_circulant(h, grid_t, SeedSpec(61, r)), q)
                 for r in range(m)
             ]
         )
         v_1 = np.array(
             [
-                variation_Vnq(sample_fbm_circulant(h, grid_1, SeedSpec(62, r)), q).value
+                variation_Vnq(sample_fbm_circulant(h, grid_1, SeedSpec(62, r)), q)
                 for r in range(m)
             ]
         )
