@@ -6,11 +6,11 @@ operator K* on step functions, the induced inner product, the seminorm
 built from weighted L^2 and double-integral terms, and the extended inner
 product against indicators.
 
-The kernel's inner integral int_s^t u^{H-3/2} (u-s)^{H-1/2} du is evaluated
-after the substitution u = s + (t-s) v^2, which removes the endpoint
-singularity at u = s; what remains is adaptive Gauss-Kronrod quadrature on a
-bounded integrand.  K* is evaluated on step functions exactly by linearity
-over indicator differences, so no quadrature over t is ever needed.
+The kernel's inner integral int_s^t u^{H-3/2} (u-s)^{H-1/2} du is an
+incomplete Beta function (substitute u = s/v), so K_H itself needs no
+quadrature; adaptive Gauss-Kronrod quadrature is left only for the outer
+L^2 integrals.  K* is evaluated on step functions exactly by linearity over
+indicator differences, so no quadrature over t is ever needed.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ import warnings
 
 import numpy as np
 from scipy import integrate
-from scipy.special import gammaln
+from scipy.special import betainc, gammaln
 
 from .core import HurstParam, StepFunction, as_hurst
 from .errors import DomainError, QuadratureError
@@ -39,34 +39,35 @@ __all__ = [
     "extended_inner",
     "covariance_via_kernel",
     "kernel_check_table",
-    "DEFAULT_KERNEL_TOL",
     "DEFAULT_L2_TOL",
 ]
 
-# Relative tolerance of the kernel's inner integral (singularity removed by
-# substitution, so this is cheap to reach).
-DEFAULT_KERNEL_TOL = 1e-9
 # Relative tolerance of the outer L^2 quadratures, whose integrands keep
 # integrable power singularities at grid nodes.
 DEFAULT_L2_TOL = 1e-7
 
 
 @functools.lru_cache(maxsize=64)
+def _log_beta(h: float) -> float:
+    """log B(1-2H, H+1/2), through log-Gamma."""
+    return gammaln(1 - 2 * h) + gammaln(h + 0.5) - gammaln(1.5 - h)
+
+
+@functools.lru_cache(maxsize=64)
 def constant_cH(hurst: HurstParam | float) -> float:
     """The kernel normalization c_H = sqrt(2H / ((1-2H) B(1-2H, H+1/2))).
 
-    The Beta function is evaluated through log-Gamma; the constant blows up
-    as H approaches 1/2 (pole of 1 - 2H).
+    The constant blows up as H approaches 1/2 (pole of 1 - 2H).
     """
     hp = as_hurst(hurst)
     hp.require_rough("the Volterra kernel constant")
     h = hp.h
-    log_beta = gammaln(1 - 2 * h) + gammaln(h + 0.5) - gammaln(1.5 - h)
-    return float(np.sqrt(2 * h / ((1 - 2 * h) * np.exp(log_beta))))
+    return float(np.sqrt(2 * h / ((1 - 2 * h) * np.exp(_log_beta(h)))))
 
 
 def _quad(func, a, b, rtol, points=None, limit=400) -> float:
-    """scipy.integrate.quad with explicit convergence and overflow checks."""
+    """scipy.integrate.quad that fails on overflow, on a missed rtol and, at any
+    scale, whenever quadpack reports failure (its 4th, message element)."""
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", integrate.IntegrationWarning)
@@ -79,7 +80,7 @@ def _quad(func, a, b, rtol, points=None, limit=400) -> float:
             f"quadrature on [{a}, {b}] overflowed: {exc}", achieved=math.inf
         ) from exc
     value, abserr = result[0], result[1]
-    if abserr > max(rtol * abs(value), 1e-13):
+    if len(result) > 3 or abserr > max(rtol * abs(value), 1e-13):
         raise QuadratureError(
             f"quadrature on [{a}, {b}] did not reach rtol={rtol}: "
             f"achieved error estimate {abserr:.3e} on value {value:.6e}",
@@ -88,19 +89,17 @@ def _quad(func, a, b, rtol, points=None, limit=400) -> float:
     return value
 
 
-def _inner_integral(h: float, t: float, s: float, rtol: float) -> float:
-    """int_s^t u^{H-3/2} (u-s)^{H-1/2} du with the u = s + (t-s) v^2 substitution."""
-    width = t - s
+def _inner_integral(h: float, t: float, s: float) -> float:
+    """int_s^t u^{H-3/2} (u-s)^{H-1/2} du = s^{2H-1} B(a, b) I_x(b, a), x = (t-s)/t.
 
-    def integrand(v: float) -> float:
-        return (s + width * v * v) ** (h - 1.5) * v ** (2 * h)
+    With a = 1-2H and b = H+1/2, u = s/v gives s^{2H-1} int_{s/t}^1 v^{a-1} (1-v)^{b-1} dv
+    (Decreusefond & Ustunel 1999; Nualart 2006, Sec. 5.1).  Passing (t-s)/t,
+    not 1 - s/t, keeps the precision as s/t -> 1."""
+    incomplete = float(betainc(h + 0.5, 1 - 2 * h, (t - s) / t))
+    return s ** (2 * h - 1) * math.exp(_log_beta(h)) * incomplete
 
-    return 2.0 * width ** (h + 0.5) * _quad(integrand, 0.0, 1.0, rtol)
 
-
-def kernel_K(
-    hurst: HurstParam | float, t: float, s: float, rtol: float = DEFAULT_KERNEL_TOL
-) -> float:
+def kernel_K(hurst: HurstParam | float, t: float, s: float) -> float:
     """The Volterra kernel K_H(t, s) for 0 < s < t, H < 1/2.
 
     K_H(t, s) = c_H [ (t/s)^{H-1/2} (t-s)^{H-1/2}
@@ -117,7 +116,7 @@ def kernel_K(
         raise DomainError(f"kernel_K requires 0 < s < t, got t={t}, s={s}")
     c_h = constant_cH(hp)
     direct = (t / s) ** (h - 0.5) * (t - s) ** (h - 0.5)
-    return c_h * (direct - (h - 0.5) * s ** (0.5 - h) * _inner_integral(h, t, s, rtol))
+    return c_h * (direct - (h - 0.5) * s ** (0.5 - h) * _inner_integral(h, t, s))
 
 
 def kernel_dKdt(hurst: HurstParam | float, t: float, s: float) -> float:
@@ -133,9 +132,7 @@ def kernel_dKdt(hurst: HurstParam | float, t: float, s: float) -> float:
     return constant_cH(hp) * (h - 0.5) * (t / s) ** (h - 0.5) * (t - s) ** (h - 1.5)
 
 
-def kstar_indicator(
-    hurst: HurstParam | float, t: float, s: float, rtol: float = DEFAULT_KERNEL_TOL
-) -> float:
+def kstar_indicator(hurst: HurstParam | float, t: float, s: float) -> float:
     """(K* 1_[0,t])(s) = K_H(t, s) for s < t and 0 for s > t."""
     if not s > 0:
         raise DomainError(f"kstar_indicator requires s > 0, got s={s}")
@@ -143,7 +140,7 @@ def kstar_indicator(
         raise DomainError("kstar_indicator is not defined on the boundary s = t")
     if s > t:
         return 0.0
-    return kernel_K(hurst, t, s, rtol)
+    return kernel_K(hurst, t, s)
 
 
 def _jump_coefficients(phi: StepFunction) -> list[tuple[float, float]]:
@@ -163,12 +160,7 @@ def _jump_coefficients(phi: StepFunction) -> list[tuple[float, float]]:
     return pairs
 
 
-def kstar_step(
-    hurst: HurstParam | float,
-    phi: StepFunction,
-    s: float,
-    rtol: float = DEFAULT_KERNEL_TOL,
-) -> float:
+def kstar_step(hurst: HurstParam | float, phi: StepFunction, s: float) -> float:
     """(K* phi)(s) for a step function phi, exact by linearity.
 
     Requires 0 < s < T with s off the grid nodes (where the kernel terms are
@@ -182,7 +174,7 @@ def kstar_step(
         if s == node:
             raise DomainError(f"kstar_step is singular at the grid node s={s}")
         if s < node:
-            total += coeff * kernel_K(hurst, node, s, rtol)
+            total += coeff * kernel_K(hurst, node, s)
     return total
 
 
@@ -293,11 +285,7 @@ def extended_inner(hurst: HurstParam | float, phi: StepFunction, t: float) -> fl
 
 
 def covariance_via_kernel(
-    hurst: HurstParam | float,
-    t: float,
-    s: float,
-    rtol: float = DEFAULT_L2_TOL,
-    kernel_rtol: float = DEFAULT_KERNEL_TOL,
+    hurst: HurstParam | float, t: float, s: float, rtol: float = DEFAULT_L2_TOL
 ) -> float:
     """Left side of the factorization identity: int_0^{t^s} K(t,u) K(s,u) du."""
     hp = as_hurst(hurst)
@@ -307,8 +295,8 @@ def covariance_via_kernel(
     upper = min(t, s)
 
     def integrand(u: float) -> float:
-        left = kernel_K(hp, t, u, kernel_rtol) if u < t else 0.0
-        right = kernel_K(hp, s, u, kernel_rtol) if u < s else 0.0
+        left = kernel_K(hp, t, u) if u < t else 0.0
+        right = kernel_K(hp, s, u) if u < s else 0.0
         return left * right
 
     return _quad(integrand, 0.0, upper, rtol)

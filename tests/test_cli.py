@@ -224,11 +224,11 @@ class TestRunCommand:
             # a^-H = a^-2H at a = 1: the power control can never be rejected
             ({"experiment": "self-similarity", "dimension": 3, "replications": 8,
               "params": {"a_list": [1.0], "grid_size": 16}}, 2),
-            # the kernel's inner integrand overflows a Python float
-            ({"experiment": "kernel-check", "hurst": 0.3, "horizon": 1e-300,
+            # quadpack reports failure on an integral near 1e-184
+            ({"experiment": "kernel-check", "hurst": 0.3, "horizon": 1e-306,
               "params": {"lattice": 1}}, 3),
         ],
-        ids=["selfsim-control-at-1", "kernel-overflow"],
+        ids=["selfsim-control-at-1", "kernel-quadrature-failure"],
     )
     def test_run_that_cannot_decide_exits_without_report(self, runner, tmp_path, config, code):
         out = tmp_path / "report.csv"

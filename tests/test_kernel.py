@@ -2,9 +2,10 @@
 seminorm and the extended pairing.
 
 Oracles are independent of the code under test: Beta by direct numeric
-integration, dK/dt by finite differences of kernel_K, the reproduction
-identity by generic adaptive quadrature of the kernel product against the
-closed-form covariance.
+integration, the kernel's inner integral by quadrature after a substitution
+that removes its endpoint singularity, dK/dt by finite differences of
+kernel_K, the reproduction identity by generic adaptive quadrature of the
+kernel product against the closed-form covariance.
 """
 
 import numpy as np
@@ -12,9 +13,11 @@ import pytest
 from scipy.integrate import quad
 
 from rvlab.core import StepFunction, UniformGrid
-from rvlab.errors import DomainError
+from rvlab.errors import DomainError, QuadratureError
 from rvlab.fbm import covariance
 from rvlab.kernel import (
+    _inner_integral,
+    _quad,
     constant_cH,
     covariance_via_kernel,
     extended_inner,
@@ -57,6 +60,26 @@ class TestConstantCH:
             constant_cH(0.5)
         with pytest.raises(DomainError):
             constant_cH(0.7)
+
+
+def inner_integral_by_quadrature(h: float, t: float, s: float) -> float:
+    """Oracle: int_s^t u^{H-3/2} (u-s)^{H-1/2} du after u = s + (t-s) v^2,
+    which leaves a bounded integrand on [0, 1]."""
+    width = t - s
+    value, err = quad(lambda v: (s + width * v * v) ** (h - 1.5) * v ** (2 * h), 0, 1,
+                      epsabs=0, epsrel=1e-12, limit=400)
+    assert err < 1e-10 * value
+    return 2.0 * width ** (h + 0.5) * value
+
+
+@pytest.mark.parametrize("h", [0.01, 0.05, 0.1, 0.2, 0.25, 0.3, 0.4, 0.45, 0.49, 0.499])
+def test_inner_integral_closed_form_against_quadrature(h):
+    # at t = 1, 1 - s/t is exact; (3, 3 - 3e-9) shows the cancellation it avoids
+    for t, s in [(1.0, 0.5), (1.0, 1e-6), (1.0, 1 - 1e-9), (1.0, 1 - 1e-4), (3.0, 0.1),
+                 (1e-3, 5e-4), (7.0, 6.999), (3.0, 3.0 - 3e-9)]:
+        assert _inner_integral(h, t, s) == pytest.approx(
+            inner_integral_by_quadrature(h, t, s), rel=1e-10, abs=0.0
+        )
 
 
 class TestKernelK:
@@ -321,10 +344,14 @@ def test_kernel_check_table_small():
 
 
 def test_nonconvergent_quadrature_reports_achieved_error():
-    from rvlab.errors import QuadratureError
-    from rvlab.kernel import _quad
+    # one subdivision cannot resolve a fast oscillation at this tolerance, and
+    # quadpack's failure counts however small the integral is
+    for scale in (1.0, 1e-20):
+        with pytest.raises(QuadratureError) as err:
+            _quad(lambda x: scale * np.sin(1e4 * x * x), 0.0, 1.0, rtol=1e-12, limit=1)
+        assert err.value.achieved > 0.0
 
-    with pytest.raises(QuadratureError) as err:
-        # one subdivision cannot resolve a fast oscillation at this tolerance
-        _quad(lambda x: np.sin(1e4 * x * x), 0.0, 1.0, rtol=1e-12, limit=1)
-    assert err.value.achieved > 0.0
+
+def test_overflowing_integrand_is_a_quadrature_error():
+    with pytest.raises(QuadratureError, match="overflowed"):
+        _quad(lambda x: 10.0 ** (400 * x), 0.0, 1.0, rtol=1e-7)
