@@ -9,12 +9,10 @@ each experiment.
 
 import pytest
 
-from rvlab.core import SeedSpec, StepFunction, UniformGrid
+from rvlab.core import SeedSpec
 from rvlab.errors import GateError
-from rvlab.fbm import covariance
 from rvlab.harness import ExperimentConfig, registered_experiments, run_experiment
 from rvlab.ito import lp_scaling_experiment
-from rvlab.kernel import inner_product_H, kernel_check_table
 
 WORKERS = 2  # any value must give identical bytes; criterion 10 checks that
 
@@ -41,19 +39,21 @@ def test_criterion_01_covariance_and_sampler_fidelity():
 
 
 def test_criterion_02_kernel_reproduction_and_isometry():
-    worst_repro = 0.0
+    # lattice 5 covers reproduction; lattice 4 holds the isometry pair
+    # <1_[0,0.75], 1_[0,0.5]> = R_H(0.75, 0.5)
+    ok = True
+    worst_repro = worst_iso = 0.0
     for h in (0.2, 0.3, 0.4):
-        rows = kernel_check_table(h, horizon=1.0, lattice=5, rtol=1e-6)
-        worst_repro = max(worst_repro, max(r[4] for r in rows))
-    grid = UniformGrid(1.0, 4)
-    phi = StepFunction.indicator(grid, 3)
-    psi = StepFunction.indicator(grid, 2)
-    worst_iso = 0.0
-    for h in (0.2, 0.3, 0.4):
-        got = inner_product_H(h, phi, psi, rtol=1e-6)
-        want = covariance(h, 0.75, 0.5)
-        worst_iso = max(worst_iso, abs(got - want) / want)
-    ok = worst_repro < 1e-4 and worst_iso < 1e-4
+        for lattice in (5, 4):
+            config = ExperimentConfig(
+                experiment="kernel-check", hurst=h, params={"lattice": lattice, "rtol": 1e-6}
+            )
+            report = run_experiment(config)
+            ok = ok and report.passed
+            worst_repro = max(worst_repro, report.extra["max_rel_err"])
+            if lattice == 4:
+                (iso,) = [r[4] for r in report.rows if (r[0], r[1]) == (0.75, 0.5)]
+                worst_iso = max(worst_iso, iso)
     announce(
         2, ok,
         f"kernel factorization rel err {worst_repro:.2e} and isometry rel err "

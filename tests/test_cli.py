@@ -202,6 +202,7 @@ class TestRunCommand:
             {"dimension": 3},
             {"horizon": 1e999},
             {"tolerances": {"rel_err_final": "x"}},
+            {"experiment": "kernel-check", "horizon": 1e308, "params": {"lattice": 1}},
         ],
         ids=str,
     )

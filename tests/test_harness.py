@@ -189,11 +189,10 @@ def test_bad_driver_input_rejected_before_work(experiment, params):
         run_experiment(config)
 
 
-@pytest.mark.parametrize("horizon, lattice", [(1e-306, 1), (1.7e308, 3)])
+@pytest.mark.parametrize("horizon, lattice", [(1e-306, 1)])
 def test_kernel_overflow_is_a_quadrature_error(horizon, lattice):
-    # At 1e-306 quadpack cannot reach rtol on a value near 1e-184; at 1.7e308
-    # it returns a NaN error estimate, and the lattice time 2*horizon is inf.
-    # Neither may pass as a tolerance verdict.
+    # quadpack cannot reach rtol on a value near 1e-184, which may not pass as
+    # a tolerance verdict
     config = ExperimentConfig(
         experiment="kernel-check", hurst=0.3, horizon=horizon, params={"lattice": lattice}
     )
@@ -201,7 +200,18 @@ def test_kernel_overflow_is_a_quadrature_error(horizon, lattice):
         run_experiment(config)
 
 
-@pytest.mark.parametrize("horizon", [1e300, 1e-300])
+@pytest.mark.parametrize("horizon, lattice", [(9.1e307, 1), (1e308, 1), (1.7e308, 3)])
+def test_kernel_check_rejects_horizon_at_float_limit(horizon, lattice):
+    # above half the largest double quadpack's midpoints overflow and it reports
+    # success on values 15-50% off; at 1.7e308 the lattice time 2*horizon is inf
+    config = ExperimentConfig(
+        experiment="kernel-check", hurst=0.3, horizon=horizon, params={"lattice": lattice}
+    )
+    with pytest.raises(DomainError, match="horizon <= 8.988e\\+307"):
+        run_experiment(config)
+
+
+@pytest.mark.parametrize("horizon", [1e307, 1e300, 1e-300])
 def test_kernel_check_at_extreme_horizons(horizon):
     config = ExperimentConfig(
         experiment="kernel-check", hurst=0.3, horizon=horizon, params={"lattice": 1}

@@ -1,12 +1,16 @@
-"""Tests for the Volterra kernel, the K* operator, inner products, the
-seminorm and the extended pairing.
+"""Tests for the Volterra kernel, the K* operator, the inner product and the
+reproduction check.
 
 Oracles are independent of the code under test: Beta by direct numeric
 integration, the kernel's inner integral by quadrature after a substitution
-that removes its endpoint singularity, dK/dt by finite differences of
-kernel_K, the reproduction identity by generic adaptive quadrature of the
-kernel product against the closed-form covariance.
+that removes its endpoint singularity, the closed-form dK/dt (itself checked
+by finite differences of kernel_K) for K*, the reproduction identity by
+generic adaptive quadrature of the kernel product against the closed-form
+covariance, and the extended pairing <phi, 1_[0,t]> = int phi dR(., t) for
+the inner product of a non-indicator step function.
 """
+
+import math
 
 import numpy as np
 import pytest
@@ -20,15 +24,10 @@ from rvlab.kernel import (
     _quad,
     constant_cH,
     covariance_via_kernel,
-    extended_inner,
     inner_product_H,
     kernel_check_table,
-    kernel_dKdt,
     kernel_K,
-    kstar_indicator,
     kstar_step,
-    seminorm_components,
-    seminorm_K,
 )
 
 
@@ -106,7 +105,7 @@ class TestKernelK:
 
     def test_reproduces_unit_variance(self):
         # int_0^1 K(1, u)^2 du = R(1, 1) = 1
-        lhs = covariance_via_kernel(0.3, 1.0, 1.0, rtol=1e-8)
+        lhs = covariance_via_kernel(0.3, UniformGrid(1.0, 1), 1, 1, rtol=1e-8)
         assert lhs == pytest.approx(1.0, rel=1e-6)
 
     @pytest.mark.parametrize("h", [0.2, 0.3, 0.4])
@@ -135,6 +134,25 @@ class TestKernelK:
         fitted = max(ratios)
         print(f"fitted kernel structural-bound constant for h={h}: {fitted:.6f}")
         assert np.isfinite(fitted) and fitted > 0
+
+
+def kernel_dKdt(h: float, t: float, s: float) -> float:
+    """Oracle: closed-form dK_H/dt(t, s) = c_H (H-1/2) (t/s)^{H-1/2} (t-s)^{H-3/2},
+    strictly negative for H < 1/2."""
+    if not (0.0 < s < t):
+        raise DomainError(f"kernel_dKdt requires 0 < s < t, got t={t}, s={s}")
+    return constant_cH(h) * (h - 0.5) * (t / s) ** (h - 0.5) * (t - s) ** (h - 1.5)
+
+
+def extended_inner(h: float, phi: StepFunction, t: float) -> float:
+    """Oracle: <phi, 1_[0,t]> = int_0^T phi_s dR/ds(s, t) ds with no quadrature.
+
+    Against piecewise-constant phi the integral telescopes through the
+    antiderivative s -> R(s, t) to sum_i a_i (R(t_{i+1}, t) - R(t_i, t)).
+    """
+    grid = phi.grid
+    grid.index_of(t)  # t must be a grid time
+    return math.fsum(phi.coefficients * np.diff(covariance(h, grid.nodes(), t)))
 
 
 class TestKernelDerivative:
@@ -169,11 +187,13 @@ class TestKernelDerivative:
 
 class TestKStar:
     def test_indicator_support(self):
+        # (K* 1_[0,t])(s) = K_H(t, s) for s < t and 0 for s > t
         h = 0.3
-        assert kstar_indicator(h, 0.5, 0.75) == 0.0
-        assert kstar_indicator(h, 0.75, 0.5) == kernel_K(h, 0.75, 0.5)
+        phi = StepFunction.indicator(UniformGrid(1.0, 4), 2)  # 1_[0, 0.5)
+        assert kstar_step(h, phi, 0.75) == 0.0
+        assert kstar_step(h, phi, 0.3) == kernel_K(h, 0.5, 0.3)
         with pytest.raises(DomainError):
-            kstar_indicator(h, 0.5, 0.5)
+            kstar_step(h, phi, 0.5)
 
     def test_indicator_linearity_over_interval(self):
         # K*(1_[a,b])(s) = K*(1_[0,b])(s) - K*(1_[0,a])(s)
@@ -181,7 +201,9 @@ class TestKStar:
         grid = UniformGrid(1.0, 4)
         phi = StepFunction(grid, np.array([0.0, 1.0, 1.0, 0.0]))  # 1_[0.25, 0.75)
         for s in (0.1, 0.3, 0.6, 0.9):
-            expected = kstar_indicator(h, b, s) - kstar_indicator(h, a, s)
+            expected = (kernel_K(h, b, s) if s < b else 0.0) - (
+                kernel_K(h, a, s) if s < a else 0.0
+            )
             assert kstar_step(h, phi, s) == pytest.approx(expected, rel=1e-12, abs=1e-15)
 
     def test_step_reduces_to_indicator(self):
@@ -189,9 +211,8 @@ class TestKStar:
         grid = UniformGrid(1.0, 4)
         phi = StepFunction.indicator(grid, 3)
         for s in (0.2, 0.6, 0.8):
-            assert kstar_step(h, phi, s) == pytest.approx(
-                kstar_indicator(h, 0.75, s), rel=1e-12, abs=1e-15
-            )
+            expected = kernel_K(h, 0.75, s) if s < 0.75 else 0.0
+            assert kstar_step(h, phi, s) == pytest.approx(expected, rel=1e-12, abs=1e-15)
 
     def test_constant_one_gives_horizon_kernel(self):
         h = 0.3
@@ -265,44 +286,22 @@ class TestInnerProduct:
             phi = StepFunction(grid, rng.standard_normal(4))
             assert inner_product_H(h, phi, phi, rtol=1e-6) >= 0.0
 
+    def test_range_stops_at_earlier_last_jump(self):
+        h = 0.3
+        grid = UniformGrid(1.0, 6)
+        zero = StepFunction(grid, np.zeros(6))
+        phi = StepFunction(grid, np.array([0.7, -1.2, 0.4, 1.1, 0.0, 0.0]))  # ends at 2/3
+        psi = StepFunction(grid, np.array([-0.5, 0.9, 0.0, 0.0, 1.3, 0.6]))  # ends at T
+        assert inner_product_H(h, zero, psi) == 0.0
+        full, _ = quad(lambda s: kstar_step(h, phi, s) * kstar_step(h, psi, s), 0.0, 1.0,
+                       points=list(grid.nodes()[1:-1]), epsabs=0, epsrel=1e-10, limit=400)
+        assert inner_product_H(h, phi, psi, rtol=1e-10) == pytest.approx(full, rel=1e-10)
+
     def test_requires_shared_grid(self):
         phi = StepFunction.indicator(UniformGrid(1.0, 4), 2)
         psi = StepFunction.indicator(UniformGrid(1.0, 8), 2)
         with pytest.raises(DomainError):
             inner_product_H(0.3, phi, psi)
-
-
-class TestSeminorm:
-    def test_zero_function(self):
-        phi = StepFunction(UniformGrid(1.0, 4), np.zeros(4))
-        assert seminorm_K(0.3, phi) == 0.0
-
-    def test_first_term_for_full_indicator(self):
-        # int_0^T [(T-s)^{2H-1} + s^{2H-1}] ds = T^{2H} / H
-        h, horizon = 0.3, 1.5
-        grid = UniformGrid(horizon, 6)
-        phi = StepFunction(grid, np.ones(6))
-        first, second = seminorm_components(h, phi)
-        assert first == pytest.approx(horizon ** (2 * h) / h, rel=1e-12)
-        assert second == 0.0
-
-    def test_embedding_ratio_bounded(self):
-        # ||phi||_H^2 <= C ||phi||_K^2 for some C with no closed form;
-        # assert the ratio is bounded over a randomized set and report the
-        # fitted constant.
-        h = 0.3
-        grid = UniformGrid(1.0, 4)
-        rng = np.random.default_rng(23)
-        ratios = []
-        for _ in range(4):
-            phi = StepFunction(grid, rng.standard_normal(4))
-            norm_h_sq = inner_product_H(h, phi, phi, rtol=1e-6)
-            norm_k_sq = seminorm_K(h, phi, rtol=1e-6) ** 2
-            ratios.append(norm_h_sq / norm_k_sq)
-        fitted = max(ratios)
-        print(f"fitted embedding constant for h={h}: {fitted:.6f}")
-        assert np.all(np.isfinite(ratios))
-        assert fitted > 0
 
 
 class TestExtendedInner:
@@ -338,9 +337,12 @@ class TestExtendedInner:
 
 
 def test_kernel_check_table_small():
-    rows = kernel_check_table(0.3, lattice=3, rtol=1e-6)
-    assert len(rows) == 6  # lower triangle of a 3x3 lattice
-    assert max(r[4] for r in rows) < 1e-4
+    # 3 * 0.1 / 3 != 0.1: the last lattice time must be the horizon itself
+    for horizon in (1.0, 0.1):
+        rows = kernel_check_table(0.3, horizon=horizon, lattice=3, rtol=1e-6)
+        assert len(rows) == 6  # lower triangle of a 3x3 lattice
+        assert max(r[4] for r in rows) < 1e-4
+        assert rows[-1][0] == horizon
 
 
 def test_nonconvergent_quadrature_reports_achieved_error():
