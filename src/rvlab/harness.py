@@ -132,8 +132,8 @@ class ExperimentConfig:
             raise ConfigError(
                 f"{self.experiment!r} does not read dimension; got dimension={self.dimension}"
             )
-        xi_paths = self.param("xi_paths") if "xi_paths" in spec.params else None
-        check_shape(self.replications, self.grid_sizes, xi_paths)
+        xi = {key: self.param(key) for key in ("xi_paths", "xi_draws") if key in spec.params}
+        check_shape(self.replications, self.grid_sizes, **xi)
         SeedSpec(self.master_seed)  # 64-bit gate
         if self.output_format not in ("csv", "json"):
             raise ConfigError(f"output format must be csv or json, got {self.output_format!r}")

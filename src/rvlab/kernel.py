@@ -211,8 +211,12 @@ def kernel_check_table(
     hp.require_rough("the kernel reproduction check")
     if lattice < 1 or not rtol > 50 * np.finfo(float).eps:
         raise DomainError(f"need lattice >= 1 and rtol > 50 eps, got {lattice} and {rtol}")
-    if not horizon <= _MAX_HORIZON:
-        raise DomainError(f"kernel-check needs horizon <= {_MAX_HORIZON:.4g}, got {horizon}")
+    # grid.node(i) computes i * horizon / lattice, so (lattice - 1) * horizon must stay finite
+    if not (horizon <= _MAX_HORIZON and math.isfinite((lattice - 1) * horizon)):
+        raise DomainError(
+            f"kernel-check needs horizon <= {_MAX_HORIZON:.4g} and a finite "
+            f"(lattice - 1) * horizon, got horizon {horizon} at lattice {lattice}"
+        )
     grid = UniformGrid(horizon, lattice)
     rows = []
     for i in range(1, lattice + 1):

@@ -51,13 +51,18 @@ def aggregate(values: Sequence[float]) -> tuple[float, float | None]:
 
 
 def check_shape(
-    replications: int, grid_sizes: Sequence[int] | None = None, xi_paths: int | None = None
+    replications: int,
+    grid_sizes: Sequence[int] | None = None,
+    xi_paths: int | None = None,
+    xi_draws: int | None = None,
 ) -> None:
     """The one grid and replication rule of every experiment.
 
-    A standard error needs at least 2 replications; grid sizes, where an
-    experiment has them, are strictly increasing positive integers; the
-    replications carrying the xi target number 1..replications.
+    A standard error needs at least 2 replications, and the xi target's
+    standard error at least 2 antithetic pairs, so xi draws are an even count
+    >= 4; grid sizes, where an experiment has them, are strictly increasing
+    positive integers; the replications carrying the xi target number
+    1..replications.
     """
     if grid_sizes is not None and (
         not grid_sizes or min(grid_sizes) < 1 or list(grid_sizes) != sorted(set(grid_sizes))
@@ -67,6 +72,8 @@ def check_shape(
         raise ConfigError("need at least 2 replications for standard errors")
     if xi_paths is not None and not 1 <= xi_paths <= replications:
         raise ConfigError(f"xi_paths must lie in 1..{replications}, got {xi_paths}")
+    if xi_draws is not None and (xi_draws < 4 or xi_draws % 2):
+        raise ConfigError(f"xi_draws must be an even count >= 4, got {xi_draws}")
 
 
 def loglog_fit(x: Sequence[float], y: Sequence[float]) -> tuple[float, float, float]:

@@ -203,6 +203,15 @@ class TestRunCommand:
             {"horizon": 1e999},
             {"tolerances": {"rel_err_final": "x"}},
             {"experiment": "kernel-check", "horizon": 1e308, "params": {"lattice": 1}},
+            {"experiment": "kernel-check", "horizon": 5e307, "params": {"lattice": 7}},
+            *(
+                {
+                    "experiment": experiment, "hurst": 0.45, "dimension": 3,
+                    "params": {"xi_draws": xi_draws},
+                }
+                for experiment in ("theta-variation", "divergence-variation-multi")
+                for xi_draws in (0, 2, 3)
+            ),
         ],
         ids=str,
     )

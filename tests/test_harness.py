@@ -149,6 +149,9 @@ BAD_CONFIGS = [
     ("negative-moments", {"params": {"q": "1"}}),
     ("fbm-variation", {"horizon": float("inf")}),  # JSON 1e999
     ("theta-variation", {"dimension": 3, "params": {"xi_paths": 6}}),
+    # one antithetic pair gives a NaN standard error, which decides no cross-check
+    ("theta-variation", {"hurst": 0.45, "dimension": 3, "params": {"xi_draws": 2}}),
+    ("divergence-variation-multi", {"dimension": 3, "params": {"xi_draws": 9}}),
     ("fbm-variation", {"replications": 1}),
     ("fbm-variation", {"hurst": True}),
     ("fbm-variation", {"params": []}),
@@ -200,10 +203,13 @@ def test_kernel_overflow_is_a_quadrature_error(horizon, lattice):
         run_experiment(config)
 
 
-@pytest.mark.parametrize("horizon, lattice", [(9.1e307, 1), (1e308, 1), (1.7e308, 3)])
+@pytest.mark.parametrize(
+    "horizon, lattice", [(9.1e307, 1), (1e308, 1), (1.7e308, 3), (5e307, 7)]
+)
 def test_kernel_check_rejects_horizon_at_float_limit(horizon, lattice):
     # above half the largest double quadpack's midpoints overflow and it reports
-    # success on values 15-50% off; at 1.7e308 the lattice time 2*horizon is inf
+    # success on values 15-50% off; at 1.7e308 and lattice 3, and at 5e307 and
+    # lattice 7, the product (lattice - 1) * horizon behind a lattice time is inf
     config = ExperimentConfig(
         experiment="kernel-check", hurst=0.3, horizon=horizon, params={"lattice": lattice}
     )

@@ -1,9 +1,13 @@
 """Tests for weighted time integrals, divergence representations and the
 variation/scaling experiments on whitelisted integrands."""
 
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from rvlab import ito
 from rvlab.core import SeedSpec, UniformGrid, weighted_cumulative
 from rvlab.errors import ConfigError, DegenerateInputError, DomainError, NumericalError
 from rvlab.fbm import sample_fbm_circulant, sample_fbm_multi
@@ -268,6 +272,53 @@ class TestMultiDivergenceVariation:
         fake = [(1.0, 1.0, 0.0, 2.0, 1e-6)]  # target_a = 1, target_mc = 2
         with pytest.raises(NumericalError, match="disagree"):
             _cross_check(fake, 64)
+
+    def test_cross_check_nan_se_aborts(self):
+        fake = [(1.0, 1.0, 0.0, 1.0, math.nan)]  # a standard error that checks nothing
+        with pytest.raises(NumericalError, match="disagree"):
+            _cross_check(fake, 64)
+
+    @pytest.mark.parametrize("draws", [0, 2, 3])
+    def test_xi_draws_without_a_standard_error_rejected(self, draws):
+        u = np.ones((8, 1))
+        with pytest.raises(ConfigError, match="xi_draws must be an even count >= 4"):
+            xi_mc_target(u, 1.0 / 8, 1.0 / 0.45, SeedSpec(77).stream(lane=1), draws)
+
+
+def _unit_rows(n: int, d: int) -> np.ndarray:
+    v = np.random.default_rng(n).standard_normal((n, d))
+    return v / np.linalg.norm(v, axis=1)[:, None]
+
+
+class TestXiSubBlocks:
+    # n = 4096 gives draw blocks of 976 columns, n = 257 one block of 5000;
+    # neither is a multiple of 7 or 256, and chunk + 1 evaluates each draw
+    # block in one pass.  Six draws are one block of 3 columns, which width 2
+    # would split into 2 + 1: a one-column pass has other last bits, and with
+    # three pairs they show in (mean, se).  Width 1 makes every pass one
+    # column, so 2 is the smallest width that can match.
+    @pytest.mark.parametrize("n, draws", [(4096, 10_000), (257, 10_000), (4096, 6)])
+    def test_width_leaves_result_bit_equal(self, n, draws, monkeypatch):
+        u = _unit_rows(n, 3)
+        chunk = min(draws // 2, int(4e6) // n)
+        got = set()
+        for width in (2, 7, 256, chunk + 1):
+            monkeypatch.setattr(ito, "_XI_BLOCK", width)
+            got.add(xi_mc_target(u, 1.0 / n, 1.0 / 0.45, SeedSpec(31).stream(lane=1), draws))
+        assert len(got) == 1, got
+
+    def test_work_array_is_bounded(self):
+        n = 4096
+        u = _unit_rows(n, 3)
+        stream = SeedSpec(31).stream(lane=1)
+        tracemalloc.start()
+        try:
+            xi_mc_target(u, 1.0 / n, 1.0 / 0.45, stream, 10_000)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # one (4096 x 976) float64 temporary alone is 32 MB
+        assert peak < 16e6, peak
 
 
 class TestLpScaling:
