@@ -21,7 +21,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import gammaln
-from scipy.stats import ks_2samp
 
 from .core import (
     HurstParam,
@@ -230,6 +229,10 @@ def self_similarity_test(
         paths = PathJob(hp.h, d, horizon, grid_size, arm_seed, method)
         rep = functools.partial(_theta_terminal_rep, paths)
         arms.append(np.array(replication_map(rep, replications, workers)))
+    # Imported here, not at module level: scipy.stats is over a third of
+    # the package's start-up time, and only this test uses it.
+    from scipy.stats import ks_2samp
+
     arm_scaled, arm_plain = arms
     exponent = -2 * hp.h if wrong_scaling else -hp.h
     stat, p_value = ks_2samp(arm_scaled * a**exponent, arm_plain)

@@ -10,6 +10,7 @@ environment variable.  Exit codes: 0 pass, 1 tolerance failure,
 from __future__ import annotations
 
 import dataclasses
+import io
 import sys
 from typing import Callable
 
@@ -28,6 +29,7 @@ from .harness import (
     run_experiment,
 )
 from .parallel import default_workers
+from .report import write_text
 
 seed_option = click.option(
     "--seed", type=int, default=0, envvar="RVL_DEFAULT_SEED", show_default=True,
@@ -103,14 +105,15 @@ def fbm_cmd(hurst, horizon, grid_size, dim, method, replication, seed, out):
             path = sampler(method)(hurst, grid, spec)
         else:
             path = sample_fbm_multi(hurst, dim, grid, spec, method=method)
+        if out:
+            text = io.StringIO()
+            write_path_csv(path, text)
+            write_text(out, text.getvalue())
+        else:
+            write_path_csv(path, sys.stdout)
     except RvlabError as exc:
         click.echo(f"error: {exc}", err=True)
         sys.exit(_exit_code(exc))
-    if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            write_path_csv(path, fh)
-    else:
-        write_path_csv(path, sys.stdout)
 
 
 @main.command("variation")

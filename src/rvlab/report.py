@@ -18,7 +18,7 @@ import numpy as np
 from . import __version__
 from .errors import ConfigError, DomainError
 
-__all__ = ["aggregate", "check_shape", "loglog_fit", "Report", "ConvergenceReport", "CONVERGENCE_COLUMNS", "build_id"]
+__all__ = ["aggregate", "check_shape", "loglog_fit", "write_text", "Report", "ConvergenceReport", "CONVERGENCE_COLUMNS", "build_id"]
 
 CONVERGENCE_COLUMNS = ("n", "estimate", "target", "abs_err", "rel_err", "stderr")
 
@@ -76,6 +76,16 @@ def check_shape(
         raise ConfigError(f"xi_draws must be an even count >= 4, got {xi_draws}")
 
 
+def write_text(path: str, text: str) -> None:
+    """Write an output file; a path that cannot be written is a
+    configuration error (exit 2), not a traceback."""
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path!r}: {exc.strerror or exc}") from exc
+
+
 def loglog_fit(x: Sequence[float], y: Sequence[float]) -> tuple[float, float, float]:
     """Least-squares line through (log x, log y): (slope, intercept, R^2)."""
     log_x = np.log(x)
@@ -96,11 +106,29 @@ def _fmt(value) -> str:
     return str(value)
 
 
+def _dumps(payload, **kwargs) -> str:
+    """Strict JSON: a non-finite float is written as null, never as the
+    bare NaN or Infinity that a standard parser rejects."""
+    return json.dumps(_finite(payload), sort_keys=True, allow_nan=False, **kwargs)
+
+
+def _finite(value):
+    if isinstance(value, float):
+        return value if math.isfinite(value) else None
+    if isinstance(value, dict):
+        return {k: _finite(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_finite(v) for v in value]
+    return value
+
+
 def _parse_cell(text: str):
     if text == "true":
         return True
     if text == "false":
         return False
+    if text == "None":
+        return None
     try:
         as_int = int(text)
     except ValueError:
@@ -144,7 +172,7 @@ class Report:
             ("extra", self.extra),
             ("flags", self.flags),
         ):
-            lines.append(f"# {key}: {json.dumps(payload, sort_keys=True)}")
+            lines.append(f"# {key}: {_dumps(payload)}")
         lines.append(",".join(self.columns))
         for row in self.rows:
             lines.append(",".join(_fmt(v) for v in row))
@@ -159,14 +187,13 @@ class Report:
             "columns": list(self.columns),
             "rows": [list(r) for r in self.rows],
         }
-        return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+        return _dumps(doc, indent=2) + "\n"
 
     def write(self, path: str, fmt: str = "csv") -> None:
         if fmt not in ("csv", "json"):
             raise ConfigError(f"unknown report format {fmt!r}")
         text = self.to_csv() if fmt == "csv" else self.to_json()
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        write_text(path, text)
 
     @classmethod
     def from_csv(cls, text: str) -> "Report":

@@ -1,10 +1,15 @@
 """CLI tests through click's runner: subcommands, exit codes, env fallback."""
 
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 from click.testing import CliRunner
 
+import rvlab
 from rvlab.cli import _exit_code, main
 from rvlab.errors import ConfigError, GateError, NumericalError
 
@@ -51,6 +56,13 @@ class TestFbmCommand:
     def test_bad_hurst_is_config_error(self, runner):
         result = runner.invoke(main, ["fbm", "--hurst", "1.5", "--grid-size", "4"])
         assert result.exit_code == 2
+
+    def test_unwritable_out_exits_2(self, runner, tmp_path):
+        out = tmp_path / "missing" / "path.csv"
+        result = runner.invoke(main, ["fbm", "--hurst", "0.3", "--grid-size", "4", "--out", str(out)])
+        assert result.exit_code == 2, result.output
+        assert result.output.startswith("error: cannot write")
+        assert result.exception is None or isinstance(result.exception, SystemExit)
 
 
 class TestExperimentCommands:
@@ -136,6 +148,16 @@ class TestExperimentCommands:
         )
         assert result.exit_code == 0, result.output
         assert "t,s,lhs,rhs,rel_err" in result.output
+
+    def test_unwritable_out_exits_2(self, runner, tmp_path):
+        out = tmp_path / "missing" / "table.csv"
+        result = runner.invoke(
+            main, ["kernel-check", "--hurst", "0.3", "--lattice", "2", "--out", str(out)],
+        )
+        assert result.exit_code == 2, result.output
+        assert result.output.startswith("error: cannot write")
+        assert len(result.output.splitlines()) == 1
+        assert result.exception is None or isinstance(result.exception, SystemExit)
 
 
 class TestRunCommand:
@@ -271,3 +293,27 @@ def test_exit_code_mapping():
     assert _exit_code(ConfigError("x")) == 2
     assert _exit_code(GateError("x")) == 2
     assert _exit_code(NumericalError("x")) == 3
+
+
+@pytest.mark.parametrize(
+    "body",
+    [
+        "import rvlab.harness, rvlab.cli",
+        "from rvlab.cli import main\ntry:\n    main(['--help'])\nexcept SystemExit:\n    pass",
+    ],
+    ids=["import", "help"],
+)
+def test_cold_start_loads_no_scipy_stats(body):
+    # scipy.stats is over a third of the package's start-up time and only
+    # the self-similarity KS test uses it, so it must not load at start-up.
+    probe = (
+        f"{body}\nimport json, sys\n"
+        "print(json.dumps([m for m in sys.modules if m.startswith(('scipy.stats', 'rvlab.'))]))"
+    )
+    env = {**os.environ, "PYTHONPATH": str(pathlib.Path(rvlab.__file__).parents[1])}
+    done = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, env=env, check=True,
+    )
+    loaded = json.loads(done.stdout.splitlines()[-1])
+    assert not [m for m in loaded if m.startswith("scipy.stats")]
+    assert "rvlab.kernel" in loaded

@@ -3,6 +3,7 @@ report serialization and worker-count determinism."""
 
 import dataclasses
 import json
+import math
 import pathlib
 
 import numpy as np
@@ -256,6 +257,30 @@ class TestReports:
         assert parsed.rows == report.rows
         assert parsed.extra == report.extra
         assert parsed.flags == report.flags
+
+    def test_csv_round_trip_keeps_none(self):
+        report = Report(columns=("n", "stderr"), rows=[(1, None), (2, 0.5)], extra={"se": None})
+        parsed = Report.from_csv(report.to_csv())
+        assert parsed.rows == report.rows
+        assert parsed.extra == report.extra
+
+    def test_non_finite_floats_are_strict_json_null(self):
+        report = Report(
+            columns=("x", "y"),
+            rows=[(math.inf, -math.inf), (math.nan, 1.5)],
+            extra={"x": math.inf, "nested": [np.float64(np.nan), {"z": -math.inf}]},
+            meta={"ok": 2.5},
+        )
+
+        def reject(constant):
+            raise ValueError(f"non-standard JSON constant {constant}")
+
+        doc = json.loads(report.to_json(), parse_constant=reject)
+        assert doc["rows"] == [[None, None], [None, 1.5]]
+        assert doc["extra"] == {"x": None, "nested": [None, {"z": None}]}
+        assert doc["meta"] == {"ok": 2.5}
+        for line in report.to_csv().splitlines()[1:4]:
+            json.loads(line.split(": ", 1)[1], parse_constant=reject)
 
     def test_wall_time_not_serialized(self):
         report = Report(columns=("x",), rows=[(1,)], meta={"wall_time_s": 0.5, "k": 1})
