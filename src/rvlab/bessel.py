@@ -197,6 +197,13 @@ class KSOutcome:
     p_value: float
 
 
+def _require_scale(a: float, t: float) -> None:
+    if not a > 0:
+        raise DomainError(f"scale factor a must be positive, got {a}")
+    if not t > 0:
+        raise DomainError(f"time t must be positive, got {t}")
+
+
 def self_similarity_test(
     d: int,
     hurst: HurstParam | float,
@@ -220,10 +227,7 @@ def self_similarity_test(
     """
     hp = as_hurst(hurst)
     require_bessel_dimension(d)
-    if not a > 0:
-        raise DomainError(f"scale factor a must be positive, got {a}")
-    if not t > 0:
-        raise DomainError(f"time t must be positive, got {t}")
+    _require_scale(a, t)
     arms = []
     for horizon, arm_seed in ((a * t, seed), (t, seed.replicate(replications))):
         paths = PathJob(hp.h, d, horizon, grid_size, arm_seed, method)
@@ -272,6 +276,8 @@ def self_similarity_suite(
         raise ConfigError(f"KS level must lie in (0, 1), got {level}")
     if control_a == 1:
         raise ConfigError("a power control at a = 1 is never rejected: a^-H = a^-2H there")
+    for a, t in pairs:  # every pair before the first test runs
+        _require_scale(a, t)
     threshold = level / len(pairs)
     rows = []
     ok = True

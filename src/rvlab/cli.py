@@ -28,6 +28,7 @@ from .harness import (
     registered_experiments,
     run_experiment,
 )
+from .ito import INTEGRANDS
 from .parallel import default_workers
 from .report import write_text
 
@@ -137,16 +138,10 @@ def variation_cmd(hurst, horizon, grids, paths, seed, workers, out, fmt):
     )
 
 
-def _integrand_labels() -> list[str]:
-    from .ito import INTEGRANDS, MULTI_INTEGRANDS
-
-    return sorted(set(INTEGRANDS) | set(MULTI_INTEGRANDS))
-
-
 @main.command("ito-check")
 @click.option("--hurst", type=float, required=True)
 @click.option("--spec", "integrand", default="quadratic", show_default=True,
-              type=click.Choice(_integrand_labels()),
+              type=click.Choice(sorted(INTEGRANDS)),
               help="Registered integrand label.")
 @click.option("--dim", type=int, default=1, show_default=True)
 @click.option("--mode", type=click.Choice(["variation", "scaling"]),
@@ -162,7 +157,7 @@ def ito_check_cmd(hurst, integrand, dim, mode, horizon, grids, paths, seed,
                   workers, out, fmt):
     """Divergence-integral variation (Thm 4.2 / 5.3) or L^p-scaling check."""
     if mode == "scaling":
-        experiment, dim = "lp-scaling", 1
+        experiment = "lp-scaling"
     else:
         experiment = "divergence-variation" if dim == 1 else "divergence-variation-multi"
     _run(

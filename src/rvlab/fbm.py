@@ -72,20 +72,23 @@ def covariance(hurst: HurstParam | float, t, s):
     return float(out) if out.ndim == 0 else out
 
 
-def fgn_autocovariance(hurst: HurstParam | float, lag: int, dt: float) -> float:
-    """Autocovariance of fractional Gaussian noise at integer lag.
+def fgn_autocovariance(hurst: HurstParam | float, lag, dt: float):
+    """Autocovariance of fractional Gaussian noise at integer lag(s).
 
     For increments X_i = B_{(i+1)dt} - B_{i dt} the stationary autocovariance
     is gamma(k) = (|k+1|^{2H} + |k-1|^{2H} - 2|k|^{2H}) dt^{2H} / 2,
-    independent of i.
+    independent of i.  ``lag`` is an integer or an array of them; the
+    circulant sampler's embedding row is this function at lags 0..n.
     """
     h = as_hurst(hurst).h
-    if lag < 0:
+    k = np.asarray(lag, dtype=float)
+    if np.any(k < 0):
         raise DomainError("lag must be nonnegative")
     if not dt > 0:
         raise DomainError("dt must be positive")
-    k = float(lag)
-    return 0.5 * ((k + 1) ** (2 * h) + abs(k - 1) ** (2 * h) - 2 * k ** (2 * h)) * dt ** (2 * h)
+    gamma = 0.5 * ((k + 1) ** (2 * h) + np.abs(k - 1) ** (2 * h) - 2 * k ** (2 * h))
+    gamma *= dt ** (2 * h)
+    return float(gamma) if gamma.ndim == 0 else gamma
 
 
 @functools.lru_cache(maxsize=16)
@@ -159,10 +162,7 @@ def _embedding_sqrt(h: float, horizon: float, n: int) -> np.ndarray:
 
 
 def _embedding_eigenvalues(h: float, horizon: float, n: int) -> np.ndarray:
-    dt = horizon / n
-    k = np.arange(n + 1, dtype=float)
-    gamma = 0.5 * ((k + 1) ** (2 * h) + np.abs(k - 1) ** (2 * h) - 2 * k ** (2 * h))
-    gamma *= dt ** (2 * h)
+    gamma = fgn_autocovariance(h, np.arange(n + 1), horizon / n)
     if n == 1:
         row = gamma
     else:

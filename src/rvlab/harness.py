@@ -15,6 +15,7 @@ from __future__ import annotations
 import dataclasses
 import functools
 import json
+import os
 import sys
 import time
 from dataclasses import dataclass, field
@@ -123,8 +124,12 @@ class ExperimentConfig:
                 for key, value in given.items()
             }
             object.__setattr__(self, group, typed)
-        if self.output_path is not None and not isinstance(self.output_path, str):
-            raise ConfigError(f"output_path must be a string, got {self.output_path!r}")
+        if self.output_path is not None:
+            if not isinstance(self.output_path, str):
+                raise ConfigError(f"output_path must be a string, got {self.output_path!r}")
+            folder = os.path.dirname(os.path.abspath(self.output_path))
+            if not os.path.isdir(folder):
+                raise ConfigError(f"cannot write {self.output_path!r}: no directory {folder!r}")
         HurstParam(self.hurst)  # range gate
         if not self.horizon > 0:
             raise ConfigError(f"horizon must be positive, got {self.horizon}")
@@ -132,8 +137,8 @@ class ExperimentConfig:
             raise ConfigError(
                 f"{self.experiment!r} does not read dimension; got dimension={self.dimension}"
             )
-        xi = {key: self.param(key) for key in ("xi_paths", "xi_draws") if key in spec.params}
-        check_shape(self.replications, self.grid_sizes, **xi)
+        xi_draws = self.param("xi_draws") if "xi_draws" in spec.params else None
+        check_shape(self.replications, self.grid_sizes, xi_draws)
         SeedSpec(self.master_seed)  # 64-bit gate
         if self.output_format not in ("csv", "json"):
             raise ConfigError(f"output format must be csv or json, got {self.output_format!r}")
@@ -325,8 +330,6 @@ def _register(name, runner, params=None, tolerances=None, dimensional=False):
     _REGISTRY[name] = _ExperimentSpec(runner, params or {}, tolerances or {}, dimensional)
 
 
-_XI_PATHS = _Derived(1, lambda config: config.replications)  # every path
-
 _register("fbm-variation", _run_variation, params={"method": "circulant"},
           tolerances={"rel_err_final": 0.05})
 _register("divergence-variation", _run_variation,
@@ -334,10 +337,10 @@ _register("divergence-variation", _run_variation,
           tolerances={"rel_err_final": 0.10})
 _register("divergence-variation-multi", _run_variation,
           params={"integrand": "radial_quadratic", "method": "circulant",
-                  "xi_draws": ito.DEFAULT_XI_DRAWS, "xi_paths": _XI_PATHS},
+                  "xi_draws": ito.DEFAULT_XI_DRAWS},
           tolerances={"rel_err_final": 0.10}, dimensional=True)
 _register("theta-variation", _run_variation,
-          params={"method": "circulant", "xi_draws": ito.DEFAULT_XI_DRAWS, "xi_paths": _XI_PATHS},
+          params={"method": "circulant", "xi_draws": ito.DEFAULT_XI_DRAWS},
           tolerances={"rel_err_final": 0.10}, dimensional=True)
 _register("negative-moments", _run_negative_moments,
           params={"q": 1.0, "t_list": [0.25, 0.5, 1.0, 2.0], "method": "circulant"},

@@ -2,17 +2,18 @@
 the four 1/H-variation experiments.
 
 Divergence (Skorohod) integrals are never discretized directly: for a
-potential f the process X_t = int_0^t f'(B_s) dB_s is evaluated pathwise
-through the change-of-variable formula
+potential F on R^d the process X_t = int_0^t grad F(B_s) dB_s is evaluated
+pathwise through the change-of-variable formula
 
-    X_t = f(B_t) - f(0) - H int_0^t f''(B_s) s^{2H-1} ds,
+    X_t = F(B_t) - F(0) - H int_0^t (Laplacian F)(B_s) s^{2H-1} ds,
 
 (:func:`rvlab.core.ito_representation`, shared with Theta) with the singular
 time weight integrated exactly cell by cell against right-endpoint samples;
-every replication draws its path through :class:`rvlab.fbm.PathJob`.  The
-admissible integrands form a fixed whitelist (registered below with finite-difference validation of the supplied
-derivatives); the Hoelder-regularity hypotheses behind the limit theorems
-are analytic facts about those integrands, not runtime checks.
+d = 1 is the scalar case X_t = int_0^t F'(B_s) dB_s.  Every replication draws
+its path through :class:`rvlab.fbm.PathJob`.  The admissible integrands form
+a fixed whitelist (registered below with finite-difference validation of the
+supplied derivatives); the Hoelder-regularity hypotheses behind the limit
+theorems are analytic facts about those integrands, not runtime checks.
 """
 
 from __future__ import annotations
@@ -43,12 +44,9 @@ from .report import check_shape, loglog_fit
 from .variation import e_H, variation_Vnq
 
 __all__ = [
-    "SmoothIntegrandSpec",
-    "MultiIntegrandSpec",
+    "IntegrandSpec",
     "INTEGRANDS",
-    "MULTI_INTEGRANDS",
     "register_integrand",
-    "register_multi_integrand",
     "divergence_reading",
     "divergence_via_ito",
     "divergence_via_ito_multi",
@@ -66,24 +64,10 @@ _FD_TOL = 1e-4
 
 
 @dataclass(frozen=True)
-class SmoothIntegrandSpec:
-    """Potential f with its first and second derivatives.
-
-    The integrand of the divergence process is u_s = f'(B_s); f'' drives the
-    time-weighted drift term.  Supplied derivative pairs are validated by
-    finite differences at registration.
-    """
-
-    f: Callable
-    f_prime: Callable
-    f_pp: Callable
-    label: str
-
-
-@dataclass(frozen=True)
-class MultiIntegrandSpec:
+class IntegrandSpec:
     """Potential F on R^d with gradient and Laplacian (sum of second
-    partials), validated by finite differences at registration."""
+    partials), each acting on the last axis; d = 1 is the scalar case, with
+    integrand u = F'.  Validated by finite differences at registration."""
 
     f: Callable
     gradient: Callable
@@ -91,112 +75,47 @@ class MultiIntegrandSpec:
     label: str
 
 
-def _close(got: float, want: float) -> bool:
-    return abs(got - want) <= _FD_TOL * max(1.0, abs(want))
-
-
-def _validate_smooth(spec: SmoothIntegrandSpec) -> None:
-    probes = (-2.3, -1.1, -0.4, 0.0, 0.6, 1.5, 2.7)
-    d1, d2 = 1e-6, 1e-4
-    for x in probes:
-        f = spec.f
-        fd_prime = (f(x + d1) - f(x - d1)) / (2 * d1)
-        fd_pp = (f(x + d2) - 2 * f(x) + f(x - d2)) / d2**2
-        if not _close(fd_prime, float(spec.f_prime(x))):
-            raise ConfigError(
-                f"integrand {spec.label!r}: f_prime disagrees with finite "
-                f"differences at x={x} ({fd_prime} vs {spec.f_prime(x)})"
-            )
-        if not _close(fd_pp, float(spec.f_pp(x))):
-            raise ConfigError(
-                f"integrand {spec.label!r}: f_pp disagrees with finite "
-                f"differences at x={x} ({fd_pp} vs {spec.f_pp(x)})"
-            )
-
-
-def _validate_multi(spec: MultiIntegrandSpec, d: int = 3) -> None:
+def _validate(spec: IntegrandSpec) -> None:
+    """Finite-difference check of gradient and Laplacian at d = 1 and d = 3,
+    so a spec wrong in only one of them is caught; probes are evaluated as
+    one batch along the leading axes, as on a path."""
     rng = np.random.default_rng(20240917)
-    probes = [np.zeros(d)] + [rng.uniform(-2, 2, size=d) for _ in range(4)]
     d1, d2 = 1e-6, 1e-4
-    for x in probes:
-        grad = np.asarray(spec.gradient(x), dtype=float)
-        lap_fd = 0.0
-        for i in range(d):
-            e = np.zeros(d)
-            e[i] = 1.0
-            g_fd = (spec.f(x + d1 * e) - spec.f(x - d1 * e)) / (2 * d1)
-            if not _close(g_fd, grad[i]):
+    for d in (1, 3):
+        x = np.vstack([np.zeros(d), rng.uniform(-2, 2, size=(4, d))])
+        shift = np.eye(d)  # x[:, None] +- h * shift: one probe per coordinate
+        fx = np.asarray(spec.f(x), dtype=float)[:, None]
+        up1, down1 = (np.asarray(spec.f(x[:, None] + sign * d1 * shift)) for sign in (1, -1))
+        up2, down2 = (np.asarray(spec.f(x[:, None] + sign * d2 * shift)) for sign in (1, -1))
+        checks = (
+            ("gradient", spec.gradient(x), (up1 - down1) / (2 * d1)),
+            ("laplacian", spec.laplacian(x), np.sum(up2 - 2 * fx + down2, axis=1) / d2**2),
+        )
+        for name, got, want in checks:
+            got = np.asarray(got, dtype=float)
+            if got.shape != want.shape or not np.all(
+                np.abs(got - want) <= _FD_TOL * np.maximum(1.0, np.abs(want))
+            ):
                 raise ConfigError(
-                    f"integrand {spec.label!r}: gradient component {i} "
-                    f"disagrees with finite differences at {x}"
+                    f"integrand {spec.label!r}: {name} disagrees with finite "
+                    f"differences at d = {d}"
                 )
-            lap_fd += (spec.f(x + d2 * e) - 2 * spec.f(x) + spec.f(x - d2 * e)) / d2**2
-        if not _close(lap_fd, float(spec.laplacian(x))):
-            raise ConfigError(
-                f"integrand {spec.label!r}: laplacian disagrees with finite "
-                f"differences at {x}"
-            )
 
 
-INTEGRANDS: dict[str, SmoothIntegrandSpec] = {}
-MULTI_INTEGRANDS: dict[str, MultiIntegrandSpec] = {}
+INTEGRANDS: dict[str, IntegrandSpec] = {}
 
 
-def register_integrand(spec: SmoothIntegrandSpec) -> SmoothIntegrandSpec:
-    """Validate and add a 1-dim integrand spec to the whitelist."""
+def register_integrand(spec: IntegrandSpec) -> IntegrandSpec:
+    """Validate and add an integrand spec to the whitelist."""
     if spec.label in INTEGRANDS:
         raise ConfigError(f"integrand label {spec.label!r} already registered")
-    _validate_smooth(spec)
+    _validate(spec)
     INTEGRANDS[spec.label] = spec
     return spec
 
 
-def register_multi_integrand(spec: MultiIntegrandSpec) -> MultiIntegrandSpec:
-    """Validate and add a d-dim integrand spec to the whitelist."""
-    if spec.label in MULTI_INTEGRANDS:
-        raise ConfigError(f"integrand label {spec.label!r} already registered")
-    _validate_multi(spec)
-    MULTI_INTEGRANDS[spec.label] = spec
-    return spec
-
-
-def _f_identity(x):
-    return np.asarray(x, dtype=float)
-
-
-def _fp_identity(x):
-    return np.ones_like(np.asarray(x, dtype=float))
-
-
-def _fpp_zero(x):
-    return np.zeros_like(np.asarray(x, dtype=float))
-
-
-def _f_quadratic(x):
-    x = np.asarray(x, dtype=float)
-    return 0.5 * x * x
-
-
-def _fp_quadratic(x):
-    return np.asarray(x, dtype=float)
-
-
-def _fpp_one(x):
-    return np.ones_like(np.asarray(x, dtype=float))
-
-
-def _f_cubic(x):
-    x = np.asarray(x, dtype=float)
-    return x**3 / 3.0
-
-
-def _fp_cubic(x):
-    x = np.asarray(x, dtype=float)
-    return x * x
-
-
-def _fpp_cubic(x):
-    return 2.0 * np.asarray(x, dtype=float)
+def _F_linear(x):
+    return np.sum(np.asarray(x, dtype=float), axis=-1)
 
 
 def _F_radial(x):
@@ -204,53 +123,59 @@ def _F_radial(x):
     return 0.5 * np.sum(x * x, axis=-1)
 
 
-def _F_radial_grad(x):
+def _F_cubic(x):
+    x = np.asarray(x, dtype=float)
+    return np.sum(x**3, axis=-1) / 3.0
+
+
+def _F_one(x):
+    return np.ones(np.shape(x)[:-1])
+
+
+def _ones(x):
+    return np.ones_like(np.asarray(x, dtype=float))
+
+
+def _zeros(x):
+    return np.zeros_like(np.asarray(x, dtype=float))
+
+
+def _as_float(x):
     return np.asarray(x, dtype=float)
 
 
-def _F_radial_lap(x):
+def _squares(x):
     x = np.asarray(x, dtype=float)
-    return np.full(x.shape[:-1], float(x.shape[-1]))
+    return x * x
 
 
-def _F_linear(x):
-    x = np.asarray(x, dtype=float)
-    return np.sum(x, axis=-1)
+def _no_laplacian(x):
+    return np.zeros(np.shape(x)[:-1])
 
 
-def _F_linear_grad(x):
-    return np.ones_like(np.asarray(x, dtype=float))
+def _dimension(x):
+    return np.full(np.shape(x)[:-1], float(np.shape(x)[-1]))
 
 
-def _F_linear_lap(x):
-    x = np.asarray(x, dtype=float)
-    return np.zeros(x.shape[:-1])
+def _F_cubic_lap(x):
+    return 2.0 * _F_linear(x)
 
 
-def _f_one(x):
-    return np.ones_like(np.asarray(x, dtype=float))
+# The whitelist: polynomial potentials whose integrands u = grad F have the
+# Hoelder and Malliavin-derivative regularity the limit theorems assume.  The
+# paired labels (sum of x_i; |x|^2 / 2) name one potential each, so configs
+# and reports keep the name they were given.
+register_integrand(IntegrandSpec(_F_linear, _ones, _no_laplacian, "identity"))
+register_integrand(IntegrandSpec(_F_linear, _ones, _no_laplacian, "linear_sum"))
+register_integrand(IntegrandSpec(_F_radial, _as_float, _dimension, "quadratic"))
+register_integrand(IntegrandSpec(_F_radial, _as_float, _dimension, "radial_quadratic"))
+register_integrand(IntegrandSpec(_F_cubic, _squares, _F_cubic_lap, "cubic"))
+register_integrand(IntegrandSpec(_F_one, _zeros, _no_laplacian, "constant"))
 
-
-# The whitelist: polynomial potentials whose integrands u = f' have the
-# Hoelder and Malliavin-derivative regularity the limit theorems assume.
-register_integrand(SmoothIntegrandSpec(_f_identity, _fp_identity, _fpp_zero, "identity"))
-register_integrand(SmoothIntegrandSpec(_f_quadratic, _fp_quadratic, _fpp_one, "quadratic"))
-register_integrand(SmoothIntegrandSpec(_f_cubic, _fp_cubic, _fpp_cubic, "cubic"))
-register_integrand(SmoothIntegrandSpec(_f_one, _fpp_zero, _fpp_zero, "constant"))
-register_multi_integrand(
-    MultiIntegrandSpec(_F_radial, _F_radial_grad, _F_radial_lap, "radial_quadratic")
-)
-register_multi_integrand(
-    MultiIntegrandSpec(_F_linear, _F_linear_grad, _F_linear_lap, "linear_sum")
-)
-
-
-def _lookup(label: str, registry: dict, kind: str):
-    if label not in registry:
-        raise ConfigError(
-            f"unknown {kind} integrand {label!r}; registered: {sorted(registry)}"
-        )
-    return registry[label]
+def _lookup(label: str):
+    if label not in INTEGRANDS:
+        raise ConfigError(f"unknown integrand {label!r}; registered: {sorted(INTEGRANDS)}")
+    return INTEGRANDS[label]
 
 
 def divergence_reading(hurst: HurstParam | float) -> str:
@@ -260,7 +185,7 @@ def divergence_reading(hurst: HurstParam | float) -> str:
     return "divergence" if 0.25 < h < 0.5 else "extended-domain"
 
 
-def _on_path(fn: Callable, path: RealPath | MultiPath, label: str) -> np.ndarray:
+def _on_path(fn: Callable, path: MultiPath, label: str) -> np.ndarray:
     """``fn`` at every node of the path, checked finite."""
     values = np.asarray(fn(path.values), dtype=float)
     bad = np.flatnonzero(~np.isfinite(values))
@@ -274,25 +199,21 @@ def _on_path(fn: Callable, path: RealPath | MultiPath, label: str) -> np.ndarray
 
 
 def divergence_via_ito(
-    spec: SmoothIntegrandSpec, path: RealPath, hurst: HurstParam | float
+    spec: IntegrandSpec, path: RealPath, hurst: HurstParam | float
 ) -> RealPath:
-    """Pathwise X_t = int_0^t f'(B_s) dB_s via the Ito representation.
-
-    X_t = f(B_t) - f(0) - H int_0^t f''(B_s) s^{2H-1} ds, exact in law for
-    whitelisted integrands; see :func:`divergence_reading` for the H-range
-    label.
-    """
-    h = as_hurst(hurst).h
-    f_vals = _on_path(spec.f, path, f"f({spec.label})")
-    fpp_vals = _on_path(spec.f_pp, path, f"f''({spec.label})")
-    return ito_representation(f_vals, h, fpp_vals, path.grid, h)
+    """The d = 1 case of :func:`divergence_via_ito_multi` on a scalar path."""
+    return divergence_via_ito_multi(spec, MultiPath(path.grid, path.values[:, None]), hurst)
 
 
 def divergence_via_ito_multi(
-    spec: MultiIntegrandSpec, path: MultiPath, hurst: HurstParam | float
+    spec: IntegrandSpec, path: MultiPath, hurst: HurstParam | float
 ) -> RealPath:
-    """d-dimensional analogue: X_t = F(B_t) - F(0) - H int_0^t (sum_i
-    d^2F/dx_i^2)(B_s) s^{2H-1} ds."""
+    """Pathwise X_t = int_0^t grad F(B_s) dB_s via the Ito representation.
+
+    X_t = F(B_t) - F(0) - H int_0^t (sum_i d^2F/dx_i^2)(B_s) s^{2H-1} ds,
+    exact in law for whitelisted integrands; see :func:`divergence_reading`
+    for the H-range label.
+    """
     h = as_hurst(hurst).h
     f_vals = _on_path(spec.f, path, f"F({spec.label})")
     lap_vals = _on_path(spec.laplacian, path, f"Laplacian({spec.label})")
@@ -344,17 +265,17 @@ def xi_mc_target(
 
 
 def _cross_check(per_rep, n: int) -> tuple[float, float]:
-    """Compare closed-form and xi-MC targets on the replication subset.
+    """Compare closed-form and xi-MC targets over the replications.
 
-    Per path the two targets differ only by xi-MC noise, so the subset means
-    must agree within 3 combined standard errors; a violation means the two
+    Per path the two targets differ only by xi-MC noise, so their means must
+    agree within 3 combined standard errors; a violation means the two
     target routes are internally inconsistent and aborts the experiment.
     """
-    sub = [(ta, tb, se) for _, ta, _, tb, se in per_rep if math.isfinite(tb)]
-    mean_a = math.fsum(ta for ta, _, _ in sub) / len(sub)
-    mean_b = math.fsum(tb for _, tb, _ in sub) / len(sub)
-    se_b = math.sqrt(math.fsum(se**2 for _, _, se in sub)) / len(sub)
-    if not abs(mean_a - mean_b) <= 3 * se_b:  # a NaN aborts too
+    m = len(per_rep)
+    mean_a = math.fsum(ta for _, ta, _, _, _ in per_rep) / m
+    mean_b = math.fsum(tb for _, _, _, tb, _ in per_rep) / m
+    se_b = math.sqrt(math.fsum(se**2 for *_, se in per_rep)) / m
+    if not abs(mean_a - mean_b) <= 3 * se_b:  # a NaN anywhere aborts too
         raise NumericalError(
             f"closed-form and xi-Monte-Carlo targets disagree at n={n}: "
             f"{mean_a:.6f} vs {mean_b:.6f} (3 s.e. = {3 * se_b:.2e})"
@@ -366,7 +287,8 @@ _DUAL_TARGET_COLUMNS = CONVERGENCE_COLUMNS + ("target_mc", "target_mc_se")
 
 # fBm is the divergence integral of the identity potential (u = 1).  fBm and
 # Theta (u = B/R) have unit-norm integrands, so their limit is e_H * T in
-# closed form; the d-dim cases also estimate the limit by xi Monte Carlo.
+# closed form; the d-dim cases also estimate the limit by xi Monte Carlo on
+# every replication.
 _UNIT_TARGET = ("fbm-variation", "theta-variation")
 _XI_TARGET = ("divergence-variation-multi", "theta-variation")
 
@@ -378,39 +300,30 @@ class _VariationJob(NamedTuple):
     experiment: str
     integrand: str | None
     xi_draws: int
-    xi_paths: int  # replications r < xi_paths carry the xi target
 
 
 def _variation_rep(job: _VariationJob, r: int) -> tuple[float, ...]:
     """One replication: (V_n^{1/H}(X), target, |V - target|, xi target, xi s.e.).
 
-    The xi pair is NaN for replications outside the xi subset.
+    The xi pair is NaN in the experiments without an xi target.
     """
     h, p = job.paths.hurst, 1.0 / job.paths.hurst
     path = job.paths.sample(r)
     grid = path.grid
-    u_norm = None  # right-endpoint ||u_s||; None when it is identically 1
     if job.experiment == "theta-variation":
         x = theta_path(path, h)
         u = path.values[1:] / np.linalg.norm(path.values[1:], axis=1)[:, None]
-    elif job.experiment == "divergence-variation-multi":
-        spec = MULTI_INTEGRANDS[job.integrand]
-        x = divergence_via_ito_multi(spec, path, h)
-        u = np.asarray(spec.gradient(path.values), dtype=float)[1:]
-        u_norm = np.linalg.norm(u, axis=1)
     else:
         spec = INTEGRANDS[job.integrand]
-        b = path.component(0)
-        x = divergence_via_ito(spec, b, h)
-        if job.experiment == "divergence-variation":
-            u_norm = np.abs(np.asarray(spec.f_prime(b.values[1:]), dtype=float))
+        x = divergence_via_ito_multi(spec, path, h)
+        u = np.asarray(spec.gradient(path.values), dtype=float)[1:]
     v = variation_Vnq(x, p)
-    if u_norm is None:
+    if job.experiment in _UNIT_TARGET:
         target = e_H(h) * job.paths.horizon
     else:
-        target = e_H(h) * math.fsum(u_norm**p) * grid.dt
+        target = e_H(h) * math.fsum(np.linalg.norm(u, axis=1) ** p) * grid.dt
     xi = (np.nan, np.nan)
-    if r < job.xi_paths:
+    if job.experiment in _XI_TARGET:
         stream = job.paths.seed.replicate(r).stream(lane=LANE_XI)
         xi = xi_mc_target(u, grid.dt, p, stream, job.xi_draws)
     return (v, target, abs(v - target), *xi)
@@ -428,20 +341,18 @@ def variation_experiment(
     integrand: str | None = None,
     dimension: int = 1,
     xi_draws: int = DEFAULT_XI_DRAWS,
-    xi_paths: int | None = None,
 ) -> ConvergenceReport:
     """L^1 convergence of V_n^{1/H}(X) to e_H int_0^T ||u_s||^{1/H} ds.
 
     ``experiment`` selects X: fBm itself (``fbm-variation``), the divergence
-    integral of a registered 1-dim or d-dim ``integrand``
+    integral of a registered ``integrand`` in one or ``dimension`` dimensions
     (``divergence-variation``, ``divergence-variation-multi``), or Theta under
     the gate 2dH^2 > 1 (``theta-variation``).  Per-path targets are
     right-endpoint Riemann sums of ||u||^{1/H}; unit-norm integrands use the
     closed form e_H * T.  The d-dim cases cross-check the target against
-    Monte Carlo over xi (the closed form holds because <u, xi> is
-    N(0, ||u||^2) under the Gaussian xi-measure), and disagreement beyond 3
-    standard errors aborts.  Only the first ``xi_paths`` replications (all
-    when None, so both target columns average the same paths) carry xi.
+    Monte Carlo over xi on every replication (the closed form holds because
+    <u, xi> is N(0, ||u||^2) under the Gaussian xi-measure), and disagreement
+    beyond 3 standard errors aborts.
     """
     hp = as_hurst(hurst)
     meta = {
@@ -456,29 +367,24 @@ def variation_experiment(
         integrand, dimension = "identity", 1
         meta["method"] = method
     elif experiment == "divergence-variation":
-        integrand, dimension = _lookup(integrand, INTEGRANDS, "1-dim").label, 1
+        integrand, dimension = _lookup(integrand).label, 1
     elif experiment == "divergence-variation-multi":
-        integrand = _lookup(integrand, MULTI_INTEGRANDS, "d-dim").label
+        integrand = _lookup(integrand).label
     elif experiment == "theta-variation":
         require_variation_gate(dimension, hp)
         require_bessel_dimension(dimension)
     else:
         raise ConfigError(f"unknown variation experiment {experiment!r}")
     dual = experiment in _XI_TARGET
-    xi_paths = replications if xi_paths is None else xi_paths
-    if dual:
-        check_shape(replications, grid_sizes, xi_paths, xi_draws)
-    else:
-        check_shape(replications, grid_sizes)
+    check_shape(replications, grid_sizes, xi_draws if dual else None)
     if experiment.startswith("divergence"):
         meta.update(integrand=integrand, reading=divergence_reading(hp))
     if dual:
-        meta.update(dimension=dimension, xi_draws=xi_draws, xi_paths=xi_paths)
+        meta.update(dimension=dimension, xi_draws=xi_draws, xi_paths=replications)
     rows = []
     for n in grid_sizes:
         job = _VariationJob(
-            PathJob(hp.h, dimension, horizon, n, seed, method),
-            experiment, integrand, xi_draws, xi_paths if dual else 0,
+            PathJob(hp.h, dimension, horizon, n, seed, method), experiment, integrand, xi_draws
         )
         per_rep = replication_map(functools.partial(_variation_rep, job), replications, workers)
         target_mc = _cross_check(per_rep, n) if dual else ()
@@ -511,7 +417,7 @@ def default_interval_pairs(horizon: float) -> list[tuple[float, float]]:
 
 
 def _lp_rep(paths: PathJob, label: str, index_pairs: tuple, r: int) -> list[float]:
-    x = divergence_via_ito(INTEGRANDS[label], paths.sample(r).component(0), paths.hurst)
+    x = divergence_via_ito_multi(INTEGRANDS[label], paths.sample(r), paths.hurst)
     p = 1.0 / paths.hurst
     return [float(np.abs(x.values[ib] - x.values[ia]) ** p) for ia, ib in index_pairs]
 
@@ -536,7 +442,7 @@ def lp_scaling_experiment(
     asserted.
     """
     hp = as_hurst(hurst)
-    spec = _lookup(label, INTEGRANDS, "1-dim")
+    spec = _lookup(label)
     if interval_pairs is None:
         interval_pairs = default_interval_pairs(horizon)
     if any(len(pair) != 2 for pair in interval_pairs):

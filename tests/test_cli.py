@@ -100,6 +100,33 @@ class TestExperimentCommands:
         doc = json.loads(result.output[: result.output.rindex("}") + 1])
         assert doc["meta"]["config"]["experiment"] == "divergence-variation"
 
+    @pytest.mark.parametrize(
+        "spec, dim, experiment",
+        [("quadratic", "3", "divergence-variation-multi"),
+         ("radial_quadratic", "1", "divergence-variation")],
+    )
+    def test_ito_check_runs_every_label_in_every_dim(self, runner, spec, dim, experiment):
+        result = runner.invoke(
+            main,
+            ["ito-check", "--hurst", "0.45", "--spec", spec, "--dim", dim, "--grids",
+             "16,32", "--paths", "6", "--seed", "5", "--workers", "1", "--format", "json"],
+        )
+        assert result.exit_code in (0, 1), result.output
+        doc = json.loads(result.output[: result.output.rindex("}") + 1])
+        assert doc["meta"]["config"]["experiment"] == experiment
+        assert doc["meta"]["integrand"] == spec
+
+    def test_ito_check_scaling_rejects_dim(self, runner):
+        # lp-scaling is one-dimensional; --dim 3 used to run it at d = 1
+        result = runner.invoke(
+            main,
+            ["ito-check", "--hurst", "0.45", "--mode", "scaling", "--dim", "3",
+             "--paths", "4", "--workers", "1"],
+        )
+        assert result.exit_code == 2, result.output
+        assert result.output.startswith("error: ")
+        assert "dimension=3" in result.output
+
     def test_ito_check_unknown_spec(self, runner):
         result = runner.invoke(
             main, ["ito-check", "--hurst", "0.45", "--spec", "septic",

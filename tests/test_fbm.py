@@ -58,12 +58,25 @@ class TestFgnAutocovariance:
     def test_all_lags_negative_for_rough_h(self):
         assert all(fgn_autocovariance(0.3, k, 0.25) < 0 for k in range(1, 50))
 
+    def test_lag_array_matches_scalar_lags(self):
+        lags = np.arange(40)
+        gamma = fgn_autocovariance(0.3, lags, 0.25)
+        assert gamma.shape == (40,)
+        expected = [fgn_autocovariance(0.3, int(k), 0.25) for k in lags]
+        assert np.allclose(gamma, expected, rtol=1e-14, atol=0)
+
+    def test_negative_lag_rejected(self):
+        with pytest.raises(DomainError):
+            fgn_autocovariance(0.3, -1, 1.0)
+        with pytest.raises(DomainError):
+            fgn_autocovariance(0.3, np.array([0, 1, -2]), 1.0)
+
     @pytest.mark.parametrize("h", [0.2, 0.3, 0.45, 0.6])
     def test_lag_sum_telescopes_to_total_variance(self, h):
         # Var(B_T) = sum_{i,j} gamma(|i-j|) must equal T^{2H} identically.
         n, horizon = 64, 2.0
         dt = horizon / n
-        gamma = np.array([fgn_autocovariance(h, k, dt) for k in range(n)])
+        gamma = fgn_autocovariance(h, np.arange(n), dt)
         total = n * gamma[0] + 2 * np.sum((n - np.arange(1, n)) * gamma[1:])
         assert total == pytest.approx(horizon ** (2 * h), rel=1e-10)
 

@@ -9,7 +9,7 @@ import pathlib
 import numpy as np
 import pytest
 
-from rvlab import parallel
+from rvlab import bessel, harness, ito, parallel
 from rvlab.errors import ConfigError, DomainError, GateError, QuadratureError
 from rvlab.harness import ExperimentConfig, registered_experiments, run_experiment
 from rvlab.parallel import replication_map
@@ -145,6 +145,7 @@ BAD_CONFIGS = [
     ("kernel-check", {"params": {"lattice": 2.9}}),
     ("fbm-variation", {"dimension": 3}),
     ("covariance-check", {"dimension": 4}),
+    # xi_paths is not a param: every dual replication carries xi
     ("divergence-variation-multi", {"params": {"xi_paths": 0}}),
     ("self-similarity", {"params": {"control": "false"}}),
     ("negative-moments", {"params": {"q": "1"}}),
@@ -181,16 +182,31 @@ def test_bad_config_rejected(experiment, overrides):
         ("self-similarity", {"level": 5.0}),
         ("self-similarity", {"level": 0.0}),
         ("self-similarity", {"a_list": [1.0]}),
+        # the a = 2 arms ran before the a = -1 DomainError
+        ("self-similarity", {"a_list": [2.0, -1.0]}),
     ],
     ids=str,
 )
-def test_bad_driver_input_rejected_before_work(experiment, params):
+def test_bad_driver_input_rejected_before_work(experiment, params, monkeypatch):
+    def no_work(*args, **kwargs):
+        raise AssertionError("replications ran before the input was rejected")
+
+    for module in (harness, ito, bessel):
+        monkeypatch.setattr(module, "replication_map", no_work)
     config = ExperimentConfig(
         experiment=experiment, hurst=0.3, replications=4, params=params,
         dimension=3 if experiment == "self-similarity" else 1,
     )
     with pytest.raises((ConfigError, DomainError)):
         run_experiment(config)
+
+
+def test_unwritable_output_path_rejected_before_work(tmp_path):
+    out = tmp_path / "missing" / "x.csv"
+    with pytest.raises(ConfigError, match="cannot write"):
+        ExperimentConfig(
+            experiment="theta-variation", hurst=0.45, dimension=3, output_path=str(out)
+        )
 
 
 @pytest.mark.parametrize("horizon, lattice", [(1e-306, 1)])

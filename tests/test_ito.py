@@ -13,9 +13,7 @@ from rvlab.errors import ConfigError, DegenerateInputError, DomainError, Numeric
 from rvlab.fbm import sample_fbm_circulant, sample_fbm_multi
 from rvlab.ito import (
     INTEGRANDS,
-    MULTI_INTEGRANDS,
-    MultiIntegrandSpec,
-    SmoothIntegrandSpec,
+    IntegrandSpec,
     _cross_check,
     default_interval_pairs,
     divergence_reading,
@@ -23,7 +21,6 @@ from rvlab.ito import (
     divergence_via_ito_multi,
     lp_scaling_experiment,
     register_integrand,
-    register_multi_integrand,
     variation_experiment,
     xi_mc_target,
 )
@@ -74,22 +71,24 @@ class TestWeightedTimeIntegral:
 
 class TestIntegrandRegistry:
     def test_whitelist_contents(self):
-        assert {"identity", "quadratic", "cubic", "constant"} <= set(INTEGRANDS)
-        assert {"radial_quadratic", "linear_sum"} <= set(MULTI_INTEGRANDS)
+        assert set(INTEGRANDS) == {
+            "identity", "linear_sum", "quadratic", "radial_quadratic", "cubic", "constant"
+        }
+        assert all(spec.label == label for label, spec in INTEGRANDS.items())
 
     def test_bad_second_derivative_rejected(self):
-        bad = SmoothIntegrandSpec(
-            f=lambda x: 0.5 * np.asarray(x) ** 2,
-            f_prime=lambda x: np.asarray(x),
-            f_pp=lambda x: -np.ones_like(np.asarray(x, dtype=float)),
+        bad = IntegrandSpec(
+            f=lambda x: 0.5 * np.sum(np.asarray(x) ** 2, axis=-1),
+            gradient=lambda x: np.asarray(x),
+            laplacian=lambda x: -np.ones(np.shape(x)[:-1]),
             label="broken",
         )
-        with pytest.raises(ConfigError, match="f_pp"):
+        with pytest.raises(ConfigError, match="laplacian"):
             register_integrand(bad)
         assert "broken" not in INTEGRANDS
 
     def test_bad_gradient_rejected(self):
-        bad = MultiIntegrandSpec(
+        bad = IntegrandSpec(
             f=lambda x: np.sum(np.asarray(x) ** 2, axis=-1),
             gradient=lambda x: np.asarray(x),  # true gradient is 2x
             laplacian=lambda x: 2.0 * np.asarray(x).shape[-1]
@@ -97,7 +96,19 @@ class TestIntegrandRegistry:
             label="broken_multi",
         )
         with pytest.raises(ConfigError, match="gradient"):
-            register_multi_integrand(bad)
+            register_integrand(bad)
+
+    def test_spec_wrong_only_at_dimension_one_rejected(self):
+        # the Laplacian of |x|^2 / 2 is d, not 3: right at d = 3 only
+        bad = IntegrandSpec(
+            f=lambda x: 0.5 * np.sum(np.asarray(x) ** 2, axis=-1),
+            gradient=lambda x: np.asarray(x),
+            laplacian=lambda x: np.full(np.shape(x)[:-1], 3.0),
+            label="three_dim_only",
+        )
+        with pytest.raises(ConfigError, match="laplacian"):
+            register_integrand(bad)
+        assert "three_dim_only" not in INTEGRANDS
 
     def test_duplicate_label_rejected(self):
         spec = INTEGRANDS["quadratic"]
@@ -105,7 +116,7 @@ class TestIntegrandRegistry:
             register_integrand(spec)
 
     def test_unknown_label_in_experiment(self):
-        with pytest.raises(ConfigError, match="unknown 1-dim integrand"):
+        with pytest.raises(ConfigError, match="unknown integrand"):
             variation_experiment(
                 "divergence-variation", 0.45, 1.0, [64], 4, SeedSpec(0), integrand="nope"
             )
@@ -138,10 +149,10 @@ class TestDivergence:
         h = 0.4
         grid = UniformGrid(1.0, 128)
         path = sample_fbm_circulant(h, grid, SeedSpec(2, 3))
-        combined = SmoothIntegrandSpec(
-            f=lambda x: 0.5 * np.asarray(x) ** 2 + np.asarray(x) ** 3 / 3.0,
-            f_prime=lambda x: np.asarray(x) + np.asarray(x) ** 2,
-            f_pp=lambda x: 1.0 + 2.0 * np.asarray(x),
+        combined = IntegrandSpec(
+            f=lambda x: np.sum(0.5 * np.asarray(x) ** 2 + np.asarray(x) ** 3 / 3.0, axis=-1),
+            gradient=lambda x: np.asarray(x) + np.asarray(x) ** 2,
+            laplacian=lambda x: np.sum(1.0 + 2.0 * np.asarray(x), axis=-1),
             label="quadratic+cubic",
         )
         x_sum = divergence_via_ito(combined, path, h)
@@ -160,10 +171,10 @@ class TestDivergence:
     def test_overflow_reports_node(self):
         grid = UniformGrid(1.0, 16)
         path = sample_fbm_circulant(0.3, grid, SeedSpec(2, 5))
-        explosive = SmoothIntegrandSpec(
-            f=lambda x: np.exp(1e4 * np.asarray(x, dtype=float) ** 2),
-            f_prime=lambda x: x,
-            f_pp=lambda x: x,
+        explosive = IntegrandSpec(
+            f=lambda x: np.exp(1e4 * np.sum(np.asarray(x, dtype=float) ** 2, axis=-1)),
+            gradient=lambda x: x,
+            laplacian=lambda x: np.sum(x, axis=-1),
             label="explosive",
         )
         with np.errstate(over="ignore"):
@@ -181,7 +192,7 @@ class TestDivergenceMulti:
         h, d = 0.45, 3
         grid = UniformGrid(1.0, 128)
         path = sample_fbm_multi(h, d, grid, SeedSpec(3, 0))
-        x = divergence_via_ito_multi(MULTI_INTEGRANDS["radial_quadratic"], path, h)
+        x = divergence_via_ito_multi(INTEGRANDS["radial_quadratic"], path, h)
         t = grid.nodes()
         expected = 0.5 * (np.sum(path.values**2, axis=1) - d * t ** (2 * h))
         assert np.allclose(x.values, expected, rtol=1e-11, atol=1e-13)
@@ -190,7 +201,7 @@ class TestDivergenceMulti:
         h, d = 0.4, 2
         grid = UniformGrid(1.0, 64)
         path = sample_fbm_multi(h, d, grid, SeedSpec(3, 1))
-        x = divergence_via_ito_multi(MULTI_INTEGRANDS["linear_sum"], path, h)
+        x = divergence_via_ito_multi(INTEGRANDS["linear_sum"], path, h)
         assert np.allclose(x.values, path.values.sum(axis=1), rtol=1e-12, atol=0)
 
     def test_dimension_one_reduces_to_scalar_case(self):
@@ -198,9 +209,20 @@ class TestDivergenceMulti:
         grid = UniformGrid(1.0, 64)
         multi = sample_fbm_multi(h, 1, grid, SeedSpec(3, 2))
         scalar = sample_fbm_circulant(h, grid, SeedSpec(3, 2))
-        x_multi = divergence_via_ito_multi(MULTI_INTEGRANDS["radial_quadratic"], multi, h)
+        x_multi = divergence_via_ito_multi(INTEGRANDS["radial_quadratic"], multi, h)
         x_scalar = divergence_via_ito(INTEGRANDS["quadratic"], scalar, h)
-        assert np.allclose(x_multi.values, x_scalar.values, rtol=1e-14, atol=0)
+        assert np.array_equal(x_multi.values, x_scalar.values)
+
+    def test_cubic_closed_form(self):
+        # F = sum x_i^3 / 3 has Laplacian 2 sum x_i, so
+        # X_t = F(B_t) - 2H int_0^t sum_i B^i_s s^{2H-1} ds
+        h, d = 0.4, 3
+        grid = UniformGrid(1.0, 64)
+        path = sample_fbm_multi(h, d, grid, SeedSpec(3, 3))
+        x = divergence_via_ito_multi(INTEGRANDS["cubic"], path, h)
+        drift = weighted_cumulative(path.values.sum(axis=1), grid, h)
+        expected = np.sum(path.values**3, axis=1) / 3.0 - 2 * h * drift
+        assert np.allclose(x.values, expected, rtol=1e-12, atol=1e-14)
 
 
 class TestScalarDivergenceVariation:
@@ -251,6 +273,36 @@ class TestMultiDivergenceVariation:
         assert multi.rows[0][1] == scalar.rows[0][1]
         assert multi.rows[0][2] == pytest.approx(scalar.rows[0][2], rel=1e-12)
 
+    @pytest.mark.parametrize(
+        "experiment, labels, dimension",
+        [
+            ("divergence-variation", ("identity", "linear_sum"), 1),
+            ("divergence-variation", ("quadratic", "radial_quadratic"), 1),
+            ("divergence-variation-multi", ("identity", "linear_sum"), 3),
+            ("divergence-variation-multi", ("quadratic", "radial_quadratic"), 3),
+        ],
+    )
+    def test_alias_labels_give_the_same_rows(self, experiment, labels, dimension):
+        reports = [
+            variation_experiment(
+                experiment, 0.45, 1.0, [16, 64], 6, SeedSpec(29), integrand=label,
+                dimension=dimension, xi_draws=100,
+            )
+            for label in labels
+        ]
+        assert reports[0].rows == reports[1].rows
+        assert [r.meta["integrand"] for r in reports] == list(labels)
+
+    def test_cubic_runs_at_dimension_three(self):
+        report = variation_experiment(
+            "divergence-variation-multi", 0.45, 1.0, [32, 128], 8, SeedSpec(31),
+            integrand="cubic", dimension=3, xi_draws=400,
+        )
+        assert report.meta["integrand"] == "cubic" and report.meta["dimension"] == 3
+        row = report.rows[-1]
+        assert all(math.isfinite(v) for v in row)
+        assert row[6] == pytest.approx(row[2], abs=3 * row[7])
+
     def test_dual_targets_agree(self):
         report = variation_experiment(
             "divergence-variation-multi", 0.45, 1.0, [256], 20, SeedSpec(19),
@@ -275,6 +327,12 @@ class TestMultiDivergenceVariation:
 
     def test_cross_check_nan_se_aborts(self):
         fake = [(1.0, 1.0, 0.0, 1.0, math.nan)]  # a standard error that checks nothing
+        with pytest.raises(NumericalError, match="disagree"):
+            _cross_check(fake, 64)
+
+    def test_cross_check_nan_target_on_one_path_aborts(self):
+        # every replication carries xi, so a NaN is a failure, not a skipped path
+        fake = [(1.0, 1.0, 0.0, 1.0, 0.1), (1.0, 1.0, 0.0, math.nan, math.nan)]
         with pytest.raises(NumericalError, match="disagree"):
             _cross_check(fake, 64)
 
@@ -343,6 +401,14 @@ class TestLpScaling:
         pairs = [(0.1, 0.2), (0.1, 0.15), (0.1, 0.125)]
         with pytest.raises(ConfigError, match="T/4"):
             lp_scaling_experiment("identity", 0.45, 1.0, pairs, 10, SeedSpec(0))
+
+    def test_alias_labels_give_the_same_rows(self):
+        reports = [
+            lp_scaling_experiment(label, 0.45, 1.0, None, 8, SeedSpec(23), grid_size=256)
+            for label in ("quadratic", "radial_quadratic")
+        ]
+        assert reports[0].rows == reports[1].rows
+        assert reports[1].meta["integrand"] == "radial_quadratic"
 
     def test_constant_potential_rejected_as_degenerate(self):
         with pytest.raises(DegenerateInputError):
