@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 from scipy.special import gammaln
@@ -34,7 +35,10 @@ from .core import (
 from .errors import ConfigError, DomainError, GateError, NumericalError
 from .fbm import PathJob
 from .parallel import replication_map
-from .report import Report, aggregate, build_id, check_shape, loglog_fit
+from .report import Report, aggregate, loglog_fit
+
+if TYPE_CHECKING:
+    from .harness import ExperimentConfig
 
 __all__ = [
     "k_q",
@@ -46,10 +50,7 @@ __all__ = [
     "KSOutcome",
     "self_similarity_test",
     "self_similarity_suite",
-    "DEFAULT_KS_LEVEL",
 ]
-
-DEFAULT_KS_LEVEL = 0.01
 
 
 def k_q(d: int, q: float) -> float:
@@ -120,64 +121,61 @@ def _moment_rep(paths: PathJob, q: float, indices: tuple, r: int) -> list[float]
     return [float(rad ** (-q)) for rad in radii]
 
 
-def negative_moment_experiment(
-    d: int,
-    q: float,
-    hurst: HurstParam | float,
-    t_list: list[float],
-    replications: int,
-    seed: SeedSpec,
-    workers: int = 1,
-    method: str = "circulant",
-) -> Report:
+def negative_moment_experiment(config: ExperimentConfig, workers: int) -> Report:
     """Monte Carlo check of E(R_t^{-q}) = K_q t^{-Hq} for q < d.
 
     Reports per-t estimates against the closed-form target plus a log-log
     regression whose slope is compared to -Hq and intercept to log K_q.
     """
-    hp = as_hurst(hurst)
+    d, h, replications = config.dimension, config.hurst, config.replications
+    q, t_list = config.param("q"), config.param("t_list")
     constant = k_q(d, q)  # gates 0 < q < d
     require_bessel_dimension(d)
     if len(t_list) < 2:
         raise ConfigError("need at least two times for the scaling regression")
     if sorted(set(t_list)) != list(t_list) or min(t_list) <= 0:
         raise ConfigError("t_list must be positive and strictly increasing")
-    check_shape(replications)
     grid = _moment_grid(t_list)
     indices = tuple(grid.index_of(t) for t in t_list)
-    paths = PathJob(hp.h, d, grid.horizon, grid.n, seed, method)
+    paths = PathJob(
+        h, d, grid.horizon, grid.n, SeedSpec(config.master_seed), config.param("method")
+    )
     per_rep = replication_map(
         functools.partial(_moment_rep, paths, q, indices), replications, workers
     )
     rows = []
     for k, t in enumerate(t_list):
         est, stderr = aggregate([per_rep[r][k] for r in range(replications)])
-        target = constant * t ** (-hp.h * q)
+        target = constant * t ** (-h * q)
         abs_err = abs(est - target)
         rows.append((t, est, target, abs_err, abs_err / target, stderr))
     slope, intercept, r2 = loglog_fit(t_list, [row[1] for row in rows])
     extra = {
         "slope": slope,
-        "slope_target": -hp.h * q,
+        "slope_target": -h * q,
         "intercept": intercept,
         "intercept_target": float(np.log(constant)),
         "r_squared": r2,
         "k_q": constant,
     }
+    flags = {}
+    for key in ("slope", "intercept"):
+        gap = abs(extra[key] - extra[f"{key}_target"])
+        flags[f"{key}_ok"] = gap <= config.param(f"{key}_tol", "tolerances")
     meta = {
         "experiment": "negative-moments",
         "dimension": d,
         "q": q,
-        "hurst": hp.h,
+        "hurst": h,
         "replications": replications,
-        "master_seed": seed.master_seed,
+        "master_seed": config.master_seed,
         "grid_n": grid.n,
-        "build": build_id(),
     }
     return Report(
         columns=("t", "estimate", "target", "abs_err", "rel_err", "stderr"),
         rows=rows,
         extra=extra,
+        flags=flags,
         meta=meta,
     )
 
@@ -211,9 +209,9 @@ def self_similarity_test(
     t: float,
     replications: int,
     seed: SeedSpec,
-    workers: int = 1,
-    grid_size: int = 1024,
-    method: str = "circulant",
+    workers: int,
+    grid_size: int,
+    method: str,
     wrong_scaling: bool = False,
 ) -> KSOutcome:
     """KS comparison of a^{-H} Theta_{at} against an independent Theta_t.
@@ -249,42 +247,34 @@ def self_similarity_test(
     )
 
 
-def self_similarity_suite(
-    d: int,
-    hurst: HurstParam | float,
-    pairs: list[tuple[float, float]],
-    replications: int,
-    seed: SeedSpec,
-    workers: int = 1,
-    grid_size: int = 1024,
-    method: str = "circulant",
-    level: float = DEFAULT_KS_LEVEL,
-    control_a: float | None = 4.0,
-) -> Report:
-    """Run KS self-similarity tests over (a, t) pairs with a power control.
+def self_similarity_suite(config: ExperimentConfig, workers: int) -> Report:
+    """Run KS self-similarity tests of every a in ``a_list`` at time ``t``,
+    with a power control.
 
     The pass threshold is Bonferroni-corrected across the proper pairs
-    (p > level / #pairs each).  The control row repeats the largest-|a| test
-    with the wrong exponent a^{-2H} and must be *rejected* at the same
-    corrected threshold, demonstrating the test has power at this sample
-    size.
+    (p > level / #pairs each).  With ``control`` the control row repeats the
+    largest-a test with the wrong exponent a^{-2H} and must be *rejected* at
+    the same corrected threshold, demonstrating the test has power at this
+    sample size.
     """
-    hp = as_hurst(hurst)
-    if not pairs:
-        raise ConfigError("need at least one (a, t) pair")
+    d, h, replications = config.dimension, config.hurst, config.replications
+    seed = SeedSpec(config.master_seed)
+    a_list, t, level = config.param("a_list"), config.param("t"), config.param("level")
+    grid_size, method = config.param("grid_size"), config.param("method")
+    control_a = max(a_list) if config.param("control") else None
     if not 0 < level < 1:
         raise ConfigError(f"KS level must lie in (0, 1), got {level}")
     if control_a == 1:
         raise ConfigError("a power control at a = 1 is never rejected: a^-H = a^-2H there")
-    for a, t in pairs:  # every pair before the first test runs
+    for a in a_list:  # every scale before the first test runs
         _require_scale(a, t)
-    threshold = level / len(pairs)
+    threshold = level / len(a_list)
     rows = []
     ok = True
     offset = 0
-    for a, t in pairs:
+    for a in a_list:
         outcome = self_similarity_test(
-            d, hp, a, t, replications, seed.replicate(offset), workers, grid_size, method
+            d, h, a, t, replications, seed.replicate(offset), workers, grid_size, method
         )
         offset += 2 * replications
         passed = outcome.p_value > threshold
@@ -295,27 +285,24 @@ def self_similarity_suite(
         )
     flags = {"marginals_match": ok}
     if control_a is not None:
-        matching = [t for a, t in pairs if a == control_a]
-        t_control = matching[0] if matching else pairs[-1][1]
         control = self_similarity_test(
-            d, hp, control_a, t_control, replications, seed.replicate(offset), workers,
+            d, h, control_a, t, replications, seed.replicate(offset), workers,
             grid_size, method, wrong_scaling=True,
         )
         detected = control.p_value < threshold
         rows.append(
-            (control_a, t_control, control.scaling, replications, control.statistic,
+            (control_a, t, control.scaling, replications, control.statistic,
              control.p_value, threshold, detected)
         )
         flags["control_rejected"] = detected
     meta = {
         "experiment": "self-similarity",
         "dimension": d,
-        "hurst": hp.h,
+        "hurst": h,
         "replications": replications,
-        "master_seed": seed.master_seed,
+        "master_seed": config.master_seed,
         "grid_size": grid_size,
         "level": level,
-        "build": build_id(),
     }
     return Report(
         columns=("a", "t", "scaling", "m", "ks_stat", "p_value", "threshold", "ok"),

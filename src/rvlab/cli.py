@@ -29,6 +29,7 @@ from .harness import (
     run_experiment,
 )
 from .ito import INTEGRANDS
+from .kernel import DEFAULT_L2_TOL
 from .parallel import default_workers
 from .report import write_text
 
@@ -214,7 +215,7 @@ def bessel_cmd(dim, hurst, horizon, grids, paths, which, q, t_list, a_list, t,
 
 @main.command("kernel-check")
 @click.option("--hurst", type=float, required=True)
-@click.option("--tol", type=float, default=1e-7, show_default=True,
+@click.option("--tol", type=float, default=DEFAULT_L2_TOL, show_default=True,
               help="Quadrature tolerance for the reproduction integrals.")
 @click.option("--lattice", type=int, default=5, show_default=True)
 @click.option("--horizon", type=float, default=1.0, show_default=True)

@@ -27,13 +27,12 @@ from . import bessel, fbm, ito, kernel
 from .core import HurstParam, SeedSpec
 from .errors import ConfigError
 from .parallel import replication_map
-from .report import Report, aggregate, build_id, check_shape
+from .report import Report, build_id, check_shape
 
 __all__ = [
     "ExperimentConfig",
     "run_experiment",
     "registered_experiments",
-    "aggregate",
     "EXIT_OK",
     "EXIT_TOLERANCE",
     "EXIT_CONFIG",
@@ -85,7 +84,8 @@ class ExperimentConfig:
     Every field with a default, and every param and tolerance, takes the JSON
     type of its default (see :func:`_typed`); ints given for floats are
     stored as floats.  Params and tolerances hold only the keys the config
-    gave; the runners read them, defaults included, through :meth:`param`.
+    gave; the registered runners read them, defaults included, through
+    :meth:`param`, and take the rest of the config as checked here.
     """
 
     experiment: str
@@ -139,6 +139,8 @@ class ExperimentConfig:
             )
         xi_draws = self.param("xi_draws") if "xi_draws" in spec.params else None
         check_shape(self.replications, self.grid_sizes, xi_draws)
+        if "method" in spec.params:
+            fbm.sampler(self.param("method"))  # registered sampler gate
         SeedSpec(self.master_seed)  # 64-bit gate
         if self.output_format not in ("csv", "json"):
             raise ConfigError(f"output format must be csv or json, got {self.output_format!r}")
@@ -177,79 +179,10 @@ class ExperimentConfig:
 
 @dataclass(frozen=True)
 class _ExperimentSpec:
-    runner: Callable
+    runner: Callable  # (config, workers) -> Report, flags included
     params: dict  # key -> default, or a _Derived one
     tolerances: dict
     dimensional: bool  # reads ``dimension``; the others take only 1
-
-
-def _tol(config: ExperimentConfig, key: str) -> float:
-    return config.param(key, "tolerances")
-
-
-def _run_variation(config: ExperimentConfig, workers: int) -> Report:
-    report = ito.variation_experiment(
-        config.experiment,
-        config.hurst,
-        config.horizon,
-        list(config.grid_sizes),
-        config.replications,
-        SeedSpec(config.master_seed),
-        workers=workers,
-        dimension=config.dimension,
-        **{key: config.param(key) for key in _REGISTRY[config.experiment].params},
-    )
-    report.flags["rel_err_final_ok"] = report.rows[-1][4] < _tol(config, "rel_err_final")
-    return report
-
-
-def _run_negative_moments(config: ExperimentConfig, workers: int) -> Report:
-    report = bessel.negative_moment_experiment(
-        config.dimension,
-        config.param("q"),
-        config.hurst,
-        config.param("t_list"),
-        config.replications,
-        SeedSpec(config.master_seed),
-        workers=workers,
-        method=config.param("method"),
-    )
-    for key in ("slope", "intercept"):
-        gap = abs(report.extra[key] - report.extra[f"{key}_target"])
-        report.flags[f"{key}_ok"] = gap <= _tol(config, f"{key}_tol")
-    return report
-
-
-def _run_self_similarity(config: ExperimentConfig, workers: int) -> Report:
-    a_list = config.param("a_list")
-    return bessel.self_similarity_suite(
-        config.dimension,
-        config.hurst,
-        [(a, config.param("t")) for a in a_list],
-        config.replications,
-        SeedSpec(config.master_seed),
-        workers=workers,
-        grid_size=config.param("grid_size"),
-        method=config.param("method"),
-        level=config.param("level"),
-        control_a=max(a_list) if config.param("control") else None,
-    )
-
-
-def _run_lp_scaling(config: ExperimentConfig, workers: int) -> Report:
-    report = ito.lp_scaling_experiment(
-        config.param("integrand"),
-        config.hurst,
-        config.horizon,
-        config.param("intervals"),
-        config.replications,
-        SeedSpec(config.master_seed),
-        workers=workers,
-        grid_size=config.param("grid_size"),
-        method=config.param("method"),
-    )
-    report.flags["slope_ok"] = abs(report.extra["slope"] - 1.0) <= _tol(config, "slope_tol")
-    return report
 
 
 def _run_kernel_check(config: ExperimentConfig, workers: int) -> Report:
@@ -264,8 +197,8 @@ def _run_kernel_check(config: ExperimentConfig, workers: int) -> Report:
         columns=("t", "s", "lhs", "rhs", "rel_err"),
         rows=rows,
         extra={"max_rel_err": worst},
-        flags={"reproduction_ok": worst < _tol(config, "rel_err_max")},
-        meta={"experiment": "kernel-check", "hurst": config.hurst, "build": build_id()},
+        flags={"reproduction_ok": worst < config.param("rel_err_max", "tolerances")},
+        meta={"experiment": "kernel-check", "hurst": config.hurst},
     )
 
 
@@ -287,7 +220,7 @@ def _run_covariance_check(config: ExperimentConfig, workers: int) -> Report:
     t = np.arange(1, n + 1) * (config.horizon / n)
     exact = fbm.covariance(h, t[:, None], t[None, :])
     se = np.sqrt((np.outer(np.diag(exact), np.diag(exact)) + exact**2) / m)
-    threshold = _tol(config, "max_z")
+    threshold = config.param("max_z", "tolerances")
     empirical = {}
     for arm, method in enumerate(("cholesky", "circulant")):
         paths = fbm.PathJob(h, 1, config.horizon, n, SeedSpec(config.master_seed, arm * m), method)
@@ -318,7 +251,6 @@ def _run_covariance_check(config: ExperimentConfig, workers: int) -> Report:
             "grid_n": n,
             "replications": m,
             "master_seed": config.master_seed,
-            "build": build_id(),
         },
     )
 
@@ -330,26 +262,26 @@ def _register(name, runner, params=None, tolerances=None, dimensional=False):
     _REGISTRY[name] = _ExperimentSpec(runner, params or {}, tolerances or {}, dimensional)
 
 
-_register("fbm-variation", _run_variation, params={"method": "circulant"},
+_register("fbm-variation", ito.variation_experiment, params={"method": "circulant"},
           tolerances={"rel_err_final": 0.05})
-_register("divergence-variation", _run_variation,
+_register("divergence-variation", ito.variation_experiment,
           params={"integrand": "quadratic", "method": "circulant"},
           tolerances={"rel_err_final": 0.10})
-_register("divergence-variation-multi", _run_variation,
+_register("divergence-variation-multi", ito.variation_experiment,
           params={"integrand": "radial_quadratic", "method": "circulant",
                   "xi_draws": ito.DEFAULT_XI_DRAWS},
           tolerances={"rel_err_final": 0.10}, dimensional=True)
-_register("theta-variation", _run_variation,
+_register("theta-variation", ito.variation_experiment,
           params={"method": "circulant", "xi_draws": ito.DEFAULT_XI_DRAWS},
           tolerances={"rel_err_final": 0.10}, dimensional=True)
-_register("negative-moments", _run_negative_moments,
+_register("negative-moments", bessel.negative_moment_experiment,
           params={"q": 1.0, "t_list": [0.25, 0.5, 1.0, 2.0], "method": "circulant"},
           tolerances={"slope_tol": 0.02, "intercept_tol": 0.05}, dimensional=True)
-_register("self-similarity", _run_self_similarity,
+_register("self-similarity", bessel.self_similarity_suite,
           params={"t": 0.5, "a_list": [2.0, 4.0], "grid_size": 1024, "method": "circulant",
-                  "level": bessel.DEFAULT_KS_LEVEL, "control": True},
+                  "level": 0.01, "control": True},
           dimensional=True)
-_register("lp-scaling", _run_lp_scaling,
+_register("lp-scaling", ito.lp_scaling_experiment,
           params={"integrand": "identity", "grid_size": 4096, "method": "circulant",
                   "intervals": _Derived([[1.0]], lambda c: ito.default_interval_pairs(c.horizon))},
           # criterion 09's bounds: the u = 1 exponent is held tighter

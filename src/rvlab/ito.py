@@ -21,7 +21,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Callable, NamedTuple
+from typing import TYPE_CHECKING, Callable, NamedTuple
 
 import numpy as np
 
@@ -39,9 +39,11 @@ from .bessel import require_bessel_dimension, require_variation_gate, theta_path
 from .errors import ConfigError, DegenerateInputError, NumericalError
 from .fbm import PathJob
 from .parallel import replication_map
-from .report import CONVERGENCE_COLUMNS, ConvergenceReport, Report, aggregate, build_id
-from .report import check_shape, loglog_fit
+from .report import CONVERGENCE_COLUMNS, ConvergenceReport, Report, aggregate, loglog_fit
 from .variation import e_H, variation_Vnq
+
+if TYPE_CHECKING:
+    from .harness import ExperimentConfig
 
 __all__ = [
     "IntegrandSpec",
@@ -225,7 +227,7 @@ def xi_mc_target(
     dt: float,
     p: float,
     stream: np.random.Generator,
-    draws: int = DEFAULT_XI_DRAWS,
+    draws: int,
 ) -> tuple[float, float]:
     """nu-integral target int_{R^d} [sum_i |<u_i, xi>|^p dt] N(0,I)(dxi).
 
@@ -299,7 +301,7 @@ class _VariationJob(NamedTuple):
     paths: PathJob
     experiment: str
     integrand: str | None
-    xi_draws: int
+    xi_draws: int | None
 
 
 def _variation_rep(job: _VariationJob, r: int) -> tuple[float, ...]:
@@ -329,68 +331,54 @@ def _variation_rep(job: _VariationJob, r: int) -> tuple[float, ...]:
     return (v, target, abs(v - target), *xi)
 
 
-def variation_experiment(
-    experiment: str,
-    hurst: HurstParam | float,
-    horizon: float,
-    grid_sizes: list[int],
-    replications: int,
-    seed: SeedSpec,
-    workers: int = 1,
-    method: str = "circulant",
-    integrand: str | None = None,
-    dimension: int = 1,
-    xi_draws: int = DEFAULT_XI_DRAWS,
-) -> ConvergenceReport:
+def variation_experiment(config: ExperimentConfig, workers: int) -> ConvergenceReport:
     """L^1 convergence of V_n^{1/H}(X) to e_H int_0^T ||u_s||^{1/H} ds.
 
-    ``experiment`` selects X: fBm itself (``fbm-variation``), the divergence
-    integral of a registered ``integrand`` in one or ``dimension`` dimensions
-    (``divergence-variation``, ``divergence-variation-multi``), or Theta under
-    the gate 2dH^2 > 1 (``theta-variation``).  Per-path targets are
+    ``config.experiment`` selects X: fBm itself (``fbm-variation``), the
+    divergence integral of a registered ``integrand`` in one or ``dimension``
+    dimensions (``divergence-variation``, ``divergence-variation-multi``), or
+    Theta under the gate 2dH^2 > 1 (``theta-variation``).  Per-path targets are
     right-endpoint Riemann sums of ||u||^{1/H}; unit-norm integrands use the
     closed form e_H * T.  The d-dim cases cross-check the target against
     Monte Carlo over xi on every replication (the closed form holds because
     <u, xi> is N(0, ||u||^2) under the Gaussian xi-measure), and disagreement
     beyond 3 standard errors aborts.
     """
-    hp = as_hurst(hurst)
+    experiment, h, dimension = config.experiment, config.hurst, config.dimension
+    horizon, replications = config.horizon, config.replications
+    seed = SeedSpec(config.master_seed)
+    method = config.param("method")
     meta = {
         "experiment": experiment,
-        "hurst": hp.h,
+        "hurst": h,
         "horizon": horizon,
         "replications": replications,
-        "master_seed": seed.master_seed,
-        "build": build_id(),
+        "master_seed": config.master_seed,
     }
+    integrand = None
     if experiment == "fbm-variation":
-        integrand, dimension = "identity", 1
+        integrand = "identity"
         meta["method"] = method
-    elif experiment == "divergence-variation":
-        integrand, dimension = _lookup(integrand).label, 1
-    elif experiment == "divergence-variation-multi":
-        integrand = _lookup(integrand).label
     elif experiment == "theta-variation":
-        require_variation_gate(dimension, hp)
+        require_variation_gate(dimension, h)
         require_bessel_dimension(dimension)
     else:
-        raise ConfigError(f"unknown variation experiment {experiment!r}")
+        integrand = _lookup(config.param("integrand")).label
+        meta.update(integrand=integrand, reading=divergence_reading(h))
     dual = experiment in _XI_TARGET
-    check_shape(replications, grid_sizes, xi_draws if dual else None)
-    if experiment.startswith("divergence"):
-        meta.update(integrand=integrand, reading=divergence_reading(hp))
+    xi_draws = config.param("xi_draws") if dual else None
     if dual:
         meta.update(dimension=dimension, xi_draws=xi_draws, xi_paths=replications)
     rows = []
-    for n in grid_sizes:
+    for n in config.grid_sizes:
         job = _VariationJob(
-            PathJob(hp.h, dimension, horizon, n, seed, method), experiment, integrand, xi_draws
+            PathJob(h, dimension, horizon, n, seed, method), experiment, integrand, xi_draws
         )
         per_rep = replication_map(functools.partial(_variation_rep, job), replications, workers)
         target_mc = _cross_check(per_rep, n) if dual else ()
         est, _ = aggregate([v for v, *_ in per_rep])
         if experiment in _UNIT_TARGET:
-            target = horizon * e_H(hp)
+            target = horizon * e_H(h)
         else:
             target, _ = aggregate([t for _, t, *_ in per_rep])
             if target == 0.0:
@@ -402,6 +390,7 @@ def variation_experiment(
     flags = {"monotone_decreasing": _strictly_decreasing([row[4] for row in rows])}
     if dual:
         flags["targets_agree_3se"] = True  # enforced by _cross_check; a violation raises
+    flags["rel_err_final_ok"] = rows[-1][4] < config.param("rel_err_final", "tolerances")
     columns = _DUAL_TARGET_COLUMNS if dual else CONVERGENCE_COLUMNS
     return ConvergenceReport(columns=columns, rows=rows, flags=flags, meta=meta)
 
@@ -422,17 +411,7 @@ def _lp_rep(paths: PathJob, label: str, index_pairs: tuple, r: int) -> list[floa
     return [float(np.abs(x.values[ib] - x.values[ia]) ** p) for ia, ib in index_pairs]
 
 
-def lp_scaling_experiment(
-    label: str,
-    hurst: HurstParam | float,
-    horizon: float,
-    interval_pairs: list[tuple[float, float]] | None,
-    replications: int,
-    seed: SeedSpec,
-    workers: int = 1,
-    grid_size: int = 4096,
-    method: str = "circulant",
-) -> Report:
+def lp_scaling_experiment(config: ExperimentConfig, workers: int) -> Report:
     """Scaling-exponent check of E|X_b - X_a|^{1/H} against (b - a).
 
     Fits a log-log regression over nested intervals away from the origin
@@ -441,10 +420,10 @@ def lp_scaling_experiment(
     constant is not explicit, so the fitted intercept is reported, not
     asserted.
     """
-    hp = as_hurst(hurst)
-    spec = _lookup(label)
-    if interval_pairs is None:
-        interval_pairs = default_interval_pairs(horizon)
+    h, horizon, replications = config.hurst, config.horizon, config.replications
+    spec = _lookup(config.param("integrand"))
+    grid_size = config.param("grid_size")
+    interval_pairs = config.param("intervals")
     if any(len(pair) != 2 for pair in interval_pairs):
         raise ConfigError(f"intervals must be (a, b) pairs, got {interval_pairs}")
     widths = [b - a for a, b in interval_pairs]
@@ -458,9 +437,8 @@ def lp_scaling_experiment(
         if a < horizon / 4 - 1e-12:
             raise ConfigError(f"intervals must stay away from 0: a >= T/4, got a={a}")
         index_pairs.append((grid.index_of(a), grid.index_of(b)))
-    check_shape(replications)
 
-    paths = PathJob(hp.h, 1, horizon, grid_size, seed, method)
+    paths = PathJob(h, 1, horizon, grid_size, SeedSpec(config.master_seed), config.param("method"))
     rep = functools.partial(_lp_rep, paths, spec.label, tuple(index_pairs))
     per_rep = replication_map(rep, replications, workers)
     rows = []
@@ -478,13 +456,15 @@ def lp_scaling_experiment(
     meta = {
         "experiment": "lp-scaling",
         "integrand": spec.label,
-        "hurst": hp.h,
+        "hurst": h,
         "horizon": horizon,
         "grid_size": grid_size,
         "replications": replications,
-        "master_seed": seed.master_seed,
-        "reading": divergence_reading(hp),
-        "build": build_id(),
+        "master_seed": config.master_seed,
+        "reading": divergence_reading(h),
     }
     extra = {"slope": slope, "intercept": intercept, "r_squared": r2, "slope_target": 1.0}
-    return Report(columns=("width", "estimate", "stderr"), rows=rows, extra=extra, meta=meta)
+    flags = {"slope_ok": abs(slope - 1.0) <= config.param("slope_tol", "tolerances")}
+    return Report(
+        columns=("width", "estimate", "stderr"), rows=rows, extra=extra, flags=flags, meta=meta
+    )

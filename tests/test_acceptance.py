@@ -9,10 +9,8 @@ each experiment.
 
 import pytest
 
-from rvlab.core import SeedSpec
 from rvlab.errors import GateError
 from rvlab.harness import ExperimentConfig, registered_experiments, run_experiment
-from rvlab.ito import lp_scaling_experiment
 
 WORKERS = 2  # any value must give identical bytes; criterion 10 checks that
 
@@ -152,12 +150,16 @@ def test_criterion_08_self_similarity_with_power_control():
 
 
 def test_criterion_09_lp_scaling_exponent():
-    slope_id = lp_scaling_experiment(
-        "identity", 0.45, 1.0, None, 4000, SeedSpec(108), workers=WORKERS
-    ).extra["slope"]
-    slope_quad = lp_scaling_experiment(
-        "quadratic", 0.45, 1.0, None, 4000, SeedSpec(108), workers=WORKERS
-    ).extra["slope"]
+    slope_id, slope_quad = (
+        run_experiment(
+            ExperimentConfig(
+                experiment="lp-scaling", hurst=0.45, replications=4000, master_seed=108,
+                params={"integrand": integrand},
+            ),
+            workers=WORKERS,
+        ).extra["slope"]
+        for integrand in ("identity", "quadratic")
+    )
     ok = abs(slope_id - 1.0) <= 0.05 and abs(slope_quad - 1.0) <= 0.15
     announce(
         9, ok,

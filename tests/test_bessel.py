@@ -8,14 +8,12 @@ from rvlab.errors import ConfigError, DomainError, GateError, NumericalError
 from rvlab.bessel import (
     bessel_from_multipath,
     k_q,
-    negative_moment_experiment,
     require_variation_gate,
-    self_similarity_suite,
     self_similarity_test,
     theta_path,
 )
 from rvlab.fbm import sample_fbm_multi
-from rvlab.ito import variation_experiment
+from rvlab.harness import ExperimentConfig, run_experiment
 from rvlab.variation import e_H
 
 
@@ -150,25 +148,36 @@ class TestVariationGate:
 
     def test_experiment_gate_fires_before_sampling(self):
         with pytest.raises(GateError):
-            variation_experiment("theta-variation", 0.35, 1.0, [64], 8, SeedSpec(0), dimension=3)
+            run_experiment(ExperimentConfig(
+                experiment="theta-variation", hurst=0.35, dimension=3, grid_sizes=[64],
+                replications=8, master_seed=0,
+            ))
 
 
 class TestThetaVariationExperiment:
     def test_target_is_eh_times_horizon(self):
-        report = variation_experiment(
-            "theta-variation", 0.45, 1.0, [128], 16, SeedSpec(75), dimension=3, xi_draws=4000
-        )
+        report = run_experiment(ExperimentConfig(
+            experiment="theta-variation", hurst=0.45, dimension=3, grid_sizes=[128],
+            replications=16, master_seed=75, params={"xi_draws": 4000},
+        ))
         row = report.rows[0]
         assert row[2] == pytest.approx(e_H(0.45), rel=1e-12)
         assert row[6] == pytest.approx(row[2], abs=3 * row[7])
         assert report.flags["targets_agree_3se"]
 
 
+def negative_moments(q, t_list, replications, master_seed):
+    return run_experiment(
+        ExperimentConfig(
+            experiment="negative-moments", hurst=0.45, dimension=3, replications=replications,
+            master_seed=master_seed, params={"q": q, "t_list": t_list},
+        )
+    )
+
+
 class TestNegativeMoments:
     def test_small_run_slope_and_intercept(self):
-        report = negative_moment_experiment(
-            3, 1.0, 0.45, [0.25, 0.5, 1.0, 2.0], 4000, SeedSpec(76)
-        )
+        report = negative_moments(1.0, [0.25, 0.5, 1.0, 2.0], 4000, 76)
         assert report.extra["slope_target"] == pytest.approx(-0.45)
         assert abs(report.extra["slope"] - report.extra["slope_target"]) < 0.05
         assert abs(report.extra["intercept"] - report.extra["intercept_target"]) < 0.1
@@ -176,35 +185,34 @@ class TestNegativeMoments:
 
     def test_gates(self):
         with pytest.raises(GateError):
-            negative_moment_experiment(3, 3.0, 0.45, [0.5, 1.0], 16, SeedSpec(0))
+            negative_moments(3.0, [0.5, 1.0], 16, 0)
         with pytest.raises(ConfigError):
             # sqrt(2) is incommensurate with 1 on any uniform grid
-            negative_moment_experiment(3, 1.0, 0.45, [1.0, float(np.sqrt(2))], 16, SeedSpec(0))
+            negative_moments(1.0, [1.0, float(np.sqrt(2))], 16, 0)
         with pytest.raises(ConfigError):
-            negative_moment_experiment(3, 1.0, 0.45, [1.0], 16, SeedSpec(0))
+            negative_moments(1.0, [1.0], 16, 0)
         with pytest.raises(ConfigError, match="increasing"):
-            negative_moment_experiment(3, 1.0, 0.45, [0.5, 0.5, 1.0], 16, SeedSpec(0))
+            negative_moments(1.0, [0.5, 0.5, 1.0], 16, 0)
 
 
 class TestSelfSimilarity:
     def test_identity_scale_passes(self):
-        outcome = self_similarity_test(
-            3, 0.45, 1.0, 0.5, 400, SeedSpec(81), grid_size=256
-        )
+        outcome = self_similarity_test(3, 0.45, 1.0, 0.5, 400, SeedSpec(81), 1, 256, "circulant")
         assert outcome.p_value > 0.01
         assert outcome.scaling == "a^-H"
 
     def test_wrong_scaling_detected(self):
         outcome = self_similarity_test(
-            3, 0.45, 4.0, 0.5, 800, SeedSpec(82), grid_size=256, wrong_scaling=True
+            3, 0.45, 4.0, 0.5, 800, SeedSpec(82), 1, 256, "circulant", wrong_scaling=True
         )
         assert outcome.p_value < 0.01
         assert outcome.scaling == "a^-2H"
 
     def test_suite_applies_bonferroni_and_control(self):
-        report = self_similarity_suite(
-            3, 0.45, [(2.0, 0.5), (4.0, 0.5)], 300, SeedSpec(83), grid_size=128
-        )
+        report = run_experiment(ExperimentConfig(
+            experiment="self-similarity", hurst=0.45, dimension=3, replications=300,
+            master_seed=83, params={"a_list": [2.0, 4.0], "t": 0.5, "grid_size": 128},
+        ))
         assert len(report.rows) == 3  # two pairs plus control
         threshold = report.rows[0][6]
         assert threshold == pytest.approx(0.005)
@@ -214,6 +222,6 @@ class TestSelfSimilarity:
 
     def test_parameter_validation(self):
         with pytest.raises(GateError):
-            self_similarity_test(1, 0.45, 2.0, 0.5, 10, SeedSpec(0))
+            self_similarity_test(1, 0.45, 2.0, 0.5, 10, SeedSpec(0), 1, 1024, "circulant")
         with pytest.raises(DomainError):
-            self_similarity_test(3, 0.45, -2.0, 0.5, 10, SeedSpec(0))
+            self_similarity_test(3, 0.45, -2.0, 0.5, 10, SeedSpec(0), 1, 1024, "circulant")

@@ -184,6 +184,9 @@ def test_bad_config_rejected(experiment, overrides):
         ("self-similarity", {"a_list": [1.0]}),
         # the a = 2 arms ran before the a = -1 DomainError
         ("self-similarity", {"a_list": [2.0, -1.0]}),
+        # an unknown sampler was caught only inside the first replication
+        ("fbm-variation", {"method": "bogus"}),
+        ("self-similarity", {"method": "bogus"}),
     ],
     ids=str,
 )
@@ -193,11 +196,11 @@ def test_bad_driver_input_rejected_before_work(experiment, params, monkeypatch):
 
     for module in (harness, ito, bessel):
         monkeypatch.setattr(module, "replication_map", no_work)
-    config = ExperimentConfig(
-        experiment=experiment, hurst=0.3, replications=4, params=params,
-        dimension=3 if experiment == "self-similarity" else 1,
-    )
     with pytest.raises((ConfigError, DomainError)):
+        config = ExperimentConfig(
+            experiment=experiment, hurst=0.3, replications=4, params=params,
+            dimension=3 if experiment == "self-similarity" else 1,
+        )
         run_experiment(config)
 
 
@@ -385,9 +388,8 @@ def test_reports_identical_across_worker_counts(config):
     ids=lambda c: c.experiment,
 )
 def test_unknown_sampler_method_rejected(config):
-    bogus = dataclasses.replace(config, params={**config.params, "method": "bogus"})
     with pytest.raises(ConfigError, match="bogus"):
-        run_experiment(bogus)
+        dataclasses.replace(config, params={**config.params, "method": "bogus"})
 
 
 # Reports of the reduced configs, pinned byte for byte.  They change only

@@ -19,11 +19,10 @@ from rvlab.ito import (
     divergence_reading,
     divergence_via_ito,
     divergence_via_ito_multi,
-    lp_scaling_experiment,
     register_integrand,
-    variation_experiment,
     xi_mc_target,
 )
+from rvlab.harness import ExperimentConfig, run_experiment
 from rvlab.variation import e_H
 
 
@@ -117,9 +116,10 @@ class TestIntegrandRegistry:
 
     def test_unknown_label_in_experiment(self):
         with pytest.raises(ConfigError, match="unknown integrand"):
-            variation_experiment(
-                "divergence-variation", 0.45, 1.0, [64], 4, SeedSpec(0), integrand="nope"
-            )
+            run_experiment(ExperimentConfig(
+                experiment="divergence-variation", hurst=0.45, grid_sizes=[64], replications=4,
+                master_seed=0, params={"integrand": "nope"},
+            ))
 
 
 class TestDivergence:
@@ -228,18 +228,22 @@ class TestDivergenceMulti:
 class TestScalarDivergenceVariation:
     def test_identity_reduces_to_fbm_variation(self):
         h, grids, m = 0.45, [64, 128], 24
-        via_thm = variation_experiment(
-            "divergence-variation", h, 1.0, grids, m, SeedSpec(17), integrand="identity"
-        )
-        via_fbm = variation_experiment("fbm-variation", h, 1.0, grids, m, SeedSpec(17))
+        via_thm = run_experiment(ExperimentConfig(
+            experiment="divergence-variation", hurst=h, grid_sizes=grids, replications=m,
+            master_seed=17, params={"integrand": "identity"},
+        ))
+        via_fbm = run_experiment(ExperimentConfig(
+            experiment="fbm-variation", hurst=h, grid_sizes=grids, replications=m, master_seed=17
+        ))
         for row_a, row_b in zip(via_thm.rows, via_fbm.rows):
             assert row_a[1] == row_b[1]  # same paths, same statistic
             assert row_a[2] == pytest.approx(row_b[2], rel=1e-12)  # e_H * T
 
     def test_quadratic_small_run_structure(self):
-        report = variation_experiment(
-            "divergence-variation", 0.45, 1.0, [128, 512], 40, SeedSpec(9), integrand="quadratic"
-        )
+        report = run_experiment(ExperimentConfig(
+            experiment="divergence-variation", hurst=0.45, grid_sizes=[128, 512],
+            replications=40, master_seed=9, params={"integrand": "quadratic"},
+        ))
         assert report.meta["reading"] == "divergence"
         assert [r[0] for r in report.rows] == [128, 512]
         # the Monte Carlo L^1 error should already be moderate at n = 512
@@ -247,15 +251,16 @@ class TestScalarDivergenceVariation:
 
     def test_constant_integrand_is_degenerate(self):
         with pytest.raises(DegenerateInputError):
-            variation_experiment(
-                "divergence-variation", 0.45, 1.0, [64], 8, SeedSpec(0), integrand="constant"
-            )
+            run_experiment(ExperimentConfig(
+                experiment="divergence-variation", hurst=0.45, grid_sizes=[64], replications=8,
+                master_seed=0, params={"integrand": "constant"},
+            ))
 
     def test_error_trend_over_grid_ladder(self):
-        report = variation_experiment(
-            "divergence-variation", 0.45, 1.0, [64, 256, 1024, 4096], 100, SeedSpec(103),
-            integrand="quadratic",
-        )
+        report = run_experiment(ExperimentConfig(
+            experiment="divergence-variation", hurst=0.45, grid_sizes=[64, 256, 1024, 4096],
+            replications=100, master_seed=103, params={"integrand": "quadratic"},
+        ))
         assert report.flags["monotone_decreasing"], [r[4] for r in report.rows]
         assert report.rows[-1][4] < 0.10
 
@@ -263,13 +268,15 @@ class TestScalarDivergenceVariation:
 class TestMultiDivergenceVariation:
     def test_dimension_one_matches_scalar_experiment(self):
         h, grids, m = 0.45, [128], 16
-        multi = variation_experiment(
-            "divergence-variation-multi", h, 1.0, grids, m, SeedSpec(19),
-            integrand="radial_quadratic", dimension=1, xi_draws=2000,
-        )
-        scalar = variation_experiment(
-            "divergence-variation", h, 1.0, grids, m, SeedSpec(19), integrand="quadratic"
-        )
+        multi = run_experiment(ExperimentConfig(
+            experiment="divergence-variation-multi", hurst=h, grid_sizes=grids,
+            replications=m, master_seed=19, dimension=1,
+            params={"integrand": "radial_quadratic", "xi_draws": 2000},
+        ))
+        scalar = run_experiment(ExperimentConfig(
+            experiment="divergence-variation", hurst=h, grid_sizes=grids, replications=m,
+            master_seed=19, params={"integrand": "quadratic"},
+        ))
         assert multi.rows[0][1] == scalar.rows[0][1]
         assert multi.rows[0][2] == pytest.approx(scalar.rows[0][2], rel=1e-12)
 
@@ -283,31 +290,35 @@ class TestMultiDivergenceVariation:
         ],
     )
     def test_alias_labels_give_the_same_rows(self, experiment, labels, dimension):
+        # divergence-variation has no xi target, so no xi_draws to set
+        xi = {"xi_draws": 100} if experiment == "divergence-variation-multi" else {}
         reports = [
-            variation_experiment(
-                experiment, 0.45, 1.0, [16, 64], 6, SeedSpec(29), integrand=label,
-                dimension=dimension, xi_draws=100,
-            )
+            run_experiment(ExperimentConfig(
+                experiment=experiment, hurst=0.45, grid_sizes=[16, 64], replications=6,
+                master_seed=29, dimension=dimension, params={"integrand": label, **xi},
+            ))
             for label in labels
         ]
         assert reports[0].rows == reports[1].rows
         assert [r.meta["integrand"] for r in reports] == list(labels)
 
     def test_cubic_runs_at_dimension_three(self):
-        report = variation_experiment(
-            "divergence-variation-multi", 0.45, 1.0, [32, 128], 8, SeedSpec(31),
-            integrand="cubic", dimension=3, xi_draws=400,
-        )
+        report = run_experiment(ExperimentConfig(
+            experiment="divergence-variation-multi", hurst=0.45, grid_sizes=[32, 128],
+            replications=8, master_seed=31, dimension=3,
+            params={"integrand": "cubic", "xi_draws": 400},
+        ))
         assert report.meta["integrand"] == "cubic" and report.meta["dimension"] == 3
         row = report.rows[-1]
         assert all(math.isfinite(v) for v in row)
         assert row[6] == pytest.approx(row[2], abs=3 * row[7])
 
     def test_dual_targets_agree(self):
-        report = variation_experiment(
-            "divergence-variation-multi", 0.45, 1.0, [256], 20, SeedSpec(19),
-            integrand="radial_quadratic", dimension=3, xi_draws=4000,
-        )
+        report = run_experiment(ExperimentConfig(
+            experiment="divergence-variation-multi", hurst=0.45, grid_sizes=[256],
+            replications=20, master_seed=19, dimension=3,
+            params={"integrand": "radial_quadratic", "xi_draws": 4000},
+        ))
         row = report.rows[0]
         assert row[6] == pytest.approx(row[2], abs=3 * row[7])
         assert report.flags["targets_agree_3se"]
@@ -381,9 +392,10 @@ class TestXiSubBlocks:
 
 class TestLpScaling:
     def test_identity_slope_near_one(self):
-        report = lp_scaling_experiment(
-            "identity", 0.45, 1.0, None, 600, SeedSpec(23), grid_size=1024
-        )
+        report = run_experiment(ExperimentConfig(
+            experiment="lp-scaling", hurst=0.45, replications=600, master_seed=23,
+            params={"integrand": "identity", "grid_size": 1024},
+        ))
         assert abs(report.extra["slope"] - 1.0) < 0.1
         assert report.extra["r_squared"] > 0.99
 
@@ -395,16 +407,25 @@ class TestLpScaling:
     def test_rejects_few_widths(self):
         pairs = [(0.25, 0.5), (0.25, 0.375)]
         with pytest.raises(ConfigError, match="3 distinct"):
-            lp_scaling_experiment("identity", 0.45, 1.0, pairs, 10, SeedSpec(0))
+            run_experiment(ExperimentConfig(
+                experiment="lp-scaling", hurst=0.45, replications=10, master_seed=0,
+                params={"integrand": "identity", "intervals": pairs},
+            ))
 
     def test_rejects_intervals_near_origin(self):
         pairs = [(0.1, 0.2), (0.1, 0.15), (0.1, 0.125)]
         with pytest.raises(ConfigError, match="T/4"):
-            lp_scaling_experiment("identity", 0.45, 1.0, pairs, 10, SeedSpec(0))
+            run_experiment(ExperimentConfig(
+                experiment="lp-scaling", hurst=0.45, replications=10, master_seed=0,
+                params={"integrand": "identity", "intervals": pairs},
+            ))
 
     def test_alias_labels_give_the_same_rows(self):
         reports = [
-            lp_scaling_experiment(label, 0.45, 1.0, None, 8, SeedSpec(23), grid_size=256)
+            run_experiment(ExperimentConfig(
+                experiment="lp-scaling", hurst=0.45, replications=8, master_seed=23,
+                params={"integrand": label, "grid_size": 256},
+            ))
             for label in ("quadratic", "radial_quadratic")
         ]
         assert reports[0].rows == reports[1].rows
@@ -412,13 +433,15 @@ class TestLpScaling:
 
     def test_constant_potential_rejected_as_degenerate(self):
         with pytest.raises(DegenerateInputError):
-            lp_scaling_experiment(
-                "constant", 0.45, 1.0, None, 10, SeedSpec(0), grid_size=512
-            )
+            run_experiment(ExperimentConfig(
+                experiment="lp-scaling", hurst=0.45, replications=10, master_seed=0,
+                params={"integrand": "constant", "grid_size": 512},
+            ))
 
     def test_off_grid_interval_rejected(self):
         pairs = [(0.25, 0.3111), (0.25, 0.5), (0.25, 0.375)]
         with pytest.raises(DomainError):
-            lp_scaling_experiment(
-                "identity", 0.45, 1.0, pairs, 10, SeedSpec(0), grid_size=64
-            )
+            run_experiment(ExperimentConfig(
+                experiment="lp-scaling", hurst=0.45, replications=10, master_seed=0,
+                params={"integrand": "identity", "grid_size": 64, "intervals": pairs},
+            ))

@@ -1,7 +1,5 @@
 """Tests for q-variation statistics and the fBm variation experiment."""
 
-import functools
-
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -9,10 +7,17 @@ from scipy.integrate import quad
 from rvlab.core import RealPath, SeedSpec, UniformGrid
 from rvlab.errors import ConfigError, DomainError
 from rvlab.fbm import sample_fbm_circulant
-from rvlab.ito import variation_experiment
+from rvlab.harness import ExperimentConfig, run_experiment
 from rvlab.variation import e_H, variation_Vnq
 
-fbm_variation = functools.partial(variation_experiment, "fbm-variation")
+
+def fbm_variation(hurst, grid_sizes, replications, master_seed):
+    return run_experiment(
+        ExperimentConfig(
+            experiment="fbm-variation", hurst=hurst, grid_sizes=grid_sizes,
+            replications=replications, master_seed=master_seed,
+        )
+    )
 
 
 def gaussian_abs_moment(p: float) -> float:
@@ -101,13 +106,13 @@ class TestEHConstant:
 class TestVariationExperiment:
     def test_brownian_quadratic_variation_mean(self):
         # E V_n^2(B) = T for every n; the estimate must sit within 3 s.e.
-        report = fbm_variation(0.5, 1.0, [64], 200, SeedSpec(13))
+        report = fbm_variation(0.5, [64], 200, 13)
         n, est, target, abs_err, rel_err, stderr = report.rows[0]
         spread = np.sqrt(2.0 / 64) / np.sqrt(200)  # sd(V) ~ sqrt(2/n)
         assert abs(est - 1.0) < 3 * spread
 
     def test_report_shape_and_flags(self):
-        report = fbm_variation(0.35, 1.0, [32, 128], 40, SeedSpec(5))
+        report = fbm_variation(0.35, [32, 128], 40, 5)
         assert [row[0] for row in report.rows] == [32, 128]
         assert all(row[5] > 0 for row in report.rows)
         assert "monotone_decreasing" in report.flags
@@ -115,9 +120,9 @@ class TestVariationExperiment:
 
     def test_rejects_bad_grid_list_and_small_m(self):
         with pytest.raises(ConfigError):
-            fbm_variation(0.3, 1.0, [128, 64], 10, SeedSpec(0))
+            fbm_variation(0.3, [128, 64], 10, 0)
         with pytest.raises(ConfigError):
-            fbm_variation(0.3, 1.0, [64], 1, SeedSpec(0))
+            fbm_variation(0.3, [64], 1, 0)
 
     def test_horizon_self_similarity_of_statistic(self):
         # V_n^{1/H} over horizon T matches T times the horizon-1 statistic in
