@@ -2,15 +2,26 @@
 
 Subcommands: ``fbm`` (sample a path), ``variation``, ``ito-check``,
 ``bessel``, ``kernel-check``, and ``run`` (JSON config through the
-experiment registry).  ``--seed`` falls back to the ``RVL_DEFAULT_SEED``
-environment variable.  Exit codes: 0 pass, 1 tolerance failure,
+experiment registry).  Exit codes: 0 pass, 1 tolerance failure,
 2 configuration/gate error, 3 numerical failure.
+
+The experiment subcommands are built from the registry: one option per
+top-level field and param their experiments read, named after it with ``_``
+as ``-`` (``master_seed`` is ``--seed``, with the ``RVL_DEFAULT_SEED``
+fallback) and typed by its default.  Only given options reach the config, so
+every default is the registry's, and a value the picked experiment does not
+read exits 2.  A list takes JSON values without the brackets: ``--t-list
+0.25,0.5`` or ``--intervals "[0.25,0.3125],[0.25,0.28125]"``.  Renamed flags:
+``--grids`` is ``--grid-sizes``, ``--paths`` ``--replications``, ``--dim``
+``--dimension`` (``fbm`` keeps ``--dim``), ``--spec`` ``--integrand`` and
+``--tol`` ``--rtol``.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import io
+import json
 import sys
 from typing import Callable
 
@@ -25,34 +36,21 @@ from .harness import (
     EXIT_OK,
     EXIT_TOLERANCE,
     ExperimentConfig,
+    declared,
     registered_experiments,
     run_experiment,
 )
 from .ito import INTEGRANDS
-from .kernel import DEFAULT_L2_TOL
 from .parallel import default_workers
 from .report import write_text
 
-seed_option = click.option(
-    "--seed", type=int, default=0, envvar="RVL_DEFAULT_SEED", show_default=True,
-    help="Master seed (env fallback: RVL_DEFAULT_SEED).",
-)
-workers_option = click.option(
-    "--workers", type=click.IntRange(min=1), default=None,
-    help="Worker processes, at most one per logical core; defaults to logical cores.",
-)
+_WORKERS = {
+    "type": click.IntRange(min=1),
+    "help": "Worker processes, at most one per logical core; defaults to logical cores.",
+}
 out_option = click.option("--out", type=click.Path(dir_okay=False), default=None)
-format_option = click.option(
-    "--format", "fmt", type=click.Choice(["csv", "json"]), default="csv",
-    show_default=True,
-)
-
-
-def _csv(text: str, cast: Callable, option: str) -> list:
-    try:
-        return [cast(part) for part in text.split(",")]
-    except ValueError as exc:
-        raise ConfigError(f"bad {option} value {text!r}: {exc}") from exc
+_FIELDS = {f.name for f in dataclasses.fields(ExperimentConfig)}
+_CHOICES = {"integrand": sorted(INTEGRANDS), "method": SAMPLERS}
 
 
 def _dispatch(config: ExperimentConfig, workers: int | None) -> int:
@@ -96,7 +94,8 @@ def main() -> None:
               default="circulant", show_default=True)
 @click.option("--replication", type=int, default=0, show_default=True,
               help="Replication index of the stream to draw.")
-@seed_option
+@click.option("--seed", type=int, default=0, envvar="RVL_DEFAULT_SEED", show_default=True,
+              help="Master seed (env fallback: RVL_DEFAULT_SEED).")
 @out_option
 def fbm_cmd(hurst, horizon, grid_size, dim, method, replication, seed, out):
     """Sample one fBm path and write it as CSV (t,value or t,v1,...,vd)."""
@@ -118,127 +117,107 @@ def fbm_cmd(hurst, horizon, grid_size, dim, method, replication, seed, out):
         sys.exit(_exit_code(exc))
 
 
-@main.command("variation")
-@click.option("--hurst", type=float, required=True)
-@click.option("--horizon", type=float, default=1.0, show_default=True)
-@click.option("--grids", default="64,256,1024,4096", show_default=True)
-@click.option("--paths", type=int, default=200, show_default=True)
-@seed_option
-@workers_option
-@out_option
-@format_option
-def variation_cmd(hurst, horizon, grids, paths, seed, workers, out, fmt):
-    """fBm 1/H-variation convergence experiment."""
-    _run(
-        lambda: ExperimentConfig(
-            experiment="fbm-variation", hurst=hurst, horizon=horizon,
-            grid_sizes=_csv(grids, int, "--grids"), replications=paths, master_seed=seed,
-            output_path=out, output_format=fmt,
-        ),
-        workers,
+def _option(key: str, like, defaults: dict, every: bool) -> click.Option:
+    """The option of field or param ``key``, typed by the type of ``like``; its help
+    shows ``defaults``, each reader's default, naming readers unless ``every`` reads it."""
+    shown: dict[str, list] = {}
+    for experiment, default in defaults.items():
+        text = "derived" if getattr(default, "like", default) is not default else str(default)
+        shown.setdefault(text.strip("()[]").replace(" ", ""), []).append(experiment)
+    if not every or len(shown) > 1:
+        shown = {f"{text} ({', '.join(names)})": names for text, names in shown.items()}
+    flag = "--seed" if key == "master_seed" else "--" + key.replace("_", "-")
+    decls, kind, metavar = [flag, key], type(like), None
+    if isinstance(like, bool):
+        decls[0], kind = f"{flag}/--no-{flag[2:]}", None
+    elif isinstance(like, (list, tuple)):
+        kind, metavar = str, "ITEM,..."
+    elif key in _CHOICES:
+        kind = click.Choice(_CHOICES[key])
+    return click.Option(
+        decls, type=kind, default=None, metavar=metavar, help="default " + "; ".join(shown),
+        envvar="RVL_DEFAULT_SEED" if key == "master_seed" else None, show_envvar=True,
     )
 
 
-@main.command("ito-check")
-@click.option("--hurst", type=float, required=True)
-@click.option("--spec", "integrand", default="quadratic", show_default=True,
-              type=click.Choice(sorted(INTEGRANDS)),
-              help="Registered integrand label.")
-@click.option("--dim", type=int, default=1, show_default=True)
-@click.option("--mode", type=click.Choice(["variation", "scaling"]),
-              default="variation", show_default=True)
-@click.option("--horizon", type=float, default=1.0, show_default=True)
-@click.option("--grids", default="64,256,1024,4096", show_default=True)
-@click.option("--paths", type=int, default=200, show_default=True)
-@seed_option
-@workers_option
-@out_option
-@format_option
-def ito_check_cmd(hurst, integrand, dim, mode, horizon, grids, paths, seed,
-                  workers, out, fmt):
-    """Divergence-integral variation (Thm 4.2 / 5.3) or L^p-scaling check."""
-    if mode == "scaling":
-        experiment = "lp-scaling"
-    else:
-        experiment = "divergence-variation" if dim == 1 else "divergence-variation-multi"
-    _run(
-        lambda: ExperimentConfig(
-            experiment=experiment, hurst=hurst, dimension=dim, horizon=horizon,
-            grid_sizes=_csv(grids, int, "--grids"), replications=paths, master_seed=seed,
-            output_path=out, output_format=fmt, params={"integrand": integrand},
-        ),
-        workers,
-    )
+def _given(key: str, like, value):
+    """A given option value as the config takes it; a list is JSON without brackets."""
+    if not isinstance(like, (list, tuple)):
+        return value
+    try:
+        return json.loads(f"[{value}]")
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"bad --{key.replace('_', '-')} value {value!r}: {exc}") from exc
 
 
-@main.command("bessel")
-@click.option("--dim", type=int, default=3, show_default=True)
-@click.option("--hurst", type=float, required=True)
-@click.option("--horizon", type=float, default=1.0, show_default=True)
-@click.option("--grids", default="64,256,1024,4096", show_default=True)
-@click.option("--paths", type=int, default=200, show_default=True)
-@click.option("--experiment", "which",
-              type=click.Choice(["variation", "moments", "selfsim"]),
-              default="variation", show_default=True)
-@click.option("--q", type=float, default=1.0, show_default=True,
-              help="Moment order for --experiment moments.")
-@click.option("--t-list", default="0.25,0.5,1,2", show_default=True,
-              help="Times for --experiment moments.")
-@click.option("--a-list", default="2,4", show_default=True,
-              help="Scale factors for --experiment selfsim.")
-@click.option("--t", type=float, default=0.5, show_default=True,
-              help="Base time for --experiment selfsim.")
-@seed_option
-@workers_option
-@out_option
-@format_option
-def bessel_cmd(dim, hurst, horizon, grids, paths, which, q, t_list, a_list, t,
-               seed, workers, out, fmt):
-    """Fractional Bessel process experiments."""
-    name = {"variation": "theta-variation", "moments": "negative-moments",
-            "selfsim": "self-similarity"}[which]
+def _experiment_command(name: str, doc: str, experiments: tuple, selector=None, pick=None):
+    """Add subcommand ``name``: one option per field and param of ``experiments``.
+    With a ``selector`` option, ``pick(choice, given)`` names the experiment to run."""
+    reads: dict[str, dict] = {}
+    likes = {}
+    for experiment in experiments:
+        for key, default in declared(experiment).items():
+            reads.setdefault(key, {})[experiment] = default
+            likes[key] = getattr(default, "like", default)
 
-    def make_config() -> ExperimentConfig:
-        params: dict = {}
-        if which == "moments":
-            params = {"q": q, "t_list": _csv(t_list, float, "--t-list")}
-        elif which == "selfsim":
-            params = {"a_list": _csv(a_list, float, "--a-list"), "t": t}
-        return ExperimentConfig(
-            experiment=name, hurst=hurst, dimension=dim, horizon=horizon,
-            grid_sizes=_csv(grids, int, "--grids"), replications=paths, master_seed=seed,
-            output_path=out, output_format=fmt, params=params,
-        )
+    def callback(workers, choice=None, **options):
+        given = {key: value for key, value in options.items() if value is not None}
+        experiment = pick(choice, given) if pick else experiments[0]
 
-    _run(make_config, workers)
+        def make_config() -> ExperimentConfig:
+            values = {key: _given(key, likes.get(key), value) for key, value in given.items()}
+            params = {key: values.pop(key) for key in list(values) if key not in _FIELDS}
+            return ExperimentConfig(experiment=experiment, **values, params=params)
+
+        _run(make_config, workers)
+
+    params = [_option(key, likes[key], defaults, len(defaults) == len(experiments))
+              for key, defaults in reads.items()]
+    if selector:
+        params.insert(0, selector)
+    params += [
+        click.Option(["--workers"], **_WORKERS),
+        click.Option(["--out", "output_path"], type=click.Path(dir_okay=False)),
+        click.Option(["--format", "output_format"], type=click.Choice(["csv", "json"])),
+    ]
+    main.add_command(click.Command(name, callback=callback, params=params, help=doc))
 
 
-@main.command("kernel-check")
-@click.option("--hurst", type=float, required=True)
-@click.option("--tol", type=float, default=DEFAULT_L2_TOL, show_default=True,
-              help="Quadrature tolerance for the reproduction integrals.")
-@click.option("--lattice", type=int, default=5, show_default=True)
-@click.option("--horizon", type=float, default=1.0, show_default=True)
-@workers_option
-@out_option
-@format_option
-def kernel_check_cmd(hurst, tol, lattice, horizon, workers, out, fmt):
-    """Covariance reproduction identity of the Volterra kernel; emits
-    t,s,lhs,rhs,rel_err rows."""
-    _run(
-        lambda: ExperimentConfig(
-            experiment="kernel-check", hurst=hurst, horizon=horizon,
-            output_path=out, output_format=fmt,
-            params={"rtol": tol, "lattice": lattice},
-        ),
-        workers,
-    )
+_experiment_command(
+    "variation", "fBm 1/H-variation convergence experiment.", ("fbm-variation",)
+)
+_experiment_command(
+    "ito-check",
+    "Divergence-integral variation (Thm 4.2 / 5.3) or L^p-scaling check.  "
+    "In variation mode, --dimension above 1 runs divergence-variation-multi.",
+    ("divergence-variation", "divergence-variation-multi", "lp-scaling"),
+    click.Option(["--mode", "choice"], type=click.Choice(["variation", "scaling"]),
+                 default="variation", show_default=True),
+    lambda mode, given: "lp-scaling" if mode == "scaling" else (
+        "divergence-variation" if given.get("dimension", 1) == 1
+        else "divergence-variation-multi"
+    ),
+)
+_BESSEL = {"variation": "theta-variation", "moments": "negative-moments",
+           "selfsim": "self-similarity"}
+_experiment_command(
+    "bessel", "Fractional Bessel process experiments.", tuple(_BESSEL.values()),
+    click.Option(["--experiment", "choice"], type=click.Choice(list(_BESSEL)),
+                 default="variation", show_default=True),
+    lambda which, given: _BESSEL[which],
+)
+_experiment_command(
+    "kernel-check",
+    "Covariance reproduction identity of the Volterra kernel; emits "
+    "t,s,lhs,rhs,rel_err rows.",
+    ("kernel-check",),
+)
 
 
 @main.command("run")
 @click.option("--config", "config_path", type=click.Path(exists=True, dir_okay=False),
               required=True)
-@workers_option
+@click.option("--workers", **_WORKERS)
 @out_option
 def run_cmd(config_path, workers, out):
     """Run an experiment described by a JSON config file."""

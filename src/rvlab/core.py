@@ -63,8 +63,8 @@ class UniformGrid:
     n: int
 
     def __post_init__(self):
-        if not self.horizon > 0:
-            raise DomainError(f"horizon must be positive, got {self.horizon}")
+        if not 0 < self.horizon < np.inf:
+            raise DomainError(f"horizon must be positive and finite, got {self.horizon}")
         if self.n < 1:
             raise DomainError(f"grid size must be >= 1, got {self.n}")
 

@@ -31,6 +31,7 @@ from .report import Report, build_id, check_shape
 
 __all__ = [
     "ExperimentConfig",
+    "declared",
     "run_experiment",
     "registered_experiments",
     "EXIT_OK",
@@ -68,6 +69,11 @@ def _typed(name: str, value, like):
     if not ok or isinstance(value, bool) != (kind is bool):
         raise ConfigError(f"{name} must be {_KINDS[kind]}, got {value!r}")
     return float(value) if kind is float else value
+
+
+# Fields only some experiments read; the others must leave them at their defaults.
+# All read ``hurst`` and accept ``master_seed``, so a seed sweep can run any config.
+_SCOPED = ("dimension", "horizon", "grid_sizes", "replications")
 
 
 class _Derived(NamedTuple):
@@ -133,10 +139,12 @@ class ExperimentConfig:
         HurstParam(self.hurst)  # range gate
         if not self.horizon > 0:
             raise ConfigError(f"horizon must be positive, got {self.horizon}")
-        if self.dimension != 1 and not spec.dimensional:
-            raise ConfigError(
-                f"{self.experiment!r} does not read dimension; got dimension={self.dimension}"
-            )
+        for f in dataclasses.fields(self):
+            value = getattr(self, f.name)
+            if f.name in _SCOPED and f.name not in spec.fields and value != f.default:
+                raise ConfigError(
+                    f"{self.experiment!r} does not read {f.name}; got {f.name}={value}"
+                )
         xi_draws = self.param("xi_draws") if "xi_draws" in spec.params else None
         check_shape(self.replications, self.grid_sizes, xi_draws)
         if "method" in spec.params:
@@ -180,9 +188,9 @@ class ExperimentConfig:
 @dataclass(frozen=True)
 class _ExperimentSpec:
     runner: Callable  # (config, workers) -> Report, flags included
+    fields: frozenset  # top-level fields read, hurst and master_seed included
     params: dict  # key -> default, or a _Derived one
     tolerances: dict
-    dimensional: bool  # reads ``dimension``; the others take only 1
 
 
 def _run_kernel_check(config: ExperimentConfig, workers: int) -> Report:
@@ -211,9 +219,11 @@ def _run_covariance_check(config: ExperimentConfig, workers: int) -> Report:
 
     Uses the known-mean second-moment estimator, whose exact standard error
     per entry is sqrt((R_ii R_jj + R_ij^2) / M); sampler agreement compares
-    the two independent estimates against sqrt(2) times that.  Runs on the
-    first (and normally only) entry of grid_sizes.
+    the two independent estimates against sqrt(2) times that, on the one
+    entry of grid_sizes.
     """
+    if len(config.grid_sizes) != 1:
+        raise ConfigError(f"covariance-check takes one grid size, got {list(config.grid_sizes)}")
     h = config.hurst
     n = config.grid_sizes[0]
     m = config.replications
@@ -258,43 +268,52 @@ def _run_covariance_check(config: ExperimentConfig, workers: int) -> Report:
 _REGISTRY: dict[str, _ExperimentSpec] = {}
 
 
-def _register(name, runner, params=None, tolerances=None, dimensional=False):
-    _REGISTRY[name] = _ExperimentSpec(runner, params or {}, tolerances or {}, dimensional)
+def _register(name, runner, fields, params=None, tolerances=None):
+    _REGISTRY[name] = _ExperimentSpec(
+        runner, frozenset({"hurst", "master_seed", *fields}), params or {}, tolerances or {}
+    )
 
 
-_register("fbm-variation", ito.variation_experiment, params={"method": "circulant"},
-          tolerances={"rel_err_final": 0.05})
-_register("divergence-variation", ito.variation_experiment,
+_VARIATION = ("horizon", "grid_sizes", "replications")
+_register("fbm-variation", ito.variation_experiment, _VARIATION,
+          params={"method": "circulant"}, tolerances={"rel_err_final": 0.05})
+_register("divergence-variation", ito.variation_experiment, _VARIATION,
           params={"integrand": "quadratic", "method": "circulant"},
           tolerances={"rel_err_final": 0.10})
-_register("divergence-variation-multi", ito.variation_experiment,
+_register("divergence-variation-multi", ito.variation_experiment, ("dimension", *_VARIATION),
           params={"integrand": "radial_quadratic", "method": "circulant",
                   "xi_draws": ito.DEFAULT_XI_DRAWS},
-          tolerances={"rel_err_final": 0.10}, dimensional=True)
-_register("theta-variation", ito.variation_experiment,
+          tolerances={"rel_err_final": 0.10})
+_register("theta-variation", ito.variation_experiment, ("dimension", *_VARIATION),
           params={"method": "circulant", "xi_draws": ito.DEFAULT_XI_DRAWS},
-          tolerances={"rel_err_final": 0.10}, dimensional=True)
-_register("negative-moments", bessel.negative_moment_experiment,
+          tolerances={"rel_err_final": 0.10})
+_register("negative-moments", bessel.negative_moment_experiment, ("dimension", "replications"),
           params={"q": 1.0, "t_list": [0.25, 0.5, 1.0, 2.0], "method": "circulant"},
-          tolerances={"slope_tol": 0.02, "intercept_tol": 0.05}, dimensional=True)
-_register("self-similarity", bessel.self_similarity_suite,
+          tolerances={"slope_tol": 0.02, "intercept_tol": 0.05})
+_register("self-similarity", bessel.self_similarity_suite, ("dimension", "replications"),
           params={"t": 0.5, "a_list": [2.0, 4.0], "grid_size": 1024, "method": "circulant",
-                  "level": 0.01, "control": True},
-          dimensional=True)
-_register("lp-scaling", ito.lp_scaling_experiment,
+                  "level": 0.01, "control": True})
+_register("lp-scaling", ito.lp_scaling_experiment, ("horizon", "replications"),
           params={"integrand": "identity", "grid_size": 4096, "method": "circulant",
                   "intervals": _Derived([[1.0]], lambda c: ito.default_interval_pairs(c.horizon))},
           # criterion 09's bounds: the u = 1 exponent is held tighter
           tolerances={"slope_tol": _Derived(
               1.0, lambda c: 0.05 if c.param("integrand") == "identity" else 0.15)})
-_register("kernel-check", _run_kernel_check,
+_register("kernel-check", _run_kernel_check, ("horizon",),
           params={"lattice": 5, "rtol": kernel.DEFAULT_L2_TOL},
           tolerances={"rel_err_max": 1e-4})
-_register("covariance-check", _run_covariance_check, tolerances={"max_z": 3.0})
+_register("covariance-check", _run_covariance_check, _VARIATION, tolerances={"max_z": 3.0})
 
 
 def registered_experiments() -> list[str]:
     return sorted(_REGISTRY)
+
+
+def declared(experiment: str) -> dict:
+    """Defaults of the top-level fields, then the params, that ``experiment`` reads."""
+    spec = _REGISTRY[experiment]
+    fields = [f for f in dataclasses.fields(ExperimentConfig) if f.name in spec.fields]
+    return {**{f.name: f.default for f in fields}, **spec.params}
 
 
 def run_experiment(config: ExperimentConfig, workers: int = 1) -> Report:

@@ -1,5 +1,6 @@
 """CLI tests through click's runner: subcommands, exit codes, env fallback."""
 
+import dataclasses
 import json
 import os
 import pathlib
@@ -12,6 +13,11 @@ from click.testing import CliRunner
 import rvlab
 from rvlab.cli import _exit_code, main
 from rvlab.errors import ConfigError, GateError, NumericalError
+from rvlab.harness import ExperimentConfig, declared, registered_experiments
+from rvlab.report import Report
+from test_harness import GOLDEN, GOLDEN_CONFIGS
+
+FIELDS = {f.name for f in dataclasses.fields(ExperimentConfig)}
 
 
 @pytest.fixture()
@@ -57,6 +63,13 @@ class TestFbmCommand:
         result = runner.invoke(main, ["fbm", "--hurst", "1.5", "--grid-size", "4"])
         assert result.exit_code == 2
 
+    def test_infinite_horizon_exits_2(self, runner):
+        result = runner.invoke(
+            main, ["fbm", "--hurst", "0.3", "--horizon", "inf", "--grid-size", "4"]
+        )
+        assert result.exit_code == 2, result.output
+        assert result.output.startswith("error: horizon must be positive and finite")
+
     def test_unwritable_out_exits_2(self, runner, tmp_path):
         out = tmp_path / "missing" / "path.csv"
         result = runner.invoke(main, ["fbm", "--hurst", "0.3", "--grid-size", "4", "--out", str(out)])
@@ -70,7 +83,7 @@ class TestExperimentCommands:
         out = tmp_path / "var.csv"
         result = runner.invoke(
             main,
-            ["variation", "--hurst", "0.3", "--grids", "16,32", "--paths", "12",
+            ["variation", "--hurst", "0.3", "--grid-sizes", "16,32", "--replications", "12",
              "--seed", "5", "--workers", "1", "--out", str(out)],
         )
         # a desk-toy run emits a valid report; the acceptance tolerance may
@@ -84,7 +97,7 @@ class TestExperimentCommands:
         # 12 paths on coarse grids cannot reach 5% relative error
         result = runner.invoke(
             main,
-            ["variation", "--hurst", "0.3", "--grids", "8,16", "--paths", "12",
+            ["variation", "--hurst", "0.3", "--grid-sizes", "8,16", "--replications", "12",
              "--seed", "5", "--workers", "1"],
         )
         assert result.exit_code == 1
@@ -92,8 +105,8 @@ class TestExperimentCommands:
     def test_ito_check_dispatches_by_dim(self, runner):
         result = runner.invoke(
             main,
-            ["ito-check", "--hurst", "0.45", "--spec", "quadratic", "--grids",
-             "16,32", "--paths", "10", "--seed", "5", "--workers", "1",
+            ["ito-check", "--hurst", "0.45", "--integrand", "quadratic", "--grid-sizes",
+             "16,32", "--replications", "10", "--seed", "5", "--workers", "1",
              "--format", "json"],
         )
         assert result.exit_code in (0, 1), result.output
@@ -108,8 +121,9 @@ class TestExperimentCommands:
     def test_ito_check_runs_every_label_in_every_dim(self, runner, spec, dim, experiment):
         result = runner.invoke(
             main,
-            ["ito-check", "--hurst", "0.45", "--spec", spec, "--dim", dim, "--grids",
-             "16,32", "--paths", "6", "--seed", "5", "--workers", "1", "--format", "json"],
+            ["ito-check", "--hurst", "0.45", "--integrand", spec, "--dimension", dim,
+             "--grid-sizes", "16,32", "--replications", "6", "--seed", "5", "--workers", "1",
+             "--format", "json"],
         )
         assert result.exit_code in (0, 1), result.output
         doc = json.loads(result.output[: result.output.rindex("}") + 1])
@@ -117,11 +131,11 @@ class TestExperimentCommands:
         assert doc["meta"]["integrand"] == spec
 
     def test_ito_check_scaling_rejects_dim(self, runner):
-        # lp-scaling is one-dimensional; --dim 3 used to run it at d = 1
+        # lp-scaling is one-dimensional; --dimension 3 used to run it at d = 1
         result = runner.invoke(
             main,
-            ["ito-check", "--hurst", "0.45", "--mode", "scaling", "--dim", "3",
-             "--paths", "4", "--workers", "1"],
+            ["ito-check", "--hurst", "0.45", "--mode", "scaling", "--dimension", "3",
+             "--replications", "4", "--workers", "1"],
         )
         assert result.exit_code == 2, result.output
         assert result.output.startswith("error: ")
@@ -129,8 +143,8 @@ class TestExperimentCommands:
 
     def test_ito_check_unknown_spec(self, runner):
         result = runner.invoke(
-            main, ["ito-check", "--hurst", "0.45", "--spec", "septic",
-                   "--grids", "16", "--paths", "4", "--workers", "1"],
+            main, ["ito-check", "--hurst", "0.45", "--integrand", "septic",
+                   "--grid-sizes", "16", "--replications", "4", "--workers", "1"],
         )
         assert result.exit_code == 2
         assert "septic" in result.output
@@ -143,8 +157,8 @@ class TestExperimentCommands:
     def test_bessel_gate_error(self, runner):
         result = runner.invoke(
             main,
-            ["bessel", "--dim", "3", "--hurst", "0.35", "--grids", "16",
-             "--paths", "4", "--workers", "1"],
+            ["bessel", "--dimension", "3", "--hurst", "0.35", "--grid-sizes", "16",
+             "--replications", "4", "--workers", "1"],
         )
         assert result.exit_code == 2
         assert "2dH" in result.output
@@ -152,16 +166,52 @@ class TestExperimentCommands:
     @pytest.mark.parametrize(
         "args",
         [
-            ["variation", "--grids", "16,x"],
+            ["variation", "--grid-sizes", "16,x"],
             ["bessel", "--experiment", "moments", "--t-list", "a,b"],
             ["bessel", "--experiment", "selfsim", "--a-list", "x"],
+            ["ito-check", "--mode", "scaling", "--intervals", "[0.25,0.5],[0.25"],
         ],
         ids=lambda args: args[-2],
     )
     def test_bad_comma_list_exits_2(self, runner, args):
-        result = runner.invoke(main, [*args, "--hurst", "0.45", "--paths", "4", "--workers", "1"])
+        result = runner.invoke(
+            main, [*args, "--hurst", "0.45", "--replications", "4", "--workers", "1"]
+        )
         assert result.exit_code == 2, result.output
         assert result.output.startswith(f"error: bad {args[-2]} value")
+
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            (["--experiment", "variation", "--q", "3"], "unknown params"),
+            (["--experiment", "moments", "--grid-sizes", "64"], "does not read grid_sizes"),
+        ],
+        ids=["q", "grid-sizes"],
+    )
+    def test_bessel_value_the_experiment_does_not_read_exits_2(self, runner, args, message):
+        result = runner.invoke(
+            main, ["bessel", *args, "--hurst", "0.45", "--dimension", "3", "--workers", "1"]
+        )
+        assert result.exit_code == 2, result.output
+        assert result.output.startswith("error: ") and message in result.output
+
+    def test_bool_param_takes_no_flag(self, runner):
+        result = runner.invoke(
+            main,
+            ["bessel", "--experiment", "selfsim", "--no-control", "--hurst", "0.45",
+             "--dimension", "3", "--replications", "8", "--grid-size", "16", "--workers", "1",
+             "--format", "json"],
+        )
+        assert result.exit_code in (0, 1), result.output
+        doc = json.loads(result.stdout)
+        assert doc["meta"]["config"]["params"] == {"control": False, "grid_size": 16}
+
+    def test_env_seed_reaches_the_config(self, runner):
+        args = ["kernel-check", "--hurst", "0.3", "--lattice", "1"]
+        via_env = runner.invoke(main, args, env={"RVL_DEFAULT_SEED": "5"})
+        assert via_env.exit_code == 0, via_env.output
+        assert via_env.stdout == runner.invoke(main, [*args, "--seed", "5"]).stdout
+        assert '"master_seed": 5' in via_env.stdout
 
     def test_kernel_check_rejects_half(self, runner):
         result = runner.invoke(main, ["kernel-check", "--hurst", "0.5"])
@@ -171,7 +221,7 @@ class TestExperimentCommands:
     def test_kernel_check_emits_table(self, runner):
         result = runner.invoke(
             main, ["kernel-check", "--hurst", "0.3", "--lattice", "2",
-                   "--tol", "1e-6"],
+                   "--rtol", "1e-6"],
         )
         assert result.exit_code == 0, result.output
         assert "t,s,lhs,rhs,rel_err" in result.output
@@ -185,6 +235,50 @@ class TestExperimentCommands:
         assert result.output.startswith("error: cannot write")
         assert len(result.output.splitlines()) == 1
         assert result.exception is None or isinstance(result.exception, SystemExit)
+
+
+# The subcommand and selector that run each experiment.
+SUBCOMMANDS = {
+    "fbm-variation": ["variation"],
+    "divergence-variation": ["ito-check"],
+    "divergence-variation-multi": ["ito-check"],
+    "lp-scaling": ["ito-check", "--mode", "scaling"],
+    "theta-variation": ["bessel", "--experiment", "variation"],
+    "negative-moments": ["bessel", "--experiment", "moments"],
+    "self-similarity": ["bessel", "--experiment", "selfsim"],
+    "kernel-check": ["kernel-check"],
+}
+
+
+def _argv(config: ExperimentConfig) -> list[str]:
+    """Subcommand arguments for ``config``: every field it reads, and its given params."""
+    values = {key: getattr(config, key) for key in declared(config.experiment) if key in FIELDS}
+    argv = [*SUBCOMMANDS[config.experiment], "--workers", "1"]
+    for key, value in {**values, **config.params}.items():
+        flag = "--seed" if key == "master_seed" else "--" + key.replace("_", "-")
+        if isinstance(value, bool):
+            argv.append(flag if value else f"--no-{flag[2:]}")
+        elif isinstance(value, (list, tuple)):
+            argv += [flag, json.dumps(list(value))[1:-1]]
+        else:
+            argv += [flag, str(value)]
+    return argv
+
+
+@pytest.mark.parametrize(
+    "config",
+    [c for c in GOLDEN_CONFIGS if c.experiment in SUBCOMMANDS],
+    ids=lambda c: c.experiment,
+)
+def test_subcommand_reports_golden_bytes(runner, config):
+    expected = (GOLDEN / f"{config.experiment}.csv").read_text(encoding="utf-8")
+    result = runner.invoke(main, _argv(config))
+    assert result.exit_code == (0 if Report.from_csv(expected).passed else 1), result.output
+    assert result.stdout == expected
+
+
+def test_every_subcommand_experiment_has_a_golden_config():
+    assert set(SUBCOMMANDS) == set(registered_experiments()) - {"covariance-check"}
 
 
 class TestRunCommand:
@@ -253,6 +347,7 @@ class TestRunCommand:
             {"tolerances": {"rel_err_final": "x"}},
             {"experiment": "kernel-check", "horizon": 1e308, "params": {"lattice": 1}},
             {"experiment": "kernel-check", "horizon": 5e307, "params": {"lattice": 7}},
+            {"experiment": "covariance-check", "grid_sizes": [8, 16]},
             *(
                 {
                     "experiment": experiment, "hurst": 0.45, "dimension": 3,
@@ -266,7 +361,11 @@ class TestRunCommand:
     )
     def test_bad_config_exits_2_without_report(self, runner, tmp_path, overrides):
         out = tmp_path / "report.csv"
-        config = {"experiment": "fbm-variation", "grid_sizes": [16], "replications": 4, **overrides}
+        # a case that names its experiment is the whole config
+        base = {} if "experiment" in overrides else {
+            "experiment": "fbm-variation", "grid_sizes": [16], "replications": 4
+        }
+        config = {**base, **overrides}
         cfg_path = tmp_path / "config.json"
         cfg_path.write_text(json.dumps(config))
         result = runner.invoke(
@@ -304,7 +403,7 @@ class TestRunCommand:
     @pytest.mark.parametrize("workers", ["0", "-1"])
     def test_workers_below_one_exits_2(self, runner, workers):
         result = runner.invoke(
-            main, ["variation", "--hurst", "0.3", "--grids", "16", "--paths", "4",
+            main, ["variation", "--hurst", "0.3", "--grid-sizes", "16", "--replications", "4",
                    "--workers", workers],
         )
         assert result.exit_code == 2

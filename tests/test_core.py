@@ -44,8 +44,9 @@ class TestUniformGrid:
         assert len(nodes) == 9
 
     def test_rejects_bad_parameters(self):
-        with pytest.raises(DomainError):
-            UniformGrid(0.0, 4)
+        for horizon in (0.0, np.inf, np.nan):
+            with pytest.raises(DomainError):
+                UniformGrid(horizon, 4)
         with pytest.raises(DomainError):
             UniformGrid(1.0, 0)
 

@@ -166,9 +166,57 @@ BAD_CONFIGS = [
     "experiment, overrides", BAD_CONFIGS, ids=lambda v: v if isinstance(v, str) else str(v)
 )
 def test_bad_config_rejected(experiment, overrides):
-    doc = {"experiment": experiment, "grid_sizes": [16], "replications": 5, **overrides}
+    small = {k: v for k, v in (("grid_sizes", [16]), ("replications", 5)) if k in READS[experiment]}
     with pytest.raises((ConfigError, DomainError)):
-        ExperimentConfig.from_dict(doc)
+        ExperimentConfig.from_dict({"experiment": experiment, **small, **overrides})
+
+
+# The top-level fields each experiment reads besides hurst and master_seed,
+# from its runner; any other field must keep its default.
+READS = {
+    "fbm-variation": {"horizon", "grid_sizes", "replications"},
+    "divergence-variation": {"horizon", "grid_sizes", "replications"},
+    "divergence-variation-multi": {"dimension", "horizon", "grid_sizes", "replications"},
+    "theta-variation": {"dimension", "horizon", "grid_sizes", "replications"},
+    "negative-moments": {"dimension", "replications"},
+    "self-similarity": {"dimension", "replications"},
+    "lp-scaling": {"horizon", "replications"},
+    "kernel-check": {"horizon"},
+    "covariance-check": {"horizon", "grid_sizes", "replications"},
+}
+NOT_DEFAULT = {"dimension": 3, "horizon": 9.0, "grid_sizes": [7], "replications": 7}
+
+
+@pytest.fixture()
+def no_work(monkeypatch):
+    def no_work(*args, **kwargs):
+        raise AssertionError("replications ran before the input was rejected")
+
+    for module in (harness, ito, bessel):
+        monkeypatch.setattr(module, "replication_map", no_work)
+
+
+@pytest.mark.parametrize(
+    "experiment, field",
+    [(e, f) for e, fields in READS.items() for f in NOT_DEFAULT if f not in fields],
+    ids=str,
+)
+def test_unread_field_rejected_before_work(experiment, field, no_work):
+    with pytest.raises(ConfigError, match=f"'{experiment}' does not read {field}; got {field}="):
+        run_experiment(ExperimentConfig(experiment=experiment, **{field: NOT_DEFAULT[field]}))
+
+
+@pytest.mark.parametrize("experiment", sorted(READS))
+def test_read_fields_unread_defaults_and_master_seed_accepted(experiment):
+    # an unread field given at its default passes, an int for a float as the float
+    at_default = {"dimension": 1, "horizon": 1, "grid_sizes": [64, 256, 1024, 4096],
+                  "replications": 200}
+    given = {f: NOT_DEFAULT[f] if f in READS[experiment] else v for f, v in at_default.items()}
+    config = ExperimentConfig.from_dict(
+        {"experiment": experiment, "hurst": 0.45, "master_seed": 5, **given}
+    )
+    assert config.master_seed == 5
+    assert {f for f in harness.declared(experiment) if f in NOT_DEFAULT} == READS[experiment]
 
 
 @pytest.mark.parametrize(
@@ -190,15 +238,10 @@ def test_bad_config_rejected(experiment, overrides):
     ],
     ids=str,
 )
-def test_bad_driver_input_rejected_before_work(experiment, params, monkeypatch):
-    def no_work(*args, **kwargs):
-        raise AssertionError("replications ran before the input was rejected")
-
-    for module in (harness, ito, bessel):
-        monkeypatch.setattr(module, "replication_map", no_work)
+def test_bad_driver_input_rejected_before_work(experiment, params, no_work):
     with pytest.raises((ConfigError, DomainError)):
         config = ExperimentConfig(
-            experiment=experiment, hurst=0.3, replications=4, params=params,
+            experiment=experiment, hurst=0.3, params=params,
             dimension=3 if experiment == "self-similarity" else 1,
         )
         run_experiment(config)
