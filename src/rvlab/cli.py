@@ -147,7 +147,11 @@ def _given(key: str, like, value):
     try:
         return json.loads(f"[{value}]")
     except json.JSONDecodeError as exc:
-        raise ConfigError(f"bad --{key.replace('_', '-')} value {value!r}: {exc}") from exc
+        pos = exc.pos - 1  # in what was typed, without the added "["
+        where = f"char {pos}" if pos < len(value) else "the end"
+        raise ConfigError(
+            f"bad --{key.replace('_', '-')} value {value!r}: {exc.msg} at {where}"
+        ) from exc
 
 
 def _experiment_command(name: str, doc: str, experiments: tuple, selector=None, pick=None):

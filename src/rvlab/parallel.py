@@ -9,6 +9,7 @@ callables must be picklable (module-level functions, optionally wrapped in
 
 from __future__ import annotations
 
+import ctypes
 import os
 from concurrent.futures import ProcessPoolExecutor
 from typing import Callable, TypeVar
@@ -22,6 +23,25 @@ def default_workers() -> int:
     return os.cpu_count() or 1
 
 
+def _numpy_openblas():
+    """ctypes handle of the OpenBLAS bundled with the numpy wheel, or None."""
+    import glob
+
+    import numpy
+
+    pattern = os.path.dirname(numpy.__file__) + ".libs/libscipy_openblas64_*.so"
+    return next((ctypes.CDLL(path) for path in glob.glob(pattern)), None)
+
+
+def _one_blas_thread() -> None:
+    """Pool initializer: one BLAS thread per worker process, so that workers
+    times BLAS threads stay within the cores.  A no-op without the symbol."""
+    setter = getattr(_numpy_openblas(), "scipy_openblas_set_num_threads64_", None)
+    if setter is not None:
+        setter.argtypes, setter.restype = [ctypes.c_int], None
+        setter(1)
+
+
 def _run_shard(fn: Callable[[int], T], indices: list[int]) -> list[tuple[int, T]]:
     return [(i, fn(i)) for i in indices]
 
@@ -30,8 +50,8 @@ def replication_map(fn: Callable[[int], T], replications: int, workers: int = 1)
     """Evaluate ``fn(i)`` for i in 0..replications-1, in index order.
 
     With ``workers`` > 1 the index classes i mod workers run in parallel
-    processes, at most one per logical core; the returned list is always
-    ordered by replication index.
+    processes, at most one per logical core, each with one BLAS thread; the
+    returned list is always ordered by replication index.
     """
     if replications < 0:
         raise ValueError("replications must be nonnegative")
@@ -40,7 +60,8 @@ def replication_map(fn: Callable[[int], T], replications: int, workers: int = 1)
     shards = [list(range(w, replications, workers)) for w in range(workers)]
     shards = [s for s in shards if s]
     out: list = [None] * replications
-    with ProcessPoolExecutor(max_workers=min(len(shards), default_workers())) as pool:
+    processes = min(len(shards), default_workers())
+    with ProcessPoolExecutor(max_workers=processes, initializer=_one_blas_thread) as pool:
         for pairs in pool.map(_run_shard, [fn] * len(shards), shards):
             for i, value in pairs:
                 out[i] = value

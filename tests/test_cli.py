@@ -181,6 +181,20 @@ class TestExperimentCommands:
         assert result.output.startswith(f"error: bad {args[-2]} value")
 
     @pytest.mark.parametrize(
+        "args, where",
+        [
+            (["variation", "--grid-sizes", "16,x"], "Expecting value at char 3"),
+            (["ito-check", "--mode", "scaling", "--intervals", "[0.25,0.3"],
+             "Expecting ',' delimiter at the end"),
+        ],
+        ids=["grid-sizes", "intervals"],
+    )
+    def test_bad_list_error_position_is_in_the_typed_value(self, runner, args, where):
+        result = runner.invoke(main, [*args, "--hurst", "0.45", "--workers", "1"])
+        assert result.exit_code == 2, result.output
+        assert result.output.splitlines()[0] == f"error: bad {args[-2]} value {args[-1]!r}: {where}"
+
+    @pytest.mark.parametrize(
         "args, message",
         [
             (["--experiment", "variation", "--q", "3"], "unknown params"),

@@ -50,15 +50,27 @@ class TestReplicationMap:
 
     def test_pool_is_capped_at_cpu_count_but_keeps_shards(self, monkeypatch):
         pools = []
-        monkeypatch.setattr(parallel, "ProcessPoolExecutor", lambda max_workers: _InlinePool(
-            max_workers, pools))
+        monkeypatch.setattr(parallel, "ProcessPoolExecutor", lambda max_workers, initializer:
+                            _InlinePool(max_workers, pools))
         monkeypatch.setattr(parallel.os, "cpu_count", lambda: 3)
         assert replication_map(_cube, 20, workers=8) == [i**3 for i in range(20)]
         assert pools == [(3, 8)]  # 8 index-mod-8 shards on 3 processes
 
+    def test_pool_workers_run_one_blas_thread(self):
+        if _blas_threads(0) is None:
+            pytest.skip("numpy has no bundled OpenBLAS with a thread setter")
+        before = _blas_threads(0)
+        assert replication_map(_blas_threads, 4, workers=2) == [1] * 4
+        assert _blas_threads(0) == before  # the parent keeps its own setting
+
 
 def _cube(i: int) -> int:
     return i**3
+
+
+def _blas_threads(i: int) -> int | None:
+    getter = getattr(parallel._numpy_openblas(), "scipy_openblas_get_num_threads64_", None)
+    return None if getter is None else getter()
 
 
 class _InlinePool:

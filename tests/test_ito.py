@@ -1,13 +1,16 @@
 """Tests for weighted time integrals, divergence representations and the
 variation/scaling experiments on whitelisted integrands."""
 
+import json
 import math
 import tracemalloc
 
 import numpy as np
 import pytest
+from click.testing import CliRunner
 
 from rvlab import ito
+from rvlab.cli import main
 from rvlab.core import SeedSpec, UniformGrid, weighted_cumulative
 from rvlab.errors import ConfigError, DegenerateInputError, DomainError, NumericalError
 from rvlab.fbm import sample_fbm_circulant, sample_fbm_multi
@@ -323,29 +326,92 @@ class TestMultiDivergenceVariation:
         assert row[6] == pytest.approx(row[2], abs=3 * row[7])
         assert report.flags["targets_agree_3se"]
 
-    def test_unit_integrand_nu_functional(self):
+    @pytest.mark.parametrize(
+        "h, n, horizon, row", [(0.45, 64, 1.0, (1, 0, 0)), (0.3, 4096, 0.5, (1 / 3, 2 / 3, 2 / 3))]
+    )
+    def test_unit_integrand_nu_functional(self, h, n, horizon, row):
         # For constant unit u, <u, xi> is standard normal under the
-        # Gaussian measure, so the nu-integral equals e_H * T.
-        h, d, n = 0.45, 3, 64
-        u = np.tile(np.array([1.0, 0.0, 0.0]), (n, 1))
-        est, se = xi_mc_target(u, 1.0 / n, 1.0 / h, SeedSpec(77).stream(lane=1), 20_000)
-        assert abs(est - e_H(h)) < 3 * se
+        # Gaussian measure, so the nu-integral equals e_H * nodes * dt = e_H * T.
+        u = np.tile(np.array(row, dtype=float), (n, 1))
+        est, se = xi_mc_target(u, horizon / n, 1.0 / h, SeedSpec(77).stream(lane=1), 20_000)
+        assert 0 < se and abs(est - e_H(h) * horizon) < 3 * se
+
+    def test_non_unit_integrand_has_a_positive_standard_error(self):
+        u = np.random.default_rng(5).standard_normal((64, 3))
+        est, se = xi_mc_target(u, 1.0 / 64, 1.0 / 0.45, SeedSpec(79).stream(lane=1), 200)
+        assert math.isfinite(est) and math.isfinite(se) and se > 0
+
+    def test_dimension_one_target_is_the_closed_form_to_rounding(self):
+        h, n = 0.35, 512
+        u = np.random.default_rng(6).standard_normal((n, 1))
+        est, se = xi_mc_target(u, 1.0 / n, 1.0 / h, SeedSpec(80).stream(lane=1), 400)
+        closed = e_H(h) * math.fsum(np.abs(u[:, 0]) ** (1.0 / h)) / n
+        assert est == pytest.approx(closed, rel=1e-13)
+        assert se <= 1e-15 * est
+
+    @pytest.mark.parametrize("dimension", [1, 3])
+    def test_nan_in_the_integrand_aborts_the_cross_check(self, dimension):
+        u = np.ones((16, dimension))
+        u[5, 0] = math.nan
+        est, se = xi_mc_target(u, 1.0 / 16, 1.0 / 0.45, SeedSpec(81).stream(lane=1), 100)
+        with pytest.raises(NumericalError, match="disagree"):
+            _cross_check([(1.0, e_H(0.45), 0.0, est, se)], 16, dimension)
+
+    def test_dimension_one_cross_check_is_a_rounding_bound(self):
+        # se is 0 at d = 1, so 3 s.e. would reject a last-bit difference
+        _cross_check([(1.0, 2.0, 0.0, 2.0 * (1 + 1e-14), 0.0)], 64, 1)
+        with pytest.raises(NumericalError, match="disagree"):
+            _cross_check([(1.0, 2.0, 0.0, 2.0 * (1 + 1e-9), 0.0)], 64, 1)
+        with pytest.raises(NumericalError, match="disagree"):  # d >= 2 keeps 3 s.e.
+            _cross_check([(1.0, 2.0, 0.0, 2.0 * (1 + 1e-14), 0.0)], 64, 2)
+
+    @pytest.mark.parametrize("label", sorted(INTEGRANDS))
+    def test_dimension_one_run_passes_for_every_integrand(self, label):
+        config = ExperimentConfig(
+            experiment="divergence-variation-multi", hurst=0.4, grid_sizes=[64, 256],
+            replications=6, master_seed=41, dimension=1, params={"integrand": label},
+        )
+        if label == "constant":  # the cross-check passes (0 = 0), the zero target does not
+            with pytest.raises(DegenerateInputError):
+                run_experiment(config)
+            return
+        report = run_experiment(config)
+        assert report.flags["targets_agree_3se"]
+        for row in report.rows:
+            assert row[6] == pytest.approx(row[2], rel=1e-12) and row[7] <= 1e-12 * row[2]
+
+    def test_dimension_one_xi_target_off_by_1e9_exits_3(self, monkeypatch, tmp_path):
+        exact = ito.xi_mc_target
+
+        def off(*args, **kwargs):
+            est, se = exact(*args, **kwargs)
+            return est * (1 + 1e-9), se
+
+        monkeypatch.setattr(ito, "xi_mc_target", off)
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({
+            "experiment": "divergence-variation-multi", "hurst": 0.4, "dimension": 1,
+            "grid_sizes": [64], "replications": 4, "params": {"integrand": "quadratic"},
+        }))
+        result = CliRunner().invoke(main, ["run", "--config", str(config), "--workers", "1"])
+        assert result.exit_code == 3, result.output
+        assert "disagree" in result.output
 
     def test_cross_check_abort(self):
         fake = [(1.0, 1.0, 0.0, 2.0, 1e-6)]  # target_a = 1, target_mc = 2
         with pytest.raises(NumericalError, match="disagree"):
-            _cross_check(fake, 64)
+            _cross_check(fake, 64, 3)
 
     def test_cross_check_nan_se_aborts(self):
         fake = [(1.0, 1.0, 0.0, 1.0, math.nan)]  # a standard error that checks nothing
         with pytest.raises(NumericalError, match="disagree"):
-            _cross_check(fake, 64)
+            _cross_check(fake, 64, 3)
 
     def test_cross_check_nan_target_on_one_path_aborts(self):
         # every replication carries xi, so a NaN is a failure, not a skipped path
         fake = [(1.0, 1.0, 0.0, 1.0, 0.1), (1.0, 1.0, 0.0, math.nan, math.nan)]
         with pytest.raises(NumericalError, match="disagree"):
-            _cross_check(fake, 64)
+            _cross_check(fake, 64, 3)
 
     @pytest.mark.parametrize("draws", [0, 2, 3])
     def test_xi_draws_without_a_standard_error_rejected(self, draws):
