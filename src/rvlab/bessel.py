@@ -17,7 +17,7 @@ the first-cell bias vanishes under refinement).
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+import math
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -47,8 +47,6 @@ __all__ = [
     "require_bessel_dimension",
     "require_variation_gate",
     "negative_moment_experiment",
-    "KSOutcome",
-    "self_similarity_test",
     "self_similarity_suite",
 ]
 
@@ -184,117 +182,59 @@ def _theta_terminal_rep(paths: PathJob, r: int) -> float:
     return float(theta_path(paths.sample(r), paths.hurst).values[-1])
 
 
-@dataclass(frozen=True)
-class KSOutcome:
-    """Two-sample Kolmogorov-Smirnov comparison of Theta marginals."""
-
-    a: float
-    t: float
-    scaling: str  # "a^-H" or the deliberately wrong "a^-2H"
-    statistic: float
-    p_value: float
-
-
-def _require_scale(a: float, t: float) -> None:
-    if not a > 0:
-        raise DomainError(f"scale factor a must be positive, got {a}")
-    if not t > 0:
-        raise DomainError(f"time t must be positive, got {t}")
-
-
-def self_similarity_test(
-    d: int,
-    hurst: HurstParam | float,
-    a: float,
-    t: float,
-    replications: int,
-    seed: SeedSpec,
-    workers: int,
-    grid_size: int,
-    method: str,
-    wrong_scaling: bool = False,
-) -> KSOutcome:
-    """KS comparison of a^{-H} Theta_{at} against an independent Theta_t.
-
-    Both Monte Carlo arms use disjoint replication ranges of the same master
-    seed.  Self-similarity is tested one marginal at a time: the processes
-    are equal in law, and the marginal KS statistic is the falsifiable
-    desk-scale projection of that statement.  With ``wrong_scaling`` the
-    first arm is rescaled by a^{-2H} instead, which a powerful test must
-    reject.
-    """
-    hp = as_hurst(hurst)
-    require_bessel_dimension(d)
-    _require_scale(a, t)
-    arms = []
-    for horizon, arm_seed in ((a * t, seed), (t, seed.replicate(replications))):
-        paths = PathJob(hp.h, d, horizon, grid_size, arm_seed, method)
-        rep = functools.partial(_theta_terminal_rep, paths)
-        arms.append(np.array(replication_map(rep, replications, workers)))
-    # Imported here, not at module level: scipy.stats is over a third of
-    # the package's start-up time, and only this test uses it.
-    from scipy.stats import ks_2samp
-
-    arm_scaled, arm_plain = arms
-    exponent = -2 * hp.h if wrong_scaling else -hp.h
-    stat, p_value = ks_2samp(arm_scaled * a**exponent, arm_plain)
-    return KSOutcome(
-        a=a,
-        t=t,
-        scaling="a^-2H" if wrong_scaling else "a^-H",
-        statistic=float(stat),
-        p_value=float(p_value),
-    )
-
-
 def self_similarity_suite(config: ExperimentConfig, workers: int) -> Report:
-    """Run KS self-similarity tests of every a in ``a_list`` at time ``t``,
-    with a power control.
+    """KS comparison of a^{-H} Theta_{at} against an independent Theta_t for
+    every a in ``a_list`` at time ``t``, with a power control.
 
-    The pass threshold is Bonferroni-corrected across the proper pairs
-    (p > level / #pairs each).  With ``control`` the control row repeats the
-    largest-a test with the wrong exponent a^{-2H} and must be *rejected* at
-    the same corrected threshold, demonstrating the test has power at this
-    sample size.
+    Self-similarity is tested one marginal at a time: the processes are equal
+    in law, and the marginal two-sample KS statistic is the falsifiable
+    desk-scale projection of that statement.  Case k draws its two arms from
+    disjoint replication ranges of the master seed, ``2 k m`` and
+    ``(2 k + 1) m`` onwards.  The pass threshold is Bonferroni-corrected
+    across the proper pairs (p > level / #pairs each).  With ``control`` a
+    last case repeats the largest a with the wrong exponent a^{-2H} and must
+    be *rejected* at the same corrected threshold, demonstrating the test has
+    power at this sample size.
     """
     d, h, replications = config.dimension, config.hurst, config.replications
     seed = SeedSpec(config.master_seed)
     a_list, t, level = config.param("a_list"), config.param("t"), config.param("level")
     grid_size, method = config.param("grid_size"), config.param("method")
-    control_a = max(a_list) if config.param("control") else None
+    require_bessel_dimension(d)
     if not 0 < level < 1:
         raise ConfigError(f"KS level must lie in (0, 1), got {level}")
-    if control_a == 1:
-        raise ConfigError("a power control at a = 1 is never rejected: a^-H = a^-2H there")
-    for a in a_list:  # every scale before the first test runs
-        _require_scale(a, t)
+    if not t > 0:
+        raise DomainError(f"time t must be positive, got {t}")
+    for a in a_list:  # every scale before the first arm runs
+        if not a > 0:
+            raise DomainError(f"scale factor a must be positive, got {a}")
+        if not 0 < a * t < math.inf:
+            raise DomainError(f"the scaled time a * t must be positive and finite, got {a} * {t}")
+    control = config.param("control")
+    cases = [(a, "a^-H", -h) for a in a_list]
+    if control:
+        if max(a_list) == 1:
+            raise ConfigError("a power control at a = 1 is never rejected: a^-H = a^-2H there")
+        cases.append((max(a_list), "a^-2H", -2 * h))
+    # Imported here, not at module level: scipy.stats is over a third of
+    # the package's start-up time, and only this experiment uses it.
+    from scipy.stats import ks_2samp
+
     threshold = level / len(a_list)
     rows = []
-    ok = True
-    offset = 0
-    for a in a_list:
-        outcome = self_similarity_test(
-            d, h, a, t, replications, seed.replicate(offset), workers, grid_size, method
-        )
-        offset += 2 * replications
-        passed = outcome.p_value > threshold
-        ok = ok and passed
-        rows.append(
-            (a, t, outcome.scaling, replications, outcome.statistic, outcome.p_value,
-             threshold, passed)
-        )
-    flags = {"marginals_match": ok}
-    if control_a is not None:
-        control = self_similarity_test(
-            d, h, control_a, t, replications, seed.replicate(offset), workers,
-            grid_size, method, wrong_scaling=True,
-        )
-        detected = control.p_value < threshold
-        rows.append(
-            (control_a, t, control.scaling, replications, control.statistic,
-             control.p_value, threshold, detected)
-        )
-        flags["control_rejected"] = detected
+    for k, (a, scaling, exponent) in enumerate(cases):
+        arm_seed = seed.replicate(2 * k * replications)
+        arms = []
+        for horizon, arm in ((a * t, arm_seed), (t, arm_seed.replicate(replications))):
+            paths = PathJob(h, d, horizon, grid_size, arm, method)
+            rep = functools.partial(_theta_terminal_rep, paths)
+            arms.append(np.array(replication_map(rep, replications, workers)))
+        stat, p_value = (float(x) for x in ks_2samp(arms[0] * a**exponent, arms[1]))
+        ok = p_value < threshold if scaling == "a^-2H" else p_value > threshold
+        rows.append((a, t, scaling, replications, stat, p_value, threshold, ok))
+    flags = {"marginals_match": all(row[-1] for row in rows[: len(a_list)])}
+    if control:
+        flags["control_rejected"] = rows[-1][-1]
     meta = {
         "experiment": "self-similarity",
         "dimension": d,

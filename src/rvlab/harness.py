@@ -193,23 +193,6 @@ class _ExperimentSpec:
     tolerances: dict
 
 
-def _run_kernel_check(config: ExperimentConfig, workers: int) -> Report:
-    rows = kernel.kernel_check_table(
-        config.hurst,
-        horizon=config.horizon,
-        lattice=config.param("lattice"),
-        rtol=config.param("rtol"),
-    )
-    worst = max(r[4] for r in rows)
-    return Report(
-        columns=("t", "s", "lhs", "rhs", "rel_err"),
-        rows=rows,
-        extra={"max_rel_err": worst},
-        flags={"reproduction_ok": worst < config.param("rel_err_max", "tolerances")},
-        meta={"experiment": "kernel-check", "hurst": config.hurst},
-    )
-
-
 def _cov_rep(paths: fbm.PathJob, r: int) -> np.ndarray:
     return paths.sample(r).values[1:, 0]
 
@@ -299,7 +282,7 @@ _register("lp-scaling", ito.lp_scaling_experiment, ("horizon", "replications"),
           # criterion 09's bounds: the u = 1 exponent is held tighter
           tolerances={"slope_tol": _Derived(
               1.0, lambda c: 0.05 if c.param("integrand") == "identity" else 0.15)})
-_register("kernel-check", _run_kernel_check, ("horizon",),
+_register("kernel-check", kernel.kernel_check_experiment, ("horizon",),
           params={"lattice": 5, "rtol": kernel.DEFAULT_L2_TOL},
           tolerances={"rel_err_max": 1e-4})
 _register("covariance-check", _run_covariance_check, _VARIATION, tolerances={"max_z": 3.0})

@@ -39,7 +39,14 @@ from .bessel import require_bessel_dimension, require_variation_gate, theta_path
 from .errors import ConfigError, DegenerateInputError, NumericalError
 from .fbm import PathJob
 from .parallel import replication_map
-from .report import CONVERGENCE_COLUMNS, ConvergenceReport, Report, aggregate, loglog_fit
+from .report import (
+    CONVERGENCE_COLUMNS,
+    ConvergenceReport,
+    Report,
+    aggregate,
+    loglog_fit,
+    root_sum_squares,
+)
 from .variation import e_H, variation_Vnq
 
 if TYPE_CHECKING:
@@ -271,7 +278,10 @@ def xi_mc_target(
             a = b
         done += take
     mean = float(values.mean())
-    se = float(values.std(ddof=1) / np.sqrt(pairs))
+    # std squares the deviations: scaled by a power of two first, as in
+    # report.root_sum_squares, they neither overflow nor underflow
+    e = np.frexp(values.max())[1]
+    se = float(np.ldexp(np.ldexp(values, -e).std(ddof=1), e) / np.sqrt(pairs))
     return mean, se
 
 
@@ -287,7 +297,7 @@ def _cross_check(per_rep, n: int, dimension: int) -> tuple[float, float]:
     m = len(per_rep)
     mean_a = math.fsum(ta for _, ta, _, _, _ in per_rep) / m
     mean_b = math.fsum(tb for _, _, _, tb, _ in per_rep) / m
-    se_b = math.sqrt(math.fsum(se**2 for *_, se in per_rep)) / m
+    se_b = root_sum_squares([se for *_, se in per_rep]) / m
     if dimension == 1:
         agree, bound = math.isclose(mean_a, mean_b, rel_tol=1e-12), "relative 1e-12"
         agree = agree and math.isfinite(se_b)

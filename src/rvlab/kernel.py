@@ -2,7 +2,8 @@
 
 Evaluates the square-root kernel K_H of the covariance factorization
 R_H(t, s) = int_0^{t^s} K_H(t, u) K_H(s, u) du, the operator K* on step
-functions, the induced inner product, and the reproduction check built on it.
+functions, the induced inner product, and the registered reproduction check
+built on it.
 
 The kernel's inner integral int_s^t u^{H-3/2} (u-s)^{H-1/2} du is an
 incomplete Beta function (substitute u = s/v), so K_H itself needs no
@@ -17,6 +18,7 @@ from __future__ import annotations
 import functools
 import math
 import warnings
+from typing import TYPE_CHECKING
 
 import numpy as np
 from scipy import integrate
@@ -26,6 +28,10 @@ from scipy.special.cython_special import betainc  # the ufunc's kernel, no ufunc
 from .core import HurstParam, StepFunction, UniformGrid, as_hurst
 from .errors import DomainError, QuadratureError
 from .fbm import covariance
+from .report import Report
+
+if TYPE_CHECKING:
+    from .harness import ExperimentConfig
 
 __all__ = [
     "constant_cH",
@@ -33,7 +39,7 @@ __all__ = [
     "kstar_step",
     "inner_product_H",
     "covariance_via_kernel",
-    "kernel_check_table",
+    "kernel_check_experiment",
     "DEFAULT_L2_TOL",
 ]
 
@@ -199,18 +205,18 @@ def covariance_via_kernel(
 _MAX_HORIZON = np.finfo(float).max / 2
 
 
-def kernel_check_table(
-    hurst: HurstParam | float,
-    horizon: float = 1.0,
-    lattice: int = 5,
-    rtol: float = DEFAULT_L2_TOL,
-) -> list[tuple[float, float, float, float, float]]:
-    """Rows (t, s, lhs, rhs, rel_err) of the reproduction identity on the
-    nodes of UniformGrid(horizon, lattice), restricted to s <= t by symmetry."""
-    hp = as_hurst(hurst)
+def kernel_check_experiment(config: ExperimentConfig, workers: int) -> Report:
+    """The reproduction identity on the nodes of UniformGrid(horizon, lattice).
+
+    Rows (t, s, lhs, rhs, rel_err), restricted to s <= t by symmetry; the
+    check passes when the largest relative error is below ``rel_err_max``.
+    No randomness and no pool: ``workers`` is unused.
+    """
+    hp = as_hurst(config.hurst)
     hp.require_rough("the kernel reproduction check")
-    if lattice < 1 or not rtol > 50 * np.finfo(float).eps:
-        raise DomainError(f"need lattice >= 1 and rtol > 50 eps, got {lattice} and {rtol}")
+    horizon, lattice, rtol = config.horizon, config.param("lattice"), config.param("rtol")
+    if lattice < 1 or not 50 * np.finfo(float).eps < rtol < 1:
+        raise DomainError(f"need lattice >= 1 and 50 eps < rtol < 1, got {lattice} and {rtol}")
     # grid.node(i) computes i * horizon / lattice, so (lattice - 1) * horizon must stay finite
     if not (horizon <= _MAX_HORIZON and math.isfinite((lattice - 1) * horizon)):
         raise DomainError(
@@ -225,4 +231,11 @@ def kernel_check_table(
             lhs = covariance_via_kernel(hp, grid, i, j, rtol)
             rhs = covariance(hp, t, s)
             rows.append((t, s, lhs, rhs, abs(lhs - rhs) / abs(rhs)))
-    return rows
+    worst = max(r[4] for r in rows)
+    return Report(
+        columns=("t", "s", "lhs", "rhs", "rel_err"),
+        rows=rows,
+        extra={"max_rel_err": worst},
+        flags={"reproduction_ok": worst < config.param("rel_err_max", "tolerances")},
+        meta={"experiment": "kernel-check", "hurst": config.hurst},
+    )

@@ -18,7 +18,7 @@ import numpy as np
 from . import __version__
 from .errors import ConfigError, DomainError
 
-__all__ = ["aggregate", "check_shape", "loglog_fit", "write_text", "Report", "ConvergenceReport", "CONVERGENCE_COLUMNS", "build_id"]
+__all__ = ["aggregate", "root_sum_squares", "check_shape", "loglog_fit", "write_text", "Report", "ConvergenceReport", "CONVERGENCE_COLUMNS", "build_id"]
 
 CONVERGENCE_COLUMNS = ("n", "estimate", "target", "abs_err", "rel_err", "stderr")
 
@@ -46,8 +46,19 @@ def aggregate(values: Sequence[float]) -> tuple[float, float | None]:
         return mean, None
     # Jackknife variance of the mean; for the mean statistic this reduces to
     # sum((v - mean)^2) / (m (m - 1)).
-    ss = math.fsum((v - mean) ** 2 for v in values)
-    return mean, math.sqrt(ss / (m * (m - 1)))
+    return mean, root_sum_squares([v - mean for v in values], m * (m - 1))
+
+
+def root_sum_squares(values: Sequence[float], divisor: float = 1.0) -> float:
+    """sqrt(sum(v^2) / divisor), the sum compensated.
+
+    The values are scaled by one power of two before they are squared, so
+    the squares neither overflow nor underflow at any scale of the values.
+    The scaling is exact: inside the normal range every bit is kept.
+    """
+    _, e = math.frexp(max(map(abs, values), default=0.0))
+    ss = math.fsum(math.ldexp(v, -e) ** 2 for v in values)
+    return math.ldexp(math.sqrt(ss / divisor), e)
 
 
 def check_shape(

@@ -16,7 +16,7 @@ import numpy as np
 from scipy.special import gammaln
 
 from .core import HurstParam, RealPath, as_hurst
-from .errors import DomainError
+from .errors import DomainError, NumericalError
 
 __all__ = [
     "variation_Vnq",
@@ -28,11 +28,20 @@ def variation_Vnq(path: RealPath, q: float) -> float:
     """q-variation V_n^q(X) = sum_i |X_{t_{i+1}} - X_{t_i}|^q.
 
     The sum runs left to right with compensated summation so the value is
-    identical no matter how replications were scheduled.
+    identical no matter how replications were scheduled.  A sum that
+    overflows is a numerical failure, not a statistic.
     """
     if not q > 0:
         raise DomainError(f"variation exponent must be positive, got {q}")
-    return math.fsum(np.abs(path.increments()) ** q)
+    with np.errstate(over="ignore"):
+        powers = np.abs(path.increments()) ** q
+    try:
+        total = math.fsum(powers)
+    except OverflowError:  # fsum's partial sums of finite terms passed the largest double
+        total = math.inf
+    if not math.isfinite(total):
+        raise NumericalError(f"V_n^{q} of the path is non-finite: its increments overflow")
+    return total
 
 
 @functools.lru_cache(maxsize=64)

@@ -9,7 +9,6 @@ from rvlab.bessel import (
     bessel_from_multipath,
     k_q,
     require_variation_gate,
-    self_similarity_test,
     theta_path,
 )
 from rvlab.fbm import sample_fbm_multi
@@ -195,18 +194,26 @@ class TestNegativeMoments:
             negative_moments(1.0, [0.5, 0.5, 1.0], 16, 0)
 
 
+def self_similarity(a_list, replications, master_seed, **params):
+    return run_experiment(ExperimentConfig(
+        experiment="self-similarity", hurst=0.45, dimension=3, replications=replications,
+        master_seed=master_seed, params={"a_list": a_list, "t": 0.5, "grid_size": 256, **params},
+    ))
+
+
 class TestSelfSimilarity:
     def test_identity_scale_passes(self):
-        outcome = self_similarity_test(3, 0.45, 1.0, 0.5, 400, SeedSpec(81), 1, 256, "circulant")
-        assert outcome.p_value > 0.01
-        assert outcome.scaling == "a^-H"
+        report = self_similarity([1.0], 400, 81, control=False)
+        (row,) = report.rows
+        assert row[5] > 0.01
+        assert row[2] == "a^-H"
+        assert report.flags == {"marginals_match": True}
 
     def test_wrong_scaling_detected(self):
-        outcome = self_similarity_test(
-            3, 0.45, 4.0, 0.5, 800, SeedSpec(82), 1, 256, "circulant", wrong_scaling=True
-        )
-        assert outcome.p_value < 0.01
-        assert outcome.scaling == "a^-2H"
+        # the control row of a_list [4.0]: its arms start at replication 2 * 800
+        control_row = self_similarity([4.0], 800, 82).rows[-1]
+        assert control_row[5] < 0.01
+        assert control_row[2] == "a^-2H"
 
     def test_suite_applies_bonferroni_and_control(self):
         report = run_experiment(ExperimentConfig(
@@ -222,6 +229,7 @@ class TestSelfSimilarity:
 
     def test_parameter_validation(self):
         with pytest.raises(GateError):
-            self_similarity_test(1, 0.45, 2.0, 0.5, 10, SeedSpec(0), 1, 1024, "circulant")
+            run_experiment(ExperimentConfig(experiment="self-similarity", hurst=0.45,
+                                            replications=10))
         with pytest.raises(DomainError):
-            self_similarity_test(3, 0.45, -2.0, 0.5, 10, SeedSpec(0), 1, 1024, "circulant")
+            self_similarity([-2.0], 10, 0)

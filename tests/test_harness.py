@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from rvlab import bessel, harness, ito, parallel
-from rvlab.errors import ConfigError, DomainError, GateError, QuadratureError
+from rvlab.errors import ConfigError, DomainError, GateError, NumericalError, QuadratureError
 from rvlab.harness import ExperimentConfig, registered_experiments, run_experiment
 from rvlab.parallel import replication_map
 from rvlab.report import ConvergenceReport, Report, aggregate
@@ -35,6 +35,14 @@ class TestAggregate:
     def test_rejects_empty(self):
         with pytest.raises(DomainError):
             aggregate([])
+
+    @pytest.mark.parametrize("power", [-1000, -600, 600, 1000])
+    def test_scales_exactly_by_powers_of_two(self, power):
+        # the squared deviations underflowed to 0 or overflowed at these scales
+        values = list(np.random.default_rng(1).standard_normal(8) + 3.0)
+        mean, stderr = aggregate(values)
+        scaled = aggregate([math.ldexp(v, power) for v in values])
+        assert scaled == (math.ldexp(mean, power), math.ldexp(stderr, power))
 
 
 class TestReplicationMap:
@@ -236,6 +244,8 @@ def test_read_fields_unread_defaults_and_master_seed_accepted(experiment):
     [
         ("kernel-check", {"lattice": 0}),
         ("kernel-check", {"rtol": 0.0}),
+        # a relative tolerance of 100% decides nothing; it exited 1
+        ("kernel-check", {"rtol": 1.0}),
         ("lp-scaling", {"intervals": [[0.25, 0.5, 0.75]]}),
         # a KS level outside (0, 1), and a power control at a = 1, where
         # a^-H = a^-2H, decide no gate
@@ -244,6 +254,8 @@ def test_read_fields_unread_defaults_and_master_seed_accepted(experiment):
         ("self-similarity", {"a_list": [1.0]}),
         # the a = 2 arms ran before the a = -1 DomainError
         ("self-similarity", {"a_list": [2.0, -1.0]}),
+        # a * t = inf failed in a worker, naming a horizon never set
+        ("self-similarity", {"a_list": [1e308], "t": 10.0}),
         # an unknown sampler was caught only inside the first replication
         ("fbm-variation", {"method": "bogus"}),
         ("self-similarity", {"method": "bogus"}),
@@ -300,6 +312,40 @@ def test_kernel_check_at_extreme_horizons(horizon):
     report = run_experiment(config)
     assert report.flags["reproduction_ok"]
     assert report.extra["max_rel_err"] < 1e-10
+
+
+_SCALE_FREE = {
+    "fbm-variation": {},
+    "theta-variation": {"dimension": 3, "params": {"xi_draws": 200}},
+    # radial_quadratic's V_n grows like T^2: it overflows at 1e160, see below
+    "divergence-variation-multi": {
+        "dimension": 3, "params": {"integrand": "linear_sum", "xi_draws": 200}
+    },
+}
+
+
+@pytest.mark.parametrize("experiment", sorted(_SCALE_FREE))
+def test_variation_reports_are_scale_free_across_horizons(experiment):
+    # fBm on [0, T] is T^H times fBm on [0, 1] drawn from the same normals
+    def rel_err(horizon):
+        config = ExperimentConfig(
+            experiment=experiment, hurst=0.45, horizon=horizon, grid_sizes=[16],
+            replications=8, **_SCALE_FREE[experiment],
+        )
+        return run_experiment(config).rows[-1][4]
+
+    at_one = rel_err(1.0)
+    for horizon in (1e-300, 1e-170, 1e160, 1e300):
+        assert rel_err(horizon) == pytest.approx(at_one, rel=1e-10)
+
+
+def test_overflowing_variation_is_a_numerical_error():
+    config = ExperimentConfig(
+        experiment="divergence-variation", hurst=0.45, horizon=1e300, grid_sizes=[16],
+        replications=8,
+    )
+    with pytest.raises(NumericalError, match="V_n"):
+        run_experiment(config)
 
 
 class TestGates:

@@ -19,13 +19,13 @@ from scipy.integrate import quad
 from rvlab.core import StepFunction, UniformGrid
 from rvlab.errors import DomainError, QuadratureError
 from rvlab.fbm import covariance
+from rvlab.harness import ExperimentConfig, run_experiment
 from rvlab.kernel import (
     _inner_integral,
     _quad,
     constant_cH,
     covariance_via_kernel,
     inner_product_H,
-    kernel_check_table,
     kernel_K,
     kstar_step,
 )
@@ -339,7 +339,10 @@ class TestExtendedInner:
 def test_kernel_check_table_small():
     # 3 * 0.1 / 3 != 0.1: the last lattice time must be the horizon itself
     for horizon in (1.0, 0.1):
-        rows = kernel_check_table(0.3, horizon=horizon, lattice=3, rtol=1e-6)
+        rows = run_experiment(ExperimentConfig(
+            experiment="kernel-check", hurst=0.3, horizon=horizon,
+            params={"lattice": 3, "rtol": 1e-6},
+        )).rows
         assert len(rows) == 6  # lower triangle of a 3x3 lattice
         assert max(r[4] for r in rows) < 1e-4
         assert rows[-1][0] == horizon

@@ -5,7 +5,7 @@ import pytest
 from scipy.integrate import quad
 
 from rvlab.core import RealPath, SeedSpec, UniformGrid
-from rvlab.errors import ConfigError, DomainError
+from rvlab.errors import ConfigError, DomainError, NumericalError
 from rvlab.fbm import sample_fbm_circulant
 from rvlab.harness import ExperimentConfig, run_experiment
 from rvlab.variation import e_H, variation_Vnq
@@ -55,6 +55,15 @@ class TestVariationStatistic:
         path = RealPath(UniformGrid(1.0, 2), np.zeros(3))
         with pytest.raises(DomainError):
             variation_Vnq(path, 0.0)
+
+    @pytest.mark.parametrize("values", [
+        [0.0, 1e200, 0.0],  # a power overflows
+        [0.0, 1e154, 0.0],  # finite powers whose sum overflows
+    ])
+    def test_overflow_is_a_numerical_error(self, values):
+        path = RealPath(UniformGrid(1.0, 2), np.array(values))
+        with pytest.raises(NumericalError, match="non-finite"):
+            variation_Vnq(path, 2.0)
 
     def test_invariances(self):
         rng = np.random.default_rng(77)
