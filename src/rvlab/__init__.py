@@ -9,7 +9,6 @@ Monte Carlo experiment harness with a CLI.
 __version__ = "0.1.0"
 
 from .core import (
-    HurstParam,
     MultiPath,
     RealPath,
     SeedSpec,
@@ -19,7 +18,6 @@ from .core import (
 
 __all__ = [
     "__version__",
-    "HurstParam",
     "MultiPath",
     "RealPath",
     "SeedSpec",

@@ -24,12 +24,11 @@ import numpy as np
 from scipy.special import gammaln
 
 from .core import (
-    HurstParam,
     MultiPath,
     RealPath,
     SeedSpec,
     UniformGrid,
-    as_hurst,
+    check_hurst,
     ito_representation,
 )
 from .errors import ConfigError, DomainError, GateError, NumericalError
@@ -72,13 +71,13 @@ def bessel_from_multipath(path: MultiPath) -> RealPath:
     return RealPath(path.grid, np.linalg.norm(path.values, axis=1))
 
 
-def theta_path(path: MultiPath, hurst: HurstParam | float) -> RealPath:
+def theta_path(path: MultiPath, hurst: float) -> RealPath:
     """Theta_t = R_t - H (d-1) int_0^t s^{2H-1} / R_s ds along one path.
 
     Requires R_{t_i} > 0 for i >= 1 (an almost-sure event; a zero signals a
     corrupted sampler, not randomness).
     """
-    h = as_hurst(hurst).h
+    h = check_hurst(hurst)
     d = path.dimension
     r = bessel_from_multipath(path)
     interior = r.values[1:]
@@ -93,9 +92,9 @@ def theta_path(path: MultiPath, hurst: HurstParam | float) -> RealPath:
     return ito_representation(r.values, h * (d - 1), inv_r, path.grid, h)
 
 
-def require_variation_gate(d: int, hurst: HurstParam | float) -> None:
+def require_variation_gate(d: int, hurst: float) -> None:
     """The Theta variation limit is only claimed under 2 d H^2 > 1."""
-    h = as_hurst(hurst).h
+    h = check_hurst(hurst)
     if not 2 * d * h * h > 1:
         raise GateError(
             f"Theta variation requires 2dH^2 > 1; got 2*{d}*{h}^2 = {2 * d * h * h:.4g} <= 1"

@@ -1,6 +1,6 @@
-"""Core value types: Hurst parameter, uniform grids, sampled paths, step
-functions and reproducible seed derivation, plus the singular time-weight
-integral and the Ito-type representation built on it, which every
+"""Core value types: the Hurst parameter check, uniform grids, sampled
+paths, step functions and reproducible seed derivation, plus the singular
+time-weight integral and the Ito-type representation built on it, which every
 transform of a sampled path (divergence integrals, Theta) goes through.
 
 Everything here is immutable; paths wrap read-only numpy arrays so they can
@@ -17,42 +17,30 @@ import numpy as np
 from .errors import DomainError
 
 __all__ = [
-    "HurstParam",
     "UniformGrid",
     "RealPath",
     "MultiPath",
     "StepFunction",
     "SeedSpec",
-    "as_hurst",
+    "check_hurst",
     "ito_representation",
     "weighted_cumulative",
     "write_path_csv",
 ]
 
 
-@dataclass(frozen=True)
-class HurstParam:
-    """Validated Hurst exponent, the central model parameter.
+def check_hurst(h: float, rough: str | None = None) -> float:
+    """The Hurst exponent, the central model parameter, as a float in (0, 1).
 
-    Valid range is (0, 1).  Operations built on the Volterra kernel
-    additionally require h < 1/2 and must call :meth:`require_rough`.
+    Operations built on the Volterra kernel pass their name as ``rough``
+    and additionally require h < 1/2.
     """
-
-    h: float
-
-    def __post_init__(self):
-        if not (0.0 < self.h < 1.0):
-            raise DomainError(f"Hurst parameter must lie in (0, 1), got {self.h}")
-
-    def require_rough(self, what: str = "this operation") -> None:
-        """Reject h >= 1/2 for kernel-dependent operations."""
-        if not self.h < 0.5:
-            raise DomainError(f"{what} requires H < 1/2, got H = {self.h}")
-
-
-def as_hurst(h: "HurstParam | float") -> HurstParam:
-    """Coerce a float into a validated :class:`HurstParam`."""
-    return h if isinstance(h, HurstParam) else HurstParam(float(h))
+    h = float(h)
+    if not 0.0 < h < 1.0:
+        raise DomainError(f"Hurst parameter must lie in (0, 1), got {h}")
+    if rough is not None and not h < 0.5:
+        raise DomainError(f"{rough} requires H < 1/2, got H = {h}")
+    return h
 
 
 @dataclass(frozen=True)
@@ -144,9 +132,6 @@ class MultiPath:
     def dimension(self) -> int:
         return self.values.shape[1]
 
-    def component(self, j: int) -> RealPath:
-        return RealPath(self.grid, self.values[:, j])
-
 
 @dataclass(frozen=True)
 class StepFunction:
@@ -171,15 +156,6 @@ class StepFunction:
         a = np.zeros(grid.n)
         a[:k] = 1.0
         return cls(grid, a)
-
-    def __call__(self, s: float) -> float:
-        if not 0.0 <= s < self.grid.horizon:
-            raise DomainError(f"step functions live on [0, T); got s = {s}")
-        j = min(int(s / self.grid.dt), self.grid.n - 1)
-        # guard against round-down at cell boundaries
-        if s >= self.grid.node(j + 1):
-            j += 1
-        return float(self.coefficients[j])
 
 
 # Stream lanes keep unrelated consumers of the same replication independent:

@@ -17,7 +17,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import HurstParam, MultiPath, RealPath, SeedSpec, UniformGrid, as_hurst
+from .core import MultiPath, RealPath, SeedSpec, UniformGrid, check_hurst
 from .errors import ConfigError, DomainError, EmbeddingError, FactorizationError
 
 __all__ = [
@@ -48,12 +48,12 @@ EIG_REL_TOL = 1e-10
 _CHOLESKY_JITTER = 1e-12
 
 
-def covariance(hurst: HurstParam | float, t, s):
+def covariance(hurst: float, t, s):
     """Covariance R_H(t, s) = (t^{2H} + s^{2H} - |t-s|^{2H}) / 2 of fBm.
 
     Parameters
     ----------
-    hurst : HurstParam or float
+    hurst : float
         Hurst exponent in (0, 1).
     t, s : float or array_like
         Nonnegative times; broadcast together.
@@ -63,7 +63,7 @@ def covariance(hurst: HurstParam | float, t, s):
     float or np.ndarray
         R_H(t, s).  Symmetric in (t, s); R_H(t, t) = t^{2H}.
     """
-    h = as_hurst(hurst).h
+    h = check_hurst(hurst)
     t = np.asarray(t, dtype=float)
     s = np.asarray(s, dtype=float)
     if np.any(t < 0) or np.any(s < 0):
@@ -72,7 +72,7 @@ def covariance(hurst: HurstParam | float, t, s):
     return float(out) if out.ndim == 0 else out
 
 
-def fgn_autocovariance(hurst: HurstParam | float, lag, dt: float):
+def fgn_autocovariance(hurst: float, lag, dt: float):
     """Autocovariance of fractional Gaussian noise at integer lag(s).
 
     For increments X_i = B_{(i+1)dt} - B_{i dt} the stationary autocovariance
@@ -80,7 +80,7 @@ def fgn_autocovariance(hurst: HurstParam | float, lag, dt: float):
     independent of i.  ``lag`` is an integer or an array of them; the
     circulant sampler's embedding row is this function at lags 0..n.
     """
-    h = as_hurst(hurst).h
+    h = check_hurst(hurst)
     k = np.asarray(lag, dtype=float)
     if np.any(k < 0):
         raise DomainError("lag must be nonnegative")
@@ -116,7 +116,7 @@ def _covariance_cholesky(h: float, horizon: float, n: int) -> np.ndarray:
 
 
 def sample_fbm_cholesky(
-    hurst: HurstParam | float, grid: UniformGrid, seed: SeedSpec, component: int = 0
+    hurst: float, grid: UniformGrid, seed: SeedSpec, component: int = 0
 ) -> RealPath:
     """Exact fBm sample via Cholesky factorization of the covariance matrix.
 
@@ -124,13 +124,13 @@ def sample_fbm_cholesky(
     is deterministic given ``seed`` and ``component`` (the sub-stream).
     Guarded to n <= 4096 (the factorization is O(n^3)).
     """
-    hp = as_hurst(hurst)
+    h = check_hurst(hurst)
     if grid.n > CHOLESKY_MAX_N:
         raise DomainError(
             f"Cholesky sampler is guarded to n <= {CHOLESKY_MAX_N}; "
             f"got n = {grid.n} (use the circulant sampler)"
         )
-    chol = _covariance_cholesky(hp.h, grid.horizon, grid.n)
+    chol = _covariance_cholesky(h, grid.horizon, grid.n)
     z = seed.stream(component=component).standard_normal(grid.n)
     values = np.concatenate([[0.0], chol @ z])
     return RealPath(grid, values)
@@ -170,17 +170,17 @@ def _embedding_eigenvalues(h: float, horizon: float, n: int) -> np.ndarray:
     return np.fft.fft(row).real
 
 
-def circulant_eigenvalues(hurst: HurstParam | float, grid: UniformGrid) -> np.ndarray:
+def circulant_eigenvalues(hurst: float, grid: UniformGrid) -> np.ndarray:
     """Eigenvalues of the 2n circulant embedding of the fGn covariance.
 
     All eigenvalues are nonnegative for fractional Gaussian noise; exposing
     them lets callers (and tests) verify the embedding before sampling.
     """
-    return _embedding_eigenvalues(as_hurst(hurst).h, grid.horizon, grid.n)
+    return _embedding_eigenvalues(check_hurst(hurst), grid.horizon, grid.n)
 
 
 def sample_fbm_circulant(
-    hurst: HurstParam | float, grid: UniformGrid, seed: SeedSpec, component: int = 0
+    hurst: float, grid: UniformGrid, seed: SeedSpec, component: int = 0
 ) -> RealPath:
     """Exact fBm sample via FFT circulant embedding of the increments.
 
@@ -189,9 +189,8 @@ def sample_fbm_circulant(
     Cholesky sampler, O(n log n), bit-reproducible for a given seed across
     any number of workers.
     """
-    hp = as_hurst(hurst)
     n = grid.n
-    root = _embedding_sqrt(hp.h, grid.horizon, n)
+    root = _embedding_sqrt(check_hurst(hurst), grid.horizon, n)
     gen = seed.stream(component=component)
     a = gen.standard_normal(n + 1)
     b = gen.standard_normal(max(n - 1, 0))
@@ -215,7 +214,7 @@ def sampler(method: str):
 
 
 def sample_fbm_multi(
-    hurst: HurstParam | float,
+    hurst: float,
     d: int,
     grid: UniformGrid,
     seed: SeedSpec,

@@ -24,7 +24,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import bessel, fbm, ito, kernel
-from .core import HurstParam, SeedSpec
+from .core import SeedSpec, check_hurst
 from .errors import ConfigError
 from .parallel import replication_map
 from .report import Report, build_id, check_shape
@@ -136,7 +136,7 @@ class ExperimentConfig:
             folder = os.path.dirname(os.path.abspath(self.output_path))
             if not os.path.isdir(folder):
                 raise ConfigError(f"cannot write {self.output_path!r}: no directory {folder!r}")
-        HurstParam(self.hurst)  # range gate
+        check_hurst(self.hurst)  # range gate
         if not self.horizon > 0:
             raise ConfigError(f"horizon must be positive, got {self.horizon}")
         for f in dataclasses.fields(self):

@@ -27,12 +27,11 @@ import numpy as np
 
 from .core import (
     LANE_XI,
-    HurstParam,
     MultiPath,
     RealPath,
     SeedSpec,
     UniformGrid,
-    as_hurst,
+    check_hurst,
     ito_representation,
 )
 from .bessel import require_bessel_dimension, require_variation_gate, theta_path
@@ -46,6 +45,7 @@ from .report import (
     aggregate,
     loglog_fit,
     root_sum_squares,
+    scaled_mean,
 )
 from .variation import e_H, variation_Vnq
 
@@ -189,10 +189,10 @@ def _lookup(label: str):
     return INTEGRANDS[label]
 
 
-def divergence_reading(hurst: HurstParam | float) -> str:
+def divergence_reading(hurst: float) -> str:
     """Whether H supports the plain divergence reading of the Ito formula
     (H in (1/4, 1/2)) or only the extended-domain one."""
-    h = as_hurst(hurst).h
+    h = check_hurst(hurst)
     return "divergence" if 0.25 < h < 0.5 else "extended-domain"
 
 
@@ -210,14 +210,14 @@ def _on_path(fn: Callable, path: MultiPath, label: str) -> np.ndarray:
 
 
 def divergence_via_ito(
-    spec: IntegrandSpec, path: RealPath, hurst: HurstParam | float
+    spec: IntegrandSpec, path: RealPath, hurst: float
 ) -> RealPath:
     """The d = 1 case of :func:`divergence_via_ito_multi` on a scalar path."""
     return divergence_via_ito_multi(spec, MultiPath(path.grid, path.values[:, None]), hurst)
 
 
 def divergence_via_ito_multi(
-    spec: IntegrandSpec, path: MultiPath, hurst: HurstParam | float
+    spec: IntegrandSpec, path: MultiPath, hurst: float
 ) -> RealPath:
     """Pathwise X_t = int_0^t grad F(B_s) dB_s via the Ito representation.
 
@@ -225,7 +225,7 @@ def divergence_via_ito_multi(
     exact in law for whitelisted integrands; see :func:`divergence_reading`
     for the H-range label.
     """
-    h = as_hurst(hurst).h
+    h = check_hurst(hurst)
     f_vals = _on_path(spec.f, path, f"F({spec.label})")
     lap_vals = _on_path(spec.laplacian, path, f"Laplacian({spec.label})")
     return ito_representation(f_vals, h, lap_vals, path.grid, h)
@@ -263,25 +263,32 @@ def xi_mc_target(
     chunk = max(1, min(pairs, int(4e6) // max(nodes, 1)))
     work = np.empty(nodes * min(chunk, _XI_BLOCK + 1))
     done = 0
-    while done < pairs:
-        take = min(chunk, pairs - done)
-        xi = stream.standard_normal((d, take))
-        xi /= np.linalg.norm(xi, axis=0)  # theta; exactly +-1 at d = 1
-        a = 0
-        while a < take:
-            b = take if take - a <= _XI_BLOCK + 1 else a + _XI_BLOCK
-            proj = work[: nodes * (b - a)].reshape(nodes, b - a)
-            np.matmul(u_nodes, xi[:, a:b], out=proj)
-            np.abs(proj, out=proj)
-            np.power(proj, p, out=proj)
-            values[done + a : done + b] = proj.sum(axis=0) * (c_p * dt)
-            a = b
-        done += take
-    mean = float(values.mean())
-    # std squares the deviations: scaled by a power of two first, as in
-    # report.root_sum_squares, they neither overflow nor underflow
+    with np.errstate(over="ignore"):  # caught below as a non-finite value
+        while done < pairs:
+            take = min(chunk, pairs - done)
+            xi = stream.standard_normal((d, take))
+            xi /= np.linalg.norm(xi, axis=0)  # theta; exactly +-1 at d = 1
+            a = 0
+            while a < take:
+                b = take if take - a <= _XI_BLOCK + 1 else a + _XI_BLOCK
+                proj = work[: nodes * (b - a)].reshape(nodes, b - a)
+                np.matmul(u_nodes, xi[:, a:b], out=proj)
+                np.abs(proj, out=proj)
+                np.power(proj, p, out=proj)
+                values[done + a : done + b] = proj.sum(axis=0) * (c_p * dt)
+                a = b
+            done += take
+    if not np.all(np.isfinite(values)):
+        raise NumericalError(
+            "the xi target of the path is non-finite: |<u, xi>|^p overflows or u is not finite"
+        )
+    # mean and std are taken after scaling by a power of two, as in
+    # report.scaled_mean and report.root_sum_squares: neither the sum nor
+    # the squared deviations overflow or underflow
     e = np.frexp(values.max())[1]
-    se = float(np.ldexp(np.ldexp(values, -e).std(ddof=1), e) / np.sqrt(pairs))
+    scaled = np.ldexp(values, -e)
+    mean = float(np.ldexp(scaled.mean(), e))
+    se = float(np.ldexp(scaled.std(ddof=1), e) / np.sqrt(pairs))
     return mean, se
 
 
@@ -295,8 +302,8 @@ def _cross_check(per_rep, n: int, dimension: int) -> tuple[float, float]:
     to rounding: a relative 1e-12.
     """
     m = len(per_rep)
-    mean_a = math.fsum(ta for _, ta, _, _, _ in per_rep) / m
-    mean_b = math.fsum(tb for _, _, _, tb, _ in per_rep) / m
+    mean_a = scaled_mean([ta for _, ta, _, _, _ in per_rep])
+    mean_b = scaled_mean([tb for _, _, _, tb, _ in per_rep])
     se_b = root_sum_squares([se for *_, se in per_rep]) / m
     if dimension == 1:
         agree, bound = math.isclose(mean_a, mean_b, rel_tol=1e-12), "relative 1e-12"
@@ -350,6 +357,11 @@ def _variation_rep(job: _VariationJob, r: int) -> tuple[float, ...]:
         target = e_H(h) * job.paths.horizon
     else:
         target = e_H(h) * math.fsum(np.linalg.norm(u, axis=1) ** p) * grid.dt
+        if target == 0.0 and np.any(u):
+            raise NumericalError(
+                f"the variation target of integrand {job.integrand!r} underflows to 0 "
+                "although the integrand does not vanish on the path"
+            )
     xi = (np.nan, np.nan)
     if job.experiment in _XI_TARGET:
         stream = job.paths.seed.replicate(r).stream(lane=LANE_XI)

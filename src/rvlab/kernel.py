@@ -25,7 +25,7 @@ from scipy import integrate
 from scipy.special import gammaln
 from scipy.special.cython_special import betainc  # the ufunc's kernel, no ufunc overhead
 
-from .core import HurstParam, StepFunction, UniformGrid, as_hurst
+from .core import StepFunction, UniformGrid, check_hurst
 from .errors import DomainError, QuadratureError
 from .fbm import covariance
 from .report import Report
@@ -55,14 +55,12 @@ def _log_beta(h: float) -> float:
 
 
 @functools.lru_cache(maxsize=64)
-def constant_cH(hurst: HurstParam | float) -> float:
+def constant_cH(hurst: float) -> float:
     """The kernel normalization c_H = sqrt(2H / ((1-2H) B(1-2H, H+1/2))).
 
     The constant blows up as H approaches 1/2 (pole of 1 - 2H).
     """
-    hp = as_hurst(hurst)
-    hp.require_rough("the Volterra kernel constant")
-    h = hp.h
+    h = check_hurst(hurst, "the Volterra kernel constant")
     return float(np.sqrt(2 * h / ((1 - 2 * h) * np.exp(_log_beta(h)))))
 
 
@@ -100,7 +98,7 @@ def _inner_integral(h: float, t: float, s: float) -> float:
     return s ** (2 * h - 1) * math.exp(_log_beta(h)) * incomplete
 
 
-def kernel_K(hurst: HurstParam | float, t: float, s: float) -> float:
+def kernel_K(hurst: float, t: float, s: float) -> float:
     """The Volterra kernel K_H(t, s) for 0 < s < t, H < 1/2.
 
     K_H(t, s) = c_H [ (t/s)^{H-1/2} (t-s)^{H-1/2}
@@ -110,9 +108,7 @@ def kernel_K(hurst: HurstParam | float, t: float, s: float) -> float:
     consistent with the closed-form dK/dt and it reproduces the covariance
     (verified by the kernel-check identity); the flipped exponent fails both.
     """
-    hp = as_hurst(hurst)
-    hp.require_rough("the Volterra kernel")
-    h = hp.h
+    h = check_hurst(hurst, "the Volterra kernel")
     if not (0.0 < s < t):
         raise DomainError(f"kernel_K requires 0 < s < t, got t={t}, s={s}")
     c_h = constant_cH(h)
@@ -137,18 +133,18 @@ def _jump_coefficients(phi: StepFunction) -> list[tuple[float, float]]:
     return pairs
 
 
-def _kstar(hp: HurstParam, pairs: list[tuple[float, float]], s: float) -> float:
+def _kstar(h: float, pairs: list[tuple[float, float]], s: float) -> float:
     """sum_j c_j K(t_j, s) over the jumps (t_j, c_j) above s."""
     total = 0.0
     for node, coeff in pairs:
         if s == node:
             raise DomainError(f"K* is singular at the grid node s={s}")
         if s < node:
-            total += coeff * kernel_K(hp, node, s)
+            total += coeff * kernel_K(h, node, s)
     return total
 
 
-def kstar_step(hurst: HurstParam | float, phi: StepFunction, s: float) -> float:
+def kstar_step(hurst: float, phi: StepFunction, s: float) -> float:
     """(K* phi)(s) for a step function phi, exact by linearity.
 
     Requires 0 < s < T with s off the jump nodes, where the kernel terms are
@@ -156,11 +152,11 @@ def kstar_step(hurst: HurstParam | float, phi: StepFunction, s: float) -> float:
     """
     if not (0.0 < s < phi.grid.horizon):
         raise DomainError(f"kstar_step requires 0 < s < T, got s={s}")
-    return _kstar(as_hurst(hurst), _jump_coefficients(phi), s)
+    return _kstar(check_hurst(hurst, "the operator K*"), _jump_coefficients(phi), s)
 
 
 def inner_product_H(
-    hurst: HurstParam | float,
+    hurst: float,
     phi: StepFunction,
     psi: StepFunction,
     rtol: float = DEFAULT_L2_TOL,
@@ -175,22 +171,21 @@ def inner_product_H(
     """
     if phi.grid != psi.grid:
         raise DomainError("inner_product_H requires step functions on a shared grid")
-    hp = as_hurst(hurst)
-    hp.require_rough("the H-space inner product")
+    h = check_hurst(hurst, "the H-space inner product")
     phi_jumps, psi_jumps = _jump_coefficients(phi), _jump_coefficients(psi)
     if not (phi_jumps and psi_jumps):
         return 0.0
     end = min(phi_jumps[-1][0], psi_jumps[-1][0])
 
     def integrand(s: float) -> float:
-        return _kstar(hp, phi_jumps, s) * _kstar(hp, psi_jumps, s)
+        return _kstar(h, phi_jumps, s) * _kstar(h, psi_jumps, s)
 
     points = sorted({node for node, _ in phi_jumps + psi_jumps if node < end})
     return _quad(integrand, 0.0, end, rtol, points=points or None)
 
 
 def covariance_via_kernel(
-    hurst: HurstParam | float, grid: UniformGrid, i: int, j: int,
+    hurst: float, grid: UniformGrid, i: int, j: int,
     rtol: float = DEFAULT_L2_TOL,
 ) -> float:
     """Left side of the factorization identity at (t_i, t_j): <1_[0,t_i], 1_[0,t_j]>."""
@@ -212,8 +207,7 @@ def kernel_check_experiment(config: ExperimentConfig, workers: int) -> Report:
     check passes when the largest relative error is below ``rel_err_max``.
     No randomness and no pool: ``workers`` is unused.
     """
-    hp = as_hurst(config.hurst)
-    hp.require_rough("the kernel reproduction check")
+    h = check_hurst(config.hurst, "the kernel reproduction check")
     horizon, lattice, rtol = config.horizon, config.param("lattice"), config.param("rtol")
     if lattice < 1 or not 50 * np.finfo(float).eps < rtol < 1:
         raise DomainError(f"need lattice >= 1 and 50 eps < rtol < 1, got {lattice} and {rtol}")
@@ -228,8 +222,8 @@ def kernel_check_experiment(config: ExperimentConfig, workers: int) -> Report:
     for i in range(1, lattice + 1):
         for j in range(1, i + 1):
             t, s = grid.node(i), grid.node(j)
-            lhs = covariance_via_kernel(hp, grid, i, j, rtol)
-            rhs = covariance(hp, t, s)
+            lhs = covariance_via_kernel(h, grid, i, j, rtol)
+            rhs = covariance(h, t, s)
             rows.append((t, s, lhs, rhs, abs(lhs - rhs) / abs(rhs)))
     worst = max(r[4] for r in rows)
     return Report(

@@ -2,8 +2,9 @@
 deterministic CSV/JSON serialization.
 
 Serialized reports are a pure function of (config, build): floats are
-written with ``repr`` so parsing an emitted CSV reproduces the in-memory
-rows exactly, and volatile metadata (wall time) is kept in memory only.
+written with ``repr`` so ``float()`` of an emitted CSV cell gives back the
+in-memory value exactly, and volatile metadata (wall time) is kept in
+memory only.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import numpy as np
 from . import __version__
 from .errors import ConfigError, DomainError
 
-__all__ = ["aggregate", "root_sum_squares", "check_shape", "loglog_fit", "write_text", "Report", "ConvergenceReport", "CONVERGENCE_COLUMNS", "build_id"]
+__all__ = ["aggregate", "scaled_mean", "root_sum_squares", "check_shape", "loglog_fit", "write_text", "Report", "ConvergenceReport", "CONVERGENCE_COLUMNS", "build_id"]
 
 CONVERGENCE_COLUMNS = ("n", "estimate", "target", "abs_err", "rel_err", "stderr")
 
@@ -41,7 +42,7 @@ def aggregate(values: Sequence[float]) -> tuple[float, float | None]:
     m = len(values)
     if m == 0:
         raise DomainError("aggregate needs at least one value")
-    mean = math.fsum(values) / m
+    mean = scaled_mean(values)
     if m == 1:
         return mean, None
     # Jackknife variance of the mean; for the mean statistic this reduces to
@@ -49,14 +50,30 @@ def aggregate(values: Sequence[float]) -> tuple[float, float | None]:
     return mean, root_sum_squares([v - mean for v in values], m * (m - 1))
 
 
+def _scale(values: Sequence[float]) -> int:
+    """The binary exponent of the largest |v|: scaled by 2^-e, every |v| < 1."""
+    return math.frexp(max(map(abs, values), default=0.0))[1]
+
+
+def scaled_mean(values: Sequence[float]) -> float:
+    """sum(v) / len(values), the sum compensated.
+
+    The values are scaled by one power of two before they are summed, so
+    the sum does not overflow when the mean is finite.  The scaling is
+    exact: inside the normal range every bit is kept.
+    """
+    e = _scale(values)
+    return math.ldexp(math.fsum(math.ldexp(v, -e) for v in values) / len(values), e)
+
+
 def root_sum_squares(values: Sequence[float], divisor: float = 1.0) -> float:
     """sqrt(sum(v^2) / divisor), the sum compensated.
 
-    The values are scaled by one power of two before they are squared, so
-    the squares neither overflow nor underflow at any scale of the values.
-    The scaling is exact: inside the normal range every bit is kept.
+    The values are scaled as in :func:`scaled_mean` before they are
+    squared, so the squares neither overflow nor underflow at any scale of
+    the values.
     """
-    _, e = math.frexp(max(map(abs, values), default=0.0))
+    e = _scale(values)
     ss = math.fsum(math.ldexp(v, -e) ** 2 for v in values)
     return math.ldexp(math.sqrt(ss / divisor), e)
 
@@ -129,25 +146,6 @@ def _finite(value):
     return value
 
 
-def _parse_cell(text: str):
-    if text == "true":
-        return True
-    if text == "false":
-        return False
-    if text == "None":
-        return None
-    try:
-        as_int = int(text)
-    except ValueError:
-        pass
-    else:
-        return as_int
-    try:
-        return float(text)
-    except ValueError:
-        return text
-
-
 @dataclass
 class Report:
     """Tabular experiment output plus summary scalars and pass/fail flags."""
@@ -201,30 +199,6 @@ class Report:
             raise ConfigError(f"unknown report format {fmt!r}")
         text = self.to_csv() if fmt == "csv" else self.to_json()
         write_text(path, text)
-
-    @classmethod
-    def from_csv(cls, text: str) -> "Report":
-        meta: dict = {}
-        extra: dict = {}
-        flags: dict = {}
-        header: tuple[str, ...] | None = None
-        rows: list[tuple] = []
-        for line in text.splitlines():
-            if not line:
-                continue
-            if line.startswith("#"):
-                body = line[1:].strip()
-                for key, target in (("meta:", meta), ("extra:", extra), ("flags:", flags)):
-                    if body.startswith(key):
-                        target.update(json.loads(body[len(key):]))
-                continue
-            if header is None:
-                header = tuple(line.split(","))
-                continue
-            rows.append(tuple(_parse_cell(c) for c in line.split(",")))
-        if header is None:
-            raise ConfigError("CSV report has no header line")
-        return cls(columns=header, rows=rows, extra=extra, flags=flags, meta=meta)
 
 
 class ConvergenceReport(Report):

@@ -9,13 +9,12 @@ convergence grid by grid.  Both are plain floats.
 
 from __future__ import annotations
 
-import functools
 import math
 
 import numpy as np
 from scipy.special import gammaln
 
-from .core import HurstParam, RealPath, as_hurst
+from .core import RealPath, check_hurst
 from .errors import DomainError, NumericalError
 
 __all__ = [
@@ -44,12 +43,7 @@ def variation_Vnq(path: RealPath, q: float) -> float:
     return total
 
 
-@functools.lru_cache(maxsize=64)
-def _e_h_value(h: float) -> float:
-    p = 1.0 / h
-    return float(np.exp(0.5 * p * np.log(2.0) + gammaln(0.5 * (p + 1)) - gammaln(0.5)))
-
-
-def e_H(hurst: HurstParam | float) -> float:
+def e_H(hurst: float) -> float:
     """e_H = E|Z|^{1/H} = 2^{1/(2H)} Gamma((1/H + 1)/2) / Gamma(1/2), via log-Gamma."""
-    return _e_h_value(as_hurst(hurst).h)
+    p = 1.0 / check_hurst(hurst)
+    return float(np.exp(0.5 * p * np.log(2.0) + gammaln(0.5 * (p + 1)) - gammaln(0.5)))

@@ -14,7 +14,6 @@ import rvlab
 from rvlab.cli import _exit_code, main
 from rvlab.errors import ConfigError, GateError, NumericalError
 from rvlab.harness import ExperimentConfig, declared, registered_experiments
-from rvlab.report import Report
 from test_harness import GOLDEN, GOLDEN_CONFIGS
 
 FIELDS = {f.name for f in dataclasses.fields(ExperimentConfig)}
@@ -286,8 +285,10 @@ def _argv(config: ExperimentConfig) -> list[str]:
 )
 def test_subcommand_reports_golden_bytes(runner, config):
     expected = (GOLDEN / f"{config.experiment}.csv").read_text(encoding="utf-8")
+    flags = next(line for line in expected.splitlines() if line.startswith("# flags: "))
+    passed = all(json.loads(flags[len("# flags: "):]).values())
     result = runner.invoke(main, _argv(config))
-    assert result.exit_code == (0 if Report.from_csv(expected).passed else 1), result.output
+    assert result.exit_code == (0 if passed else 1), result.output
     assert result.stdout == expected
 
 
@@ -399,8 +400,23 @@ class TestRunCommand:
             # quadpack reports failure on an integral near 1e-184
             ({"experiment": "kernel-check", "hurst": 0.3, "horizon": 1e-306,
               "params": {"lattice": 1}}, 3),
+            # the target grows like T^2 and underflows; the integrand is not zero
+            ({"experiment": "divergence-variation-multi", "hurst": 0.45, "dimension": 3,
+              "horizon": 1e-300, "grid_sizes": [16], "replications": 8,
+              "params": {"integrand": "radial_quadratic", "xi_draws": 200}}, 3),
+            # a vanishing gradient: the target is identically zero
+            ({"experiment": "divergence-variation-multi", "hurst": 0.45, "dimension": 3,
+              "grid_sizes": [16], "replications": 8,
+              "params": {"integrand": "constant", "xi_draws": 200}}, 2),
+            # one pair's xi value passes the largest double
+            ({"experiment": "theta-variation", "hurst": 0.45, "dimension": 3,
+              "horizon": 1e308, "grid_sizes": [16], "replications": 8,
+              "params": {"xi_draws": 200}}, 3),
         ],
-        ids=["selfsim-control-at-1", "kernel-quadrature-failure"],
+        ids=[
+            "selfsim-control-at-1", "kernel-quadrature-failure", "target-underflow",
+            "constant-integrand", "xi-target-overflow",
+        ],
     )
     def test_run_that_cannot_decide_exits_without_report(self, runner, tmp_path, config, code):
         out = tmp_path / "report.csv"

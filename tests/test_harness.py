@@ -314,28 +314,32 @@ def test_kernel_check_at_extreme_horizons(horizon):
     assert report.extra["max_rel_err"] < 1e-10
 
 
+# (config fields, horizons near the float limit where the experiment still
+# yields a report); above them a per-path xi value passes the largest double
 _SCALE_FREE = {
-    "fbm-variation": {},
-    "theta-variation": {"dimension": 3, "params": {"xi_draws": 200}},
+    "fbm-variation": ({}, (5e307, 1e308)),
+    "theta-variation": ({"dimension": 3, "params": {"xi_draws": 200}}, (5e307,)),
     # radial_quadratic's V_n grows like T^2: it overflows at 1e160, see below
-    "divergence-variation-multi": {
-        "dimension": 3, "params": {"integrand": "linear_sum", "xi_draws": 200}
-    },
+    "divergence-variation-multi": (
+        {"dimension": 3, "params": {"integrand": "linear_sum", "xi_draws": 200}}, ()
+    ),
 }
 
 
 @pytest.mark.parametrize("experiment", sorted(_SCALE_FREE))
 def test_variation_reports_are_scale_free_across_horizons(experiment):
     # fBm on [0, T] is T^H times fBm on [0, 1] drawn from the same normals
+    fields, far = _SCALE_FREE[experiment]
+
     def rel_err(horizon):
         config = ExperimentConfig(
             experiment=experiment, hurst=0.45, horizon=horizon, grid_sizes=[16],
-            replications=8, **_SCALE_FREE[experiment],
+            replications=8, **fields,
         )
         return run_experiment(config).rows[-1][4]
 
     at_one = rel_err(1.0)
-    for horizon in (1e-300, 1e-170, 1e160, 1e300):
+    for horizon in (1e-300, 1e-170, 1e160, 1e300, *far):
         assert rel_err(horizon) == pytest.approx(at_one, rel=1e-10)
 
 
@@ -363,6 +367,15 @@ class TestGates:
             run_experiment(cfg)
 
 
+def _split_csv(text: str) -> tuple[dict, list[str], list[list[str]]]:
+    """The ``# key: json`` comment lines of an emitted CSV report, its
+    header and its rows of cells."""
+    lines = text.splitlines()
+    comments = dict(line[2:].split(": ", 1) for line in lines[1:] if line.startswith("# "))
+    header, *rows = [line.split(",") for line in lines if not line.startswith("#")]
+    return {key: json.loads(payload) for key, payload in comments.items()}, header, rows
+
+
 class TestReports:
     def test_csv_round_trip_reproduces_rows(self):
         report = Report(
@@ -372,17 +385,20 @@ class TestReports:
             flags={"fine": True},
             meta={"experiment": "demo"},
         )
-        parsed = Report.from_csv(report.to_csv())
-        assert parsed.columns == report.columns
-        assert parsed.rows == report.rows
-        assert parsed.extra == report.extra
-        assert parsed.flags == report.flags
+        comments, header, rows = _split_csv(report.to_csv())
+        assert tuple(header) == report.columns
+        assert len(rows) == len(report.rows)
+        for (n, value, label, ok), row in zip(rows, report.rows):
+            assert (int(n), float(value), label) == row[:3]
+            assert ok == ("true" if row[3] else "false")
+        assert comments == {"meta": report.meta, "extra": report.extra, "flags": report.flags}
 
     def test_csv_round_trip_keeps_none(self):
         report = Report(columns=("n", "stderr"), rows=[(1, None), (2, 0.5)], extra={"se": None})
-        parsed = Report.from_csv(report.to_csv())
-        assert parsed.rows == report.rows
-        assert parsed.extra == report.extra
+        comments, _, rows = _split_csv(report.to_csv())
+        assert rows == [["1", "None"], ["2", "0.5"]]
+        assert float(rows[1][1]) == report.rows[1][1]
+        assert comments["extra"] == report.extra
 
     def test_non_finite_floats_are_strict_json_null(self):
         report = Report(

@@ -353,9 +353,11 @@ class TestMultiDivergenceVariation:
     def test_nan_in_the_integrand_aborts_the_cross_check(self, dimension):
         u = np.ones((16, dimension))
         u[5, 0] = math.nan
-        est, se = xi_mc_target(u, 1.0 / 16, 1.0 / 0.45, SeedSpec(81).stream(lane=1), 100)
+        with pytest.raises(NumericalError, match="xi target of the path is non-finite"):
+            xi_mc_target(u, 1.0 / 16, 1.0 / 0.45, SeedSpec(81).stream(lane=1), 100)
+        # a NaN target that reaches the cross-check aborts it too
         with pytest.raises(NumericalError, match="disagree"):
-            _cross_check([(1.0, e_H(0.45), 0.0, est, se)], 16, dimension)
+            _cross_check([(1.0, e_H(0.45), 0.0, math.nan, math.nan)], 16, dimension)
 
     def test_dimension_one_cross_check_is_a_rounding_bound(self):
         # se is 0 at d = 1, so 3 s.e. would reject a last-bit difference
