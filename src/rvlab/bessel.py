@@ -134,9 +134,7 @@ def negative_moment_experiment(config: ExperimentConfig, workers: int) -> Report
         raise ConfigError("t_list must be positive and strictly increasing")
     grid = _moment_grid(t_list)
     indices = tuple(grid.index_of(t) for t in t_list)
-    paths = PathJob(
-        h, d, grid.horizon, grid.n, SeedSpec(config.master_seed), config.param("method")
-    )
+    paths = PathJob(h, d, grid.horizon, grid.n, SeedSpec(config.master_seed))
     per_rep = replication_map(
         functools.partial(_moment_rep, paths, q, indices), replications, workers
     )
@@ -198,7 +196,7 @@ def self_similarity_suite(config: ExperimentConfig, workers: int) -> Report:
     d, h, replications = config.dimension, config.hurst, config.replications
     seed = SeedSpec(config.master_seed)
     a_list, t, level = config.param("a_list"), config.param("t"), config.param("level")
-    grid_size, method = config.param("grid_size"), config.param("method")
+    grid_size = config.param("grid_size")
     require_bessel_dimension(d)
     if not 0 < level < 1:
         raise ConfigError(f"KS level must lie in (0, 1), got {level}")
@@ -225,7 +223,7 @@ def self_similarity_suite(config: ExperimentConfig, workers: int) -> Report:
         arm_seed = seed.replicate(2 * k * replications)
         arms = []
         for horizon, arm in ((a * t, arm_seed), (t, arm_seed.replicate(replications))):
-            paths = PathJob(h, d, horizon, grid_size, arm, method)
+            paths = PathJob(h, d, horizon, grid_size, arm)
             rep = functools.partial(_theta_terminal_rep, paths)
             arms.append(np.array(replication_map(rep, replications, workers)))
         stat, p_value = (float(x) for x in ks_2samp(arms[0] * a**exponent, arms[1]))

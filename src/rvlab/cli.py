@@ -1,20 +1,15 @@
 """Command-line interface.
 
-Subcommands: ``fbm`` (sample a path), ``variation``, ``ito-check``,
-``bessel``, ``kernel-check``, and ``run`` (JSON config through the
-experiment registry).  Exit codes: 0 pass, 1 tolerance failure,
-2 configuration/gate error, 3 numerical failure.
+Subcommands: ``fbm`` (sample a path), one per registered experiment, named
+after it, ``run`` (JSON config through the experiment registry) and
+``experiments`` (list the registered names).  Exit codes: 0 pass,
+1 tolerance failure, 2 configuration/gate error, 3 numerical failure.
 
-The experiment subcommands are built from the registry: one option per
-top-level field and param their experiments read, named after it with ``_``
-as ``-`` (``master_seed`` is ``--seed``, with the ``RVL_DEFAULT_SEED``
-fallback) and typed by its default.  Only given options reach the config, so
-every default is the registry's, and a value the picked experiment does not
-read exits 2.  A list takes JSON values without the brackets: ``--t-list
-0.25,0.5`` or ``--intervals "[0.25,0.3125],[0.25,0.28125]"``.  Renamed flags:
-``--grids`` is ``--grid-sizes``, ``--paths`` ``--replications``, ``--dim``
-``--dimension`` (``fbm`` keeps ``--dim``), ``--spec`` ``--integrand`` and
-``--tol`` ``--rtol``.
+An experiment subcommand has one option per top-level field and param the
+experiment reads, named after it with ``_`` as ``-`` (``master_seed`` is
+``--seed``) and typed by its registry default.  Only given options reach the
+config, so every default is the registry's.  A list takes JSON values
+without the brackets: ``--t-list 0.25,0.5``.
 """
 
 from __future__ import annotations
@@ -50,7 +45,6 @@ _WORKERS = {
 }
 out_option = click.option("--out", type=click.Path(dir_okay=False), default=None)
 _FIELDS = {f.name for f in dataclasses.fields(ExperimentConfig)}
-_CHOICES = {"integrand": sorted(INTEGRANDS), "method": SAMPLERS}
 
 
 def _dispatch(config: ExperimentConfig, workers: int | None) -> int:
@@ -94,8 +88,7 @@ def main() -> None:
               default="circulant", show_default=True)
 @click.option("--replication", type=int, default=0, show_default=True,
               help="Replication index of the stream to draw.")
-@click.option("--seed", type=int, default=0, envvar="RVL_DEFAULT_SEED", show_default=True,
-              help="Master seed (env fallback: RVL_DEFAULT_SEED).")
+@click.option("--seed", type=int, default=0, show_default=True, help="Master seed.")
 @out_option
 def fbm_cmd(hurst, horizon, grid_size, dim, method, replication, seed, out):
     """Sample one fBm path and write it as CSV (t,value or t,v1,...,vd)."""
@@ -117,32 +110,23 @@ def fbm_cmd(hurst, horizon, grid_size, dim, method, replication, seed, out):
         sys.exit(_exit_code(exc))
 
 
-def _option(key: str, like, defaults: dict, every: bool) -> click.Option:
-    """The option of field or param ``key``, typed by the type of ``like``; its help
-    shows ``defaults``, each reader's default, naming readers unless ``every`` reads it."""
-    shown: dict[str, list] = {}
-    for experiment, default in defaults.items():
-        text = "derived" if getattr(default, "like", default) is not default else str(default)
-        shown.setdefault(text.strip("()[]").replace(" ", ""), []).append(experiment)
-    if not every or len(shown) > 1:
-        shown = {f"{text} ({', '.join(names)})": names for text, names in shown.items()}
+def _option(key: str, default) -> click.Option:
+    """The option of field or param ``key``, typed by its registry ``default``."""
     flag = "--seed" if key == "master_seed" else "--" + key.replace("_", "-")
-    decls, kind, metavar = [flag, key], type(like), None
-    if isinstance(like, bool):
+    decls, kind, metavar = [flag, key], type(default), None
+    if isinstance(default, bool):
         decls[0], kind = f"{flag}/--no-{flag[2:]}", None
-    elif isinstance(like, (list, tuple)):
+    elif isinstance(default, (list, tuple)):
         kind, metavar = str, "ITEM,..."
-    elif key in _CHOICES:
-        kind = click.Choice(_CHOICES[key])
-    return click.Option(
-        decls, type=kind, default=None, metavar=metavar, help="default " + "; ".join(shown),
-        envvar="RVL_DEFAULT_SEED" if key == "master_seed" else None, show_envvar=True,
-    )
+    elif key == "integrand":
+        kind = click.Choice(sorted(INTEGRANDS))
+    shown = str(default).strip("()[]").replace(" ", "")
+    return click.Option(decls, type=kind, default=None, metavar=metavar, help=f"default {shown}")
 
 
-def _given(key: str, like, value):
+def _given(key: str, default, value):
     """A given option value as the config takes it; a list is JSON without brackets."""
-    if not isinstance(like, (list, tuple)):
+    if not isinstance(default, (list, tuple)):
         return value
     try:
         return json.loads(f"[{value}]")
@@ -154,68 +138,32 @@ def _given(key: str, like, value):
         ) from exc
 
 
-def _experiment_command(name: str, doc: str, experiments: tuple, selector=None, pick=None):
-    """Add subcommand ``name``: one option per field and param of ``experiments``.
-    With a ``selector`` option, ``pick(choice, given)`` names the experiment to run."""
-    reads: dict[str, dict] = {}
-    likes = {}
-    for experiment in experiments:
-        for key, default in declared(experiment).items():
-            reads.setdefault(key, {})[experiment] = default
-            likes[key] = getattr(default, "like", default)
+def _experiment_command(experiment: str) -> click.Command:
+    """Subcommand ``experiment``: one option per field and param it reads."""
+    defaults = declared(experiment)
 
-    def callback(workers, choice=None, **options):
-        given = {key: value for key, value in options.items() if value is not None}
-        experiment = pick(choice, given) if pick else experiments[0]
-
+    def callback(workers, **options):
         def make_config() -> ExperimentConfig:
-            values = {key: _given(key, likes.get(key), value) for key, value in given.items()}
+            values = {key: _given(key, defaults.get(key), value)
+                      for key, value in options.items() if value is not None}
             params = {key: values.pop(key) for key in list(values) if key not in _FIELDS}
             return ExperimentConfig(experiment=experiment, **values, params=params)
 
         _run(make_config, workers)
 
-    params = [_option(key, likes[key], defaults, len(defaults) == len(experiments))
-              for key, defaults in reads.items()]
-    if selector:
-        params.insert(0, selector)
+    params = [_option(key, default) for key, default in defaults.items()]
     params += [
         click.Option(["--workers"], **_WORKERS),
         click.Option(["--out", "output_path"], type=click.Path(dir_okay=False)),
         click.Option(["--format", "output_format"], type=click.Choice(["csv", "json"])),
     ]
-    main.add_command(click.Command(name, callback=callback, params=params, help=doc))
+    return click.Command(
+        experiment, callback=callback, params=params, help=f"Run the {experiment} experiment."
+    )
 
 
-_experiment_command(
-    "variation", "fBm 1/H-variation convergence experiment.", ("fbm-variation",)
-)
-_experiment_command(
-    "ito-check",
-    "Divergence-integral variation (Thm 4.2 / 5.3) or L^p-scaling check.  "
-    "In variation mode, --dimension above 1 runs divergence-variation-multi.",
-    ("divergence-variation", "divergence-variation-multi", "lp-scaling"),
-    click.Option(["--mode", "choice"], type=click.Choice(["variation", "scaling"]),
-                 default="variation", show_default=True),
-    lambda mode, given: "lp-scaling" if mode == "scaling" else (
-        "divergence-variation" if given.get("dimension", 1) == 1
-        else "divergence-variation-multi"
-    ),
-)
-_BESSEL = {"variation": "theta-variation", "moments": "negative-moments",
-           "selfsim": "self-similarity"}
-_experiment_command(
-    "bessel", "Fractional Bessel process experiments.", tuple(_BESSEL.values()),
-    click.Option(["--experiment", "choice"], type=click.Choice(list(_BESSEL)),
-                 default="variation", show_default=True),
-    lambda which, given: _BESSEL[which],
-)
-_experiment_command(
-    "kernel-check",
-    "Covariance reproduction identity of the Volterra kernel; emits "
-    "t,s,lhs,rhs,rel_err rows.",
-    ("kernel-check",),
-)
+for _name in registered_experiments():
+    main.add_command(_experiment_command(_name))
 
 
 @main.command("run")

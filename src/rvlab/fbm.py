@@ -236,14 +236,15 @@ def sample_fbm_multi(
 
 class PathJob(NamedTuple):
     """What replication r of an experiment draws: d independent fBm
-    components on the n-cell grid of [0, horizon] from ``seed.replicate(r)``."""
+    components on the n-cell grid of [0, horizon] from ``seed.replicate(r)``,
+    by circulant embedding unless ``method`` names another sampler."""
 
     hurst: float
     dimension: int
     horizon: float
     n: int
     seed: SeedSpec
-    method: str
+    method: str = "circulant"
 
     def sample(self, r: int) -> MultiPath:
         grid = UniformGrid(self.horizon, self.n)

@@ -147,8 +147,6 @@ class ExperimentConfig:
                 )
         xi_draws = self.param("xi_draws") if "xi_draws" in spec.params else None
         check_shape(self.replications, self.grid_sizes, xi_draws)
-        if "method" in spec.params:
-            fbm.sampler(self.param("method"))  # registered sampler gate
         SeedSpec(self.master_seed)  # 64-bit gate
         if self.output_format not in ("csv", "json"):
             raise ConfigError(f"output format must be csv or json, got {self.output_format!r}")
@@ -189,8 +187,8 @@ class ExperimentConfig:
 class _ExperimentSpec:
     runner: Callable  # (config, workers) -> Report, flags included
     fields: frozenset  # top-level fields read, hurst and master_seed included
-    params: dict  # key -> default, or a _Derived one
-    tolerances: dict
+    params: dict  # key -> default
+    tolerances: dict  # key -> default, or a _Derived one
 
 
 def _cov_rep(paths: fbm.PathJob, r: int) -> np.ndarray:
@@ -259,26 +257,22 @@ def _register(name, runner, fields, params=None, tolerances=None):
 
 _VARIATION = ("horizon", "grid_sizes", "replications")
 _register("fbm-variation", ito.variation_experiment, _VARIATION,
-          params={"method": "circulant"}, tolerances={"rel_err_final": 0.05})
+          tolerances={"rel_err_final": 0.05})
 _register("divergence-variation", ito.variation_experiment, _VARIATION,
-          params={"integrand": "quadratic", "method": "circulant"},
-          tolerances={"rel_err_final": 0.10})
+          params={"integrand": "quadratic"}, tolerances={"rel_err_final": 0.10})
 _register("divergence-variation-multi", ito.variation_experiment, ("dimension", *_VARIATION),
-          params={"integrand": "radial_quadratic", "method": "circulant",
-                  "xi_draws": ito.DEFAULT_XI_DRAWS},
+          params={"integrand": "radial_quadratic", "xi_draws": ito.DEFAULT_XI_DRAWS},
           tolerances={"rel_err_final": 0.10})
 _register("theta-variation", ito.variation_experiment, ("dimension", *_VARIATION),
-          params={"method": "circulant", "xi_draws": ito.DEFAULT_XI_DRAWS},
-          tolerances={"rel_err_final": 0.10})
+          params={"xi_draws": ito.DEFAULT_XI_DRAWS}, tolerances={"rel_err_final": 0.10})
 _register("negative-moments", bessel.negative_moment_experiment, ("dimension", "replications"),
-          params={"q": 1.0, "t_list": [0.25, 0.5, 1.0, 2.0], "method": "circulant"},
+          params={"q": 1.0, "t_list": [0.25, 0.5, 1.0, 2.0]},
           tolerances={"slope_tol": 0.02, "intercept_tol": 0.05})
 _register("self-similarity", bessel.self_similarity_suite, ("dimension", "replications"),
-          params={"t": 0.5, "a_list": [2.0, 4.0], "grid_size": 1024, "method": "circulant",
-                  "level": 0.01, "control": True})
+          params={"t": 0.5, "a_list": [2.0, 4.0], "grid_size": 1024, "level": 0.01,
+                  "control": True})
 _register("lp-scaling", ito.lp_scaling_experiment, ("horizon", "replications"),
-          params={"integrand": "identity", "grid_size": 4096, "method": "circulant",
-                  "intervals": _Derived([[1.0]], lambda c: ito.default_interval_pairs(c.horizon))},
+          params={"integrand": "identity", "grid_size": 4096},
           # criterion 09's bounds: the u = 1 exponent is held tighter
           tolerances={"slope_tol": _Derived(
               1.0, lambda c: 0.05 if c.param("integrand") == "identity" else 0.15)})

@@ -255,6 +255,11 @@ def xi_mc_target(
     nodes, d = u_nodes.shape
     # E|xi|^p = 2^{p/2} Gamma((d + p)/2) / Gamma(d/2) for xi ~ N(0, I_d)
     c_p = math.exp(0.5 * p * math.log(2.0) + math.lgamma(0.5 * (d + p)) - math.lgamma(0.5 * d))
+    # c_p * dt = weight * 2^k, the 2^k applied only to the mean and s.e.: a
+    # pair value may pass the largest double although the target does not
+    m_c, k_c = math.frexp(c_p)
+    m_dt, k_dt = math.frexp(dt)
+    weight, k = m_c * m_dt, k_c + k_dt
     values = np.empty(pairs)
     # The draw blocks fix which normal lands in which xi, so they are part of
     # the report bytes; each is evaluated in _XI_BLOCK-column passes in place.
@@ -275,7 +280,7 @@ def xi_mc_target(
                 np.matmul(u_nodes, xi[:, a:b], out=proj)
                 np.abs(proj, out=proj)
                 np.power(proj, p, out=proj)
-                values[done + a : done + b] = proj.sum(axis=0) * (c_p * dt)
+                values[done + a : done + b] = proj.sum(axis=0) * weight
                 a = b
             done += take
     if not np.all(np.isfinite(values)):
@@ -287,8 +292,8 @@ def xi_mc_target(
     # the squared deviations overflow or underflow
     e = np.frexp(values.max())[1]
     scaled = np.ldexp(values, -e)
-    mean = float(np.ldexp(scaled.mean(), e))
-    se = float(np.ldexp(scaled.std(ddof=1), e) / np.sqrt(pairs))
+    mean = float(np.ldexp(scaled.mean(), e + k))
+    se = float(np.ldexp(scaled.std(ddof=1), e + k) / np.sqrt(pairs))
     return mean, se
 
 
@@ -385,7 +390,6 @@ def variation_experiment(config: ExperimentConfig, workers: int) -> ConvergenceR
     experiment, h, dimension = config.experiment, config.hurst, config.dimension
     horizon, replications = config.horizon, config.replications
     seed = SeedSpec(config.master_seed)
-    method = config.param("method")
     meta = {
         "experiment": experiment,
         "hurst": h,
@@ -396,7 +400,7 @@ def variation_experiment(config: ExperimentConfig, workers: int) -> ConvergenceR
     integrand = None
     if experiment == "fbm-variation":
         integrand = "identity"
-        meta["method"] = method
+        meta["method"] = PathJob._field_defaults["method"]
     elif experiment == "theta-variation":
         require_variation_gate(dimension, h)
         require_bessel_dimension(dimension)
@@ -410,7 +414,7 @@ def variation_experiment(config: ExperimentConfig, workers: int) -> ConvergenceR
     rows = []
     for n in config.grid_sizes:
         job = _VariationJob(
-            PathJob(h, dimension, horizon, n, seed, method), experiment, integrand, xi_draws
+            PathJob(h, dimension, horizon, n, seed), experiment, integrand, xi_draws
         )
         per_rep = replication_map(functools.partial(_variation_rep, job), replications, workers)
         target_mc = _cross_check(per_rep, n, dimension) if dual else ()
@@ -461,22 +465,16 @@ def lp_scaling_experiment(config: ExperimentConfig, workers: int) -> Report:
     h, horizon, replications = config.hurst, config.horizon, config.replications
     spec = _lookup(config.param("integrand"))
     grid_size = config.param("grid_size")
-    interval_pairs = config.param("intervals")
-    if any(len(pair) != 2 for pair in interval_pairs):
-        raise ConfigError(f"intervals must be (a, b) pairs, got {interval_pairs}")
-    widths = [b - a for a, b in interval_pairs]
-    if len(set(widths)) < 3:
-        raise ConfigError("scaling regression needs at least 3 distinct interval widths")
     grid = UniformGrid(horizon, grid_size)
-    index_pairs = []
-    for a, b in interval_pairs:
-        if not (0 < a < b <= horizon):
-            raise ConfigError(f"bad interval ({a}, {b})")
-        if a < horizon / 4 - 1e-12:
-            raise ConfigError(f"intervals must stay away from 0: a >= T/4, got a={a}")
-        index_pairs.append((grid.index_of(a), grid.index_of(b)))
-
-    paths = PathJob(h, 1, horizon, grid_size, SeedSpec(config.master_seed), config.param("method"))
+    if grid_size % 256:
+        raise ConfigError(
+            f"lp-scaling needs grid_size a multiple of 256, so that the interval ends "
+            f"T/4 + T/k (k = 16 .. 256) are grid nodes; got {grid_size}"
+        )
+    interval_pairs = default_interval_pairs(horizon)
+    widths = [b - a for a, b in interval_pairs]
+    index_pairs = [(grid.index_of(a), grid.index_of(b)) for a, b in interval_pairs]
+    paths = PathJob(h, 1, horizon, grid_size, SeedSpec(config.master_seed))
     rep = functools.partial(_lp_rep, paths, spec.label, tuple(index_pairs))
     per_rep = replication_map(rep, replications, workers)
     rows = []

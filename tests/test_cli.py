@@ -1,4 +1,4 @@
-"""CLI tests through click's runner: subcommands, exit codes, env fallback."""
+"""CLI tests through click's runner: subcommands, options and exit codes."""
 
 import dataclasses
 import json
@@ -48,16 +48,6 @@ class TestFbmCommand:
         args = ["fbm", "--hurst", "0.35", "--grid-size", "8", "--seed", "11"]
         assert runner.invoke(main, args).output == runner.invoke(main, args).output
 
-    def test_env_seed_fallback(self, runner):
-        explicit = runner.invoke(
-            main, ["fbm", "--hurst", "0.3", "--grid-size", "4", "--seed", "21"]
-        )
-        via_env = runner.invoke(
-            main, ["fbm", "--hurst", "0.3", "--grid-size", "4"],
-            env={"RVL_DEFAULT_SEED": "21"},
-        )
-        assert explicit.output == via_env.output
-
     def test_bad_hurst_is_config_error(self, runner):
         result = runner.invoke(main, ["fbm", "--hurst", "1.5", "--grid-size", "4"])
         assert result.exit_code == 2
@@ -82,7 +72,7 @@ class TestExperimentCommands:
         out = tmp_path / "var.csv"
         result = runner.invoke(
             main,
-            ["variation", "--hurst", "0.3", "--grid-sizes", "16,32", "--replications", "12",
+            ["fbm-variation", "--hurst", "0.3", "--grid-sizes", "16,32", "--replications", "12",
              "--seed", "5", "--workers", "1", "--out", str(out)],
         )
         # a desk-toy run emits a valid report; the acceptance tolerance may
@@ -96,21 +86,20 @@ class TestExperimentCommands:
         # 12 paths on coarse grids cannot reach 5% relative error
         result = runner.invoke(
             main,
-            ["variation", "--hurst", "0.3", "--grid-sizes", "8,16", "--replications", "12",
+            ["fbm-variation", "--hurst", "0.3", "--grid-sizes", "8,16", "--replications", "12",
              "--seed", "5", "--workers", "1"],
         )
         assert result.exit_code == 1
 
-    def test_ito_check_dispatches_by_dim(self, runner):
+    def test_divergence_variation_rejects_dimension(self, runner):
+        # the d-dimensional integrals are divergence-variation-multi's
         result = runner.invoke(
             main,
-            ["ito-check", "--hurst", "0.45", "--integrand", "quadratic", "--grid-sizes",
-             "16,32", "--replications", "10", "--seed", "5", "--workers", "1",
-             "--format", "json"],
+            ["divergence-variation", "--hurst", "0.45", "--dimension", "3",
+             "--replications", "4", "--workers", "1"],
         )
-        assert result.exit_code in (0, 1), result.output
-        doc = json.loads(result.output[: result.output.rindex("}") + 1])
-        assert doc["meta"]["config"]["experiment"] == "divergence-variation"
+        assert result.exit_code == 2, result.output
+        assert "No such option" in result.output and "--dimension" in result.output
 
     @pytest.mark.parametrize(
         "spec, dim, experiment",
@@ -118,45 +107,47 @@ class TestExperimentCommands:
          ("radial_quadratic", "1", "divergence-variation")],
     )
     def test_ito_check_runs_every_label_in_every_dim(self, runner, spec, dim, experiment):
+        # only the d-dimensional experiment reads --dimension
+        dimension = ["--dimension", dim] if experiment.endswith("-multi") else []
         result = runner.invoke(
             main,
-            ["ito-check", "--hurst", "0.45", "--integrand", spec, "--dimension", dim,
+            [experiment, "--hurst", "0.45", "--integrand", spec, *dimension,
              "--grid-sizes", "16,32", "--replications", "6", "--seed", "5", "--workers", "1",
              "--format", "json"],
         )
         assert result.exit_code in (0, 1), result.output
         doc = json.loads(result.output[: result.output.rindex("}") + 1])
         assert doc["meta"]["config"]["experiment"] == experiment
+        assert doc["meta"]["config"]["dimension"] == int(dim)
         assert doc["meta"]["integrand"] == spec
 
     def test_ito_check_scaling_rejects_dim(self, runner):
-        # lp-scaling is one-dimensional; --dimension 3 used to run it at d = 1
+        # lp-scaling is one-dimensional
         result = runner.invoke(
             main,
-            ["ito-check", "--hurst", "0.45", "--mode", "scaling", "--dimension", "3",
-             "--replications", "4", "--workers", "1"],
+            ["lp-scaling", "--hurst", "0.45", "--dimension", "3", "--replications", "4",
+             "--workers", "1"],
         )
         assert result.exit_code == 2, result.output
-        assert result.output.startswith("error: ")
-        assert "dimension=3" in result.output
+        assert "No such option" in result.output and "--dimension" in result.output
 
     def test_ito_check_unknown_spec(self, runner):
         result = runner.invoke(
-            main, ["ito-check", "--hurst", "0.45", "--integrand", "septic",
+            main, ["divergence-variation", "--hurst", "0.45", "--integrand", "septic",
                    "--grid-sizes", "16", "--replications", "4", "--workers", "1"],
         )
         assert result.exit_code == 2
         assert "septic" in result.output
 
     def test_ito_check_help_enumerates_whitelist(self, runner):
-        result = runner.invoke(main, ["ito-check", "--help"])
+        result = runner.invoke(main, ["divergence-variation", "--help"])
         assert "quadratic" in result.output
         assert "radial_quadratic" in result.output
 
     def test_bessel_gate_error(self, runner):
         result = runner.invoke(
             main,
-            ["bessel", "--dimension", "3", "--hurst", "0.35", "--grid-sizes", "16",
+            ["theta-variation", "--dimension", "3", "--hurst", "0.35", "--grid-sizes", "16",
              "--replications", "4", "--workers", "1"],
         )
         assert result.exit_code == 2
@@ -165,10 +156,9 @@ class TestExperimentCommands:
     @pytest.mark.parametrize(
         "args",
         [
-            ["variation", "--grid-sizes", "16,x"],
-            ["bessel", "--experiment", "moments", "--t-list", "a,b"],
-            ["bessel", "--experiment", "selfsim", "--a-list", "x"],
-            ["ito-check", "--mode", "scaling", "--intervals", "[0.25,0.5],[0.25"],
+            ["fbm-variation", "--grid-sizes", "16,x"],
+            ["negative-moments", "--t-list", "a,b"],
+            ["self-similarity", "--a-list", "x"],
         ],
         ids=lambda args: args[-2],
     )
@@ -182,11 +172,10 @@ class TestExperimentCommands:
     @pytest.mark.parametrize(
         "args, where",
         [
-            (["variation", "--grid-sizes", "16,x"], "Expecting value at char 3"),
-            (["ito-check", "--mode", "scaling", "--intervals", "[0.25,0.3"],
-             "Expecting ',' delimiter at the end"),
+            (["fbm-variation", "--grid-sizes", "16,x"], "Expecting value at char 3"),
+            (["negative-moments", "--t-list", "0.25,"], "Expecting value at the end"),
         ],
-        ids=["grid-sizes", "intervals"],
+        ids=["grid-sizes", "t-list"],
     )
     def test_bad_list_error_position_is_in_the_typed_value(self, runner, args, where):
         result = runner.invoke(main, [*args, "--hurst", "0.45", "--workers", "1"])
@@ -194,37 +183,31 @@ class TestExperimentCommands:
         assert result.output.splitlines()[0] == f"error: bad {args[-2]} value {args[-1]!r}: {where}"
 
     @pytest.mark.parametrize(
-        "args, message",
+        "args",
         [
-            (["--experiment", "variation", "--q", "3"], "unknown params"),
-            (["--experiment", "moments", "--grid-sizes", "64"], "does not read grid_sizes"),
+            ["theta-variation", "--q", "3"],
+            ["negative-moments", "--grid-sizes", "64"],
         ],
         ids=["q", "grid-sizes"],
     )
-    def test_bessel_value_the_experiment_does_not_read_exits_2(self, runner, args, message):
+    def test_bessel_value_the_experiment_does_not_read_exits_2(self, runner, args):
+        # an experiment's subcommand has no option for a value it does not read
         result = runner.invoke(
-            main, ["bessel", *args, "--hurst", "0.45", "--dimension", "3", "--workers", "1"]
+            main, [*args, "--hurst", "0.45", "--dimension", "3", "--workers", "1"]
         )
         assert result.exit_code == 2, result.output
-        assert result.output.startswith("error: ") and message in result.output
+        assert "No such option" in result.output and args[1] in result.output
 
     def test_bool_param_takes_no_flag(self, runner):
         result = runner.invoke(
             main,
-            ["bessel", "--experiment", "selfsim", "--no-control", "--hurst", "0.45",
+            ["self-similarity", "--no-control", "--hurst", "0.45",
              "--dimension", "3", "--replications", "8", "--grid-size", "16", "--workers", "1",
              "--format", "json"],
         )
         assert result.exit_code in (0, 1), result.output
         doc = json.loads(result.stdout)
         assert doc["meta"]["config"]["params"] == {"control": False, "grid_size": 16}
-
-    def test_env_seed_reaches_the_config(self, runner):
-        args = ["kernel-check", "--hurst", "0.3", "--lattice", "1"]
-        via_env = runner.invoke(main, args, env={"RVL_DEFAULT_SEED": "5"})
-        assert via_env.exit_code == 0, via_env.output
-        assert via_env.stdout == runner.invoke(main, [*args, "--seed", "5"]).stdout
-        assert '"master_seed": 5' in via_env.stdout
 
     def test_kernel_check_rejects_half(self, runner):
         result = runner.invoke(main, ["kernel-check", "--hurst", "0.5"])
@@ -250,23 +233,10 @@ class TestExperimentCommands:
         assert result.exception is None or isinstance(result.exception, SystemExit)
 
 
-# The subcommand and selector that run each experiment.
-SUBCOMMANDS = {
-    "fbm-variation": ["variation"],
-    "divergence-variation": ["ito-check"],
-    "divergence-variation-multi": ["ito-check"],
-    "lp-scaling": ["ito-check", "--mode", "scaling"],
-    "theta-variation": ["bessel", "--experiment", "variation"],
-    "negative-moments": ["bessel", "--experiment", "moments"],
-    "self-similarity": ["bessel", "--experiment", "selfsim"],
-    "kernel-check": ["kernel-check"],
-}
-
-
 def _argv(config: ExperimentConfig) -> list[str]:
     """Subcommand arguments for ``config``: every field it reads, and its given params."""
     values = {key: getattr(config, key) for key in declared(config.experiment) if key in FIELDS}
-    argv = [*SUBCOMMANDS[config.experiment], "--workers", "1"]
+    argv = [config.experiment, "--workers", "1"]
     for key, value in {**values, **config.params}.items():
         flag = "--seed" if key == "master_seed" else "--" + key.replace("_", "-")
         if isinstance(value, bool):
@@ -278,11 +248,7 @@ def _argv(config: ExperimentConfig) -> list[str]:
     return argv
 
 
-@pytest.mark.parametrize(
-    "config",
-    [c for c in GOLDEN_CONFIGS if c.experiment in SUBCOMMANDS],
-    ids=lambda c: c.experiment,
-)
+@pytest.mark.parametrize("config", GOLDEN_CONFIGS, ids=lambda c: c.experiment)
 def test_subcommand_reports_golden_bytes(runner, config):
     expected = (GOLDEN / f"{config.experiment}.csv").read_text(encoding="utf-8")
     flags = next(line for line in expected.splitlines() if line.startswith("# flags: "))
@@ -293,7 +259,12 @@ def test_subcommand_reports_golden_bytes(runner, config):
 
 
 def test_every_subcommand_experiment_has_a_golden_config():
-    assert set(SUBCOMMANDS) == set(registered_experiments()) - {"covariance-check"}
+    experiment_commands = set(main.commands) - {"fbm", "run", "experiments"}
+    assert experiment_commands == {c.experiment for c in GOLDEN_CONFIGS}
+
+
+def test_commands_are_the_registered_experiments_fbm_run_and_experiments():
+    assert set(main.commands) == {*registered_experiments(), "fbm", "run", "experiments"}
 
 
 class TestRunCommand:
@@ -321,22 +292,19 @@ class TestRunCommand:
         assert "unknown config keys" in result.output
 
     def test_unknown_sampler_method_exits_2_without_report(self, runner, tmp_path):
+        # every experiment samples by circulant embedding; method is no param
         out = tmp_path / "report.csv"
-        config = {
-            "experiment": "fbm-variation",
-            "grid_sizes": [16],
-            "replications": 4,
-            "params": {"method": "bogus"},
-        }
         cfg_path = tmp_path / "config.json"
-        cfg_path.write_text(json.dumps(config))
-        for extra in ([], ["--out", str(out)]):
-            result = runner.invoke(
-                main, ["run", "--config", str(cfg_path), "--workers", "1", *extra]
-            )
-            assert result.exit_code == 2, result.output
-            assert "bogus" in result.output
-            assert "n,estimate" not in result.output
+        for experiment in registered_experiments():
+            config = {"experiment": experiment, "params": {"method": "circulant"}}
+            cfg_path.write_text(json.dumps(config))
+            for extra in ([], ["--out", str(out)]):
+                result = runner.invoke(
+                    main, ["run", "--config", str(cfg_path), "--workers", "1", *extra]
+                )
+                assert result.exit_code == 2, result.output
+                assert result.output.startswith(f"error: unknown params for '{experiment}'")
+                assert len(result.output.splitlines()) == 1
         assert not out.exists()
 
     def test_out_writes_the_bytes_of_output_path(self, runner, tmp_path):
@@ -408,14 +376,14 @@ class TestRunCommand:
             ({"experiment": "divergence-variation-multi", "hurst": 0.45, "dimension": 3,
               "grid_sizes": [16], "replications": 8,
               "params": {"integrand": "constant", "xi_draws": 200}}, 2),
-            # one pair's xi value passes the largest double
+            # V_n itself passes the largest double
             ({"experiment": "theta-variation", "hurst": 0.45, "dimension": 3,
               "horizon": 1e308, "grid_sizes": [16], "replications": 8,
               "params": {"xi_draws": 200}}, 3),
         ],
         ids=[
             "selfsim-control-at-1", "kernel-quadrature-failure", "target-underflow",
-            "constant-integrand", "xi-target-overflow",
+            "constant-integrand", "variation-overflow",
         ],
     )
     def test_run_that_cannot_decide_exits_without_report(self, runner, tmp_path, config, code):
@@ -433,7 +401,7 @@ class TestRunCommand:
     @pytest.mark.parametrize("workers", ["0", "-1"])
     def test_workers_below_one_exits_2(self, runner, workers):
         result = runner.invoke(
-            main, ["variation", "--hurst", "0.3", "--grid-sizes", "16", "--replications", "4",
+            main, ["fbm-variation", "--hurst", "0.3", "--grid-sizes", "16", "--replications", "4",
                    "--workers", workers],
         )
         assert result.exit_code == 2

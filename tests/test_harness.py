@@ -158,6 +158,7 @@ BAD_CONFIGS = [
     ("fbm-variation", {"replications": 4.5}),
     ("fbm-variation", {"horizon": "1"}),
     ("negative-moments", {"params": {"t_list": 1.0}}),
+    # lp-scaling's intervals are fixed: intervals is no param
     ("lp-scaling", {"params": {"intervals": [1, 2]}}),
     ("fbm-variation", {"tolerances": {"rel_err_final": "x"}}),
     ("lp-scaling", {"tolerances": {"slope_tol": None}}),
@@ -247,6 +248,8 @@ def test_read_fields_unread_defaults_and_master_seed_accepted(experiment):
         # a relative tolerance of 100% decides nothing; it exited 1
         ("kernel-check", {"rtol": 1.0}),
         ("lp-scaling", {"intervals": [[0.25, 0.5, 0.75]]}),
+        # the interval ends T/4 + T/k, k = 16 .. 256, are nodes only of such grids
+        ("lp-scaling", {"grid_size": 100}),
         # a KS level outside (0, 1), and a power control at a = 1, where
         # a^-H = a^-2H, decide no gate
         ("self-similarity", {"level": 5.0}),
@@ -256,7 +259,7 @@ def test_read_fields_unread_defaults_and_master_seed_accepted(experiment):
         ("self-similarity", {"a_list": [2.0, -1.0]}),
         # a * t = inf failed in a worker, naming a horizon never set
         ("self-similarity", {"a_list": [1e308], "t": 10.0}),
-        # an unknown sampler was caught only inside the first replication
+        # every experiment samples by circulant embedding: method is no param
         ("fbm-variation", {"method": "bogus"}),
         ("self-similarity", {"method": "bogus"}),
     ],
@@ -315,10 +318,12 @@ def test_kernel_check_at_extreme_horizons(horizon):
 
 
 # (config fields, horizons near the float limit where the experiment still
-# yields a report); above them a per-path xi value passes the largest double
+# yields a report); above them V_n itself passes the largest double
 _SCALE_FREE = {
     "fbm-variation": ({}, (5e307, 1e308)),
-    "theta-variation": ({"dimension": 3, "params": {"xi_draws": 200}}, (5e307,)),
+    "theta-variation": (
+        {"dimension": 3, "params": {"xi_draws": 200}}, (5e307, 7e307, 8e307, 9e307)
+    ),
     # radial_quadratic's V_n grows like T^2: it overflows at 1e160, see below
     "divergence-variation-multi": (
         {"dimension": 3, "params": {"integrand": "linear_sum", "xi_draws": 200}}, ()
@@ -499,14 +504,11 @@ def test_reports_identical_across_worker_counts(config):
         assert run_experiment(config, workers=workers).to_csv() == baseline
 
 
-@pytest.mark.parametrize(
-    "config",
-    [c for c in SMALL_CONFIGS if c.experiment != "covariance-check"],
-    ids=lambda c: c.experiment,
-)
+@pytest.mark.parametrize("config", SMALL_CONFIGS, ids=lambda c: c.experiment)
 def test_unknown_sampler_method_rejected(config):
-    with pytest.raises(ConfigError, match="bogus"):
-        dataclasses.replace(config, params={**config.params, "method": "bogus"})
+    # every experiment samples by circulant embedding; method is no param
+    with pytest.raises(ConfigError, match="unknown params"):
+        dataclasses.replace(config, params={**config.params, "method": "circulant"})
 
 
 # Reports of the reduced configs, pinned byte for byte.  They change only
