@@ -23,7 +23,6 @@ from .errors import ConfigError, DomainError, EmbeddingError, FactorizationError
 __all__ = [
     "covariance",
     "fgn_autocovariance",
-    "circulant_eigenvalues",
     "sample_fbm_cholesky",
     "sample_fbm_circulant",
     "sample_fbm_multi",
@@ -168,15 +167,6 @@ def _embedding_eigenvalues(h: float, horizon: float, n: int) -> np.ndarray:
     else:
         row = np.concatenate([gamma, gamma[-2:0:-1]])
     return np.fft.fft(row).real
-
-
-def circulant_eigenvalues(hurst: float, grid: UniformGrid) -> np.ndarray:
-    """Eigenvalues of the 2n circulant embedding of the fGn covariance.
-
-    All eigenvalues are nonnegative for fractional Gaussian noise; exposing
-    them lets callers (and tests) verify the embedding before sampling.
-    """
-    return _embedding_eigenvalues(check_hurst(hurst), grid.horizon, grid.n)
 
 
 def sample_fbm_circulant(

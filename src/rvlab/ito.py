@@ -14,6 +14,11 @@ its path through :class:`rvlab.fbm.PathJob`.  The admissible integrands form
 a fixed whitelist (registered below with finite-difference validation of the
 supplied derivatives); the Hoelder-regularity hypotheses behind the limit
 theorems are analytic facts about those integrands, not runtime checks.
+
+The d-dimensional experiments also estimate the limit, the nu-integral
+int sum_i |<u_i, xi>|^{1/H} dt N(0, I)(dxi), by Monte Carlo on every
+replication (:func:`xi_mc_target`): each antithetic pair draws its own
+direction at every node, so the node terms are independent given the path.
 """
 
 from __future__ import annotations
@@ -64,12 +69,14 @@ __all__ = [
     "DEFAULT_XI_DRAWS",
 ]
 
-# nu-integral Monte Carlo: 4,000 standard-normal draws as antithetic pairs.
-# With the radius integrated out, this gives criteria 05 and 06 a smaller
-# standard error than 10,000 draws of the plain estimator did.
-DEFAULT_XI_DRAWS = 4_000
-# xi columns per evaluation pass; the work array holds nodes x (_XI_BLOCK + 1)
-_XI_BLOCK = 256
+# nu-integral Monte Carlo: 128 draws as 64 antithetic pairs, each drawing its
+# own direction at every node.  Fewer pairs make the standard error itself
+# noisy, and the 3-s.e. cross-check then fails correct runs more often than
+# its nominal 0.27%.
+DEFAULT_XI_DRAWS = 128
+# normals per draw block, which holds whole pairs (at least one): 4.2 MB, and
+# its two pairs x nodes work arrays 2/d times that
+_XI_BLOCK_NORMALS = 2**19
 
 _FD_TOL = 1e-4
 
@@ -242,12 +249,14 @@ def xi_mc_target(
 
     Monte Carlo over ``draws`` standard-normal xi arranged as antithetic
     pairs; the integrand is even in xi, so each pair contributes its base
-    value and only draws/2 evaluations are needed.  The radius is integrated
-    out exactly (conditional Monte Carlo on the spherical-radial split
-    xi = |xi| theta, with |xi| ~ chi_d independent of theta): each pair
-    evaluates c_p sum_i |<u_i, theta>|^p dt, c_p = E|xi|^p.  At d = 1,
-    theta = +-1 and every pair carries the same value.  Returns (estimate,
-    standard error across pairs).
+    value and only draws/2 evaluations are needed.  Within a pair every node
+    i draws its own xi_i, so the n terms are independent given the path and
+    their variances add.  The radius is integrated out exactly (conditional
+    Monte Carlo on the spherical-radial split xi = |xi| theta, with
+    |xi| ~ chi_d independent of theta): each pair evaluates
+    c_p sum_i |<u_i, theta_i>|^p dt, c_p = E|xi|^p.  At d = 1, theta = +-1
+    and every pair carries the same value.  Returns (estimate, standard
+    error across pairs).
     """
     if draws < 4 or draws % 2:  # the bound of report.check_shape
         raise ConfigError(f"xi_draws must be an even count >= 4, got {draws}")
@@ -261,27 +270,30 @@ def xi_mc_target(
     m_dt, k_dt = math.frexp(dt)
     weight, k = m_c * m_dt, k_c + k_dt
     values = np.empty(pairs)
-    # The draw blocks fix which normal lands in which xi, so they are part of
-    # the report bytes; each is evaluated in _XI_BLOCK-column passes in place.
-    # A lone last column joins the pass before it: numpy takes one column
-    # through a matrix-vector product and a pairwise sum, with other last bits.
-    chunk = max(1, min(pairs, int(4e6) // max(nodes, 1)))
-    work = np.empty(nodes * min(chunk, _XI_BLOCK + 1))
+    # Pair j takes the d x nodes normals after those of pairs 0 .. j-1, and
+    # is summed alone along its contiguous node axis, so the block size
+    # changes no bit of the result.
+    rows = max(1, min(pairs, _XI_BLOCK_NORMALS // max(d * nodes, 1)))
+    block = np.empty((rows, d, nodes))
+    work = np.empty((2, rows, nodes))
+    u = np.ascontiguousarray(u_nodes.T, dtype=float)
     done = 0
-    with np.errstate(over="ignore"):  # caught below as a non-finite value
+    with np.errstate(over="ignore", invalid="ignore"):  # caught below as non-finite
         while done < pairs:
-            take = min(chunk, pairs - done)
-            xi = stream.standard_normal((d, take))
-            xi /= np.linalg.norm(xi, axis=0)  # theta; exactly +-1 at d = 1
-            a = 0
-            while a < take:
-                b = take if take - a <= _XI_BLOCK + 1 else a + _XI_BLOCK
-                proj = work[: nodes * (b - a)].reshape(nodes, b - a)
-                np.matmul(u_nodes, xi[:, a:b], out=proj)
-                np.abs(proj, out=proj)
-                np.power(proj, p, out=proj)
-                values[done + a : done + b] = proj.sum(axis=0) * weight
-                a = b
+            take = min(rows, pairs - done)
+            xi, acc, tmp = block[:take], work[0, :take], work[1, :take]
+            stream.standard_normal(out=xi)
+            np.multiply(xi[:, 0], xi[:, 0], out=acc)
+            for c in range(1, d):
+                acc += np.multiply(xi[:, c], xi[:, c], out=tmp)
+            np.sqrt(acc, out=acc)
+            xi /= acc[:, None]  # theta; exactly +-1 at d = 1
+            np.multiply(xi[:, 0], u[0], out=acc)
+            for c in range(1, d):
+                acc += np.multiply(xi[:, c], u[c], out=tmp)
+            np.abs(acc, out=acc)
+            np.power(acc, p, out=acc)
+            values[done : done + take] = acc.sum(axis=1) * weight
             done += take
     if not np.all(np.isfinite(values)):
         raise NumericalError(

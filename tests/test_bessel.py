@@ -157,7 +157,7 @@ class TestThetaVariationExperiment:
     def test_target_is_eh_times_horizon(self):
         report = run_experiment(ExperimentConfig(
             experiment="theta-variation", hurst=0.45, dimension=3, grid_sizes=[128],
-            replications=16, master_seed=75, params={"xi_draws": 4000},
+            replications=16, master_seed=75,
         ))
         row = report.rows[0]
         assert row[2] == pytest.approx(e_H(0.45), rel=1e-12)

@@ -20,7 +20,6 @@ from rvlab.core import (
 from rvlab.bessel import require_variation_gate, theta_path
 from rvlab.errors import DomainError
 from rvlab.fbm import (
-    circulant_eigenvalues,
     covariance,
     fgn_autocovariance,
     sample_fbm_cholesky,
@@ -61,7 +60,6 @@ _HURST_ENTRY_POINTS = {
     "sample_fbm_cholesky": lambda h: sample_fbm_cholesky(h, _GRID, SeedSpec(0)),
     "sample_fbm_circulant": lambda h: sample_fbm_circulant(h, _GRID, SeedSpec(0)),
     "sample_fbm_multi": lambda h: sample_fbm_multi(h, 2, _GRID, SeedSpec(0)),
-    "circulant_eigenvalues": lambda h: circulant_eigenvalues(h, _GRID),
     "e_H": e_H,
     "theta_path": lambda h: theta_path(_PATH_2D, h),
     "require_variation_gate": lambda h: require_variation_gate(3, h),

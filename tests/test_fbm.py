@@ -1,5 +1,7 @@
 """Statistical and exact tests for the fBm samplers and covariance functions."""
 
+import logging
+
 import numpy as np
 import pytest
 
@@ -9,7 +11,6 @@ from rvlab.fbm import (
     CHOLESKY_MAX_N,
     SAMPLERS,
     PathJob,
-    circulant_eigenvalues,
     covariance,
     fgn_autocovariance,
     sample_fbm_cholesky,
@@ -130,14 +131,21 @@ class TestCholeskySampler:
 
 
 class TestCirculantSampler:
-    def test_embedding_eigenvalues_nonnegative(self):
-        lam = circulant_eigenvalues(0.3, UniformGrid(1.0, 1024))
-        assert lam.min() >= 0.0
+    def test_embedding_eigenvalues_nonnegative(self, caplog):
+        # a negative eigenvalue within tolerance is clamped with a warning
+        from rvlab import fbm as fbm_mod
+
+        fbm_mod._embedding_sqrt.cache_clear()
+        with caplog.at_level(logging.WARNING, logger="rvlab"):
+            path = sample_fbm_circulant(0.3, UniformGrid(1.0, 1024), SeedSpec(0))
+        assert np.all(np.isfinite(path.values))
+        assert not caplog.records
 
     @pytest.mark.parametrize("h", [0.1, 0.25, 0.45, 0.5, 0.75])
     def test_embedding_valid_across_h(self, h):
-        lam = circulant_eigenvalues(h, UniformGrid(1.0, 256))
-        assert lam.min() > -1e-10 * lam.max()
+        # a negative eigenvalue beyond tolerance raises EmbeddingError
+        path = sample_fbm_circulant(h, UniformGrid(1.0, 256), SeedSpec(0))
+        assert np.all(np.isfinite(path.values))
 
     def test_brownian_lag_one_correlation(self):
         # Pooled lag-1 correlation over all paths: |rho| < 3 / sqrt(M n).

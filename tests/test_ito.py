@@ -320,7 +320,7 @@ class TestMultiDivergenceVariation:
         report = run_experiment(ExperimentConfig(
             experiment="divergence-variation-multi", hurst=0.45, grid_sizes=[256],
             replications=20, master_seed=19, dimension=3,
-            params={"integrand": "radial_quadratic", "xi_draws": 4000},
+            params={"integrand": "radial_quadratic"},
         ))
         row = report.rows[0]
         assert row[6] == pytest.approx(row[2], abs=3 * row[7])
@@ -333,8 +333,30 @@ class TestMultiDivergenceVariation:
         # For constant unit u, <u, xi> is standard normal under the
         # Gaussian measure, so the nu-integral equals e_H * nodes * dt = e_H * T.
         u = np.tile(np.array(row, dtype=float), (n, 1))
-        est, se = xi_mc_target(u, horizon / n, 1.0 / h, SeedSpec(77).stream(lane=1), 20_000)
+        est, se = xi_mc_target(u, horizon / n, 1.0 / h, SeedSpec(77).stream(lane=1), 400)
         assert 0 < se and abs(est - e_H(h) * horizon) < 3 * se
+
+    def test_sampled_integrand_matches_the_closed_form(self):
+        # u = B on one 3-d path: not unit, so each node weighs |u_i|^p
+        h, n = 0.45, 256
+        path = sample_fbm_multi(h, 3, UniformGrid(1.0, n), SeedSpec(83, 0))
+        u = path.values[1:]
+        est, se = xi_mc_target(u, 1.0 / n, 1.0 / h, SeedSpec(83).stream(lane=1), 128)
+        closed = e_H(h) * math.fsum(np.linalg.norm(u, axis=1) ** (1.0 / h)) / n
+        assert 0 < se and abs(est - closed) < 3 * se
+
+    def test_standard_error_falls_with_the_node_count(self):
+        # every node draws its own direction, so the n terms of a pair
+        # average out; one direction per pair kept the s.e. flat in n
+        h, horizon = 0.3, 1.0
+        ses = []
+        for n in (2, 4, 8, 16):
+            u = INTEGRANDS["linear_sum"].gradient(np.zeros((n, 3)))
+            ses.append(
+                xi_mc_target(u, horizon / n, 1.0 / h, SeedSpec(84).stream(lane=1), 1000)[1]
+            )
+        assert all(b < a for a, b in zip(ses, ses[1:])), ses
+        assert ses[-1] < 0.5 * ses[0], ses
 
     def test_non_unit_integrand_has_a_positive_standard_error(self):
         u = np.random.default_rng(5).standard_normal((64, 3))
@@ -428,33 +450,31 @@ def _unit_rows(n: int, d: int) -> np.ndarray:
 
 
 class TestXiSubBlocks:
-    # n = 4096 gives draw blocks of 976 columns, n = 257 one block of 5000;
-    # neither is a multiple of 7 or 256, and chunk + 1 evaluates each draw
-    # block in one pass.  Six draws are one block of 3 columns, which width 2
-    # would split into 2 + 1: a one-column pass has other last bits, and with
-    # three pairs they show in (mean, se).  Width 1 makes every pass one
-    # column, so 2 is the smallest width that can match.
-    @pytest.mark.parametrize("n, draws", [(4096, 10_000), (257, 10_000), (4096, 6)])
+    # The block cap decides how many pairs are drawn and reduced at once.
+    # Caps of 1 pair, 7 pairs and all pairs split the draws differently from
+    # the default, which holds 42 pairs of n = 4096 in d = 3 (so 100 pairs
+    # take three blocks) and 680 of n = 257 (5,000 pairs take eight).
+    @pytest.mark.parametrize("n, draws", [(4096, 200), (257, 10_000), (4096, 6)])
     def test_width_leaves_result_bit_equal(self, n, draws, monkeypatch):
         u = _unit_rows(n, 3)
-        chunk = min(draws // 2, int(4e6) // n)
-        got = set()
-        for width in (2, 7, 256, chunk + 1):
-            monkeypatch.setattr(ito, "_XI_BLOCK", width)
+        got = {xi_mc_target(u, 1.0 / n, 1.0 / 0.45, SeedSpec(31).stream(lane=1), draws)}
+        for pairs_per_block in (1, 7, draws // 2):
+            monkeypatch.setattr(ito, "_XI_BLOCK_NORMALS", pairs_per_block * 3 * n)
             got.add(xi_mc_target(u, 1.0 / n, 1.0 / 0.45, SeedSpec(31).stream(lane=1), draws))
         assert len(got) == 1, got
 
     def test_work_array_is_bounded(self):
-        n = 4096
+        n, draws = 4096, 1000
+        assert draws // 2 > ito._XI_BLOCK_NORMALS // (3 * n)  # more than one block
         u = _unit_rows(n, 3)
         stream = SeedSpec(31).stream(lane=1)
         tracemalloc.start()
         try:
-            xi_mc_target(u, 1.0 / n, 1.0 / 0.45, stream, 10_000)
+            xi_mc_target(u, 1.0 / n, 1.0 / 0.45, stream, draws)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        # one (4096 x 976) float64 temporary alone is 32 MB
+        # the normals of all 500 pairs alone are 49 MB
         assert peak < 16e6, peak
 
 
