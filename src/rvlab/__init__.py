@@ -12,7 +12,6 @@ from .core import (
     MultiPath,
     RealPath,
     SeedSpec,
-    StepFunction,
     UniformGrid,
 )
 
@@ -21,6 +20,5 @@ __all__ = [
     "MultiPath",
     "RealPath",
     "SeedSpec",
-    "StepFunction",
     "UniformGrid",
 ]

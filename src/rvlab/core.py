@@ -1,7 +1,7 @@
 """Core value types: the Hurst parameter check, uniform grids, sampled
-paths, step functions and reproducible seed derivation, plus the singular
-time-weight integral and the Ito-type representation built on it, which every
-transform of a sampled path (divergence integrals, Theta) goes through.
+paths and reproducible seed derivation, plus the singular time-weight
+integral and the Ito-type representation built on it, which every transform
+of a sampled path (divergence integrals, Theta) goes through.
 
 Everything here is immutable; paths wrap read-only numpy arrays so they can
 be shared freely across worker processes and threads.
@@ -20,7 +20,6 @@ __all__ = [
     "UniformGrid",
     "RealPath",
     "MultiPath",
-    "StepFunction",
     "SeedSpec",
     "check_hurst",
     "ito_representation",
@@ -131,31 +130,6 @@ class MultiPath:
     @property
     def dimension(self) -> int:
         return self.values.shape[1]
-
-
-@dataclass(frozen=True)
-class StepFunction:
-    """Piecewise-constant function on [0, T): value a_j on [t_j, t_{j+1})."""
-
-    grid: UniformGrid
-    coefficients: np.ndarray  # length n
-
-    def __post_init__(self):
-        object.__setattr__(self, "coefficients", _frozen(self.coefficients))
-        if self.coefficients.ndim != 1 or self.coefficients.shape[0] != self.grid.n:
-            raise DomainError(
-                f"step function needs {self.grid.n} cell values, got "
-                f"shape {self.coefficients.shape}"
-            )
-
-    @classmethod
-    def indicator(cls, grid: UniformGrid, k: int) -> "StepFunction":
-        """The indicator of [0, t_k), exactly representable on the grid."""
-        if not 0 <= k <= grid.n:
-            raise DomainError(f"indicator endpoint index {k} outside 0..{grid.n}")
-        a = np.zeros(grid.n)
-        a[:k] = 1.0
-        return cls(grid, a)
 
 
 # Stream lanes keep unrelated consumers of the same replication independent:

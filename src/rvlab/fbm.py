@@ -19,6 +19,7 @@ import numpy as np
 
 from .core import MultiPath, RealPath, SeedSpec, UniformGrid, check_hurst
 from .errors import ConfigError, DomainError, EmbeddingError, FactorizationError
+from .parallel import _blas_threads
 
 __all__ = [
     "covariance",
@@ -95,6 +96,9 @@ def _covariance_cholesky(h: float, horizon: float, n: int) -> np.ndarray:
     """Lower Cholesky factor of [R_H(t_i, t_j)]_{i,j=1..n}, jittered once."""
     t = np.arange(1, n + 1) * (horizon / n)
     sigma = covariance(h, t[:, None], t[None, :])
+    # one BLAS thread, as in pool workers: LAPACK gives other bits at other
+    # thread counts, and every process must sample from the same factor
+    previous = _blas_threads(1)
     try:
         chol = np.linalg.cholesky(sigma)
     except np.linalg.LinAlgError:
@@ -110,6 +114,8 @@ def _covariance_cholesky(h: float, horizon: float, n: int) -> np.ndarray:
                 f"covariance matrix for H={h}, n={n} is not positive definite "
                 f"even after jitter {jitter:.3e}"
             ) from exc
+    finally:
+        _blas_threads(previous)
     chol.setflags(write=False)
     return chol
 

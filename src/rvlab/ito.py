@@ -304,8 +304,11 @@ def xi_mc_target(
     # the squared deviations overflow or underflow
     e = np.frexp(values.max())[1]
     scaled = np.ldexp(values, -e)
-    mean = float(np.ldexp(scaled.mean(), e + k))
-    se = float(np.ldexp(scaled.std(ddof=1), e + k) / np.sqrt(pairs))
+    with np.errstate(over="ignore"):  # caught below as non-finite
+        mean = float(np.ldexp(scaled.mean(), e + k))
+        se = float(np.ldexp(scaled.std(ddof=1), e + k) / np.sqrt(pairs))
+    if not (math.isfinite(mean) and math.isfinite(se)):
+        raise NumericalError(f"the xi target overflows a double: mean {mean}, s.e. {se}")
     return mean, se
 
 

@@ -10,6 +10,7 @@ callables must be picklable (module-level functions, optionally wrapped in
 from __future__ import annotations
 
 import ctypes
+import functools
 import os
 from concurrent.futures import ProcessPoolExecutor
 from typing import Callable, TypeVar
@@ -23,23 +24,27 @@ def default_workers() -> int:
     return os.cpu_count() or 1
 
 
-def _numpy_openblas():
-    """ctypes handle of the OpenBLAS bundled with the numpy wheel, or None."""
+def _blas_threads(count: int | None = None) -> int | None:
+    """Set the thread count of the OpenBLAS bundled with the numpy wheel to
+    ``count``, when given, through ctypes, and return the count before, as
+    ``np.seterr`` does; None, and nothing set, without that library or its
+    symbols."""
     import glob
 
     import numpy
 
     pattern = os.path.dirname(numpy.__file__) + ".libs/libscipy_openblas64_*.so"
-    return next((ctypes.CDLL(path) for path in glob.glob(pattern)), None)
-
-
-def _one_blas_thread() -> None:
-    """Pool initializer: one BLAS thread per worker process, so that workers
-    times BLAS threads stay within the cores.  A no-op without the symbol."""
-    setter = getattr(_numpy_openblas(), "scipy_openblas_set_num_threads64_", None)
-    if setter is not None:
-        setter.argtypes, setter.restype = [ctypes.c_int], None
-        setter(1)
+    lib = next((ctypes.CDLL(path) for path in glob.glob(pattern)), None)
+    getter = getattr(lib, "scipy_openblas_get_num_threads64_", None)
+    setter = getattr(lib, "scipy_openblas_set_num_threads64_", None)
+    if getter is None or setter is None:
+        return None
+    getter.argtypes, getter.restype = [], ctypes.c_int
+    setter.argtypes, setter.restype = [ctypes.c_int], None
+    previous = getter()
+    if count is not None:
+        setter(count)
+    return previous
 
 
 def _run_shard(fn: Callable[[int], T], indices: list[int]) -> list[tuple[int, T]]:
@@ -61,7 +66,9 @@ def replication_map(fn: Callable[[int], T], replications: int, workers: int = 1)
     shards = [s for s in shards if s]
     out: list = [None] * replications
     processes = min(len(shards), default_workers())
-    with ProcessPoolExecutor(max_workers=processes, initializer=_one_blas_thread) as pool:
+    # one BLAS thread per worker, so that workers x BLAS threads stay within the cores
+    one_thread = functools.partial(_blas_threads, 1)
+    with ProcessPoolExecutor(max_workers=processes, initializer=one_thread) as pool:
         for pairs in pool.map(_run_shard, [fn] * len(shards), shards):
             for i, value in pairs:
                 out[i] = value

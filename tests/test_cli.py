@@ -380,10 +380,15 @@ class TestRunCommand:
             ({"experiment": "theta-variation", "hurst": 0.45, "dimension": 3,
               "horizon": 1e308, "grid_sizes": [16], "replications": 8,
               "params": {"xi_draws": 200}}, 3),
+            # every per-pair xi value is finite, but their mean passes the
+            # largest double (it warned from np.ldexp before)
+            ({"experiment": "divergence-variation-multi", "hurst": 0.45, "dimension": 3,
+              "horizon": 5e307, "grid_sizes": [16], "replications": 8,
+              "params": {"integrand": "linear_sum", "xi_draws": 200}}, 3),
         ],
         ids=[
             "selfsim-control-at-1", "kernel-quadrature-failure", "target-underflow",
-            "constant-integrand", "variation-overflow",
+            "constant-integrand", "variation-overflow", "xi-mean-overflow",
         ],
     )
     def test_run_that_cannot_decide_exits_without_report(self, runner, tmp_path, config, code):

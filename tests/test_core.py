@@ -11,7 +11,6 @@ from rvlab.core import (
     MultiPath,
     RealPath,
     SeedSpec,
-    StepFunction,
     UniformGrid,
     check_hurst,
     ito_representation,
@@ -27,7 +26,7 @@ from rvlab.fbm import (
     sample_fbm_multi,
 )
 from rvlab.ito import INTEGRANDS, divergence_reading, divergence_via_ito, divergence_via_ito_multi
-from rvlab.kernel import constant_cH, covariance_via_kernel, inner_product_H, kernel_K, kstar_step
+from rvlab.kernel import constant_cH, covariance_via_kernel, kernel_K
 from rvlab.variation import e_H
 
 
@@ -50,7 +49,6 @@ class TestHurstParam:
 
 _GRID = UniformGrid(1.0, 4)
 _PATH_2D = MultiPath(_GRID, np.array([[0.0, 0.0], [1.0, 0.5], [0.5, 1.0], [1.0, 1.0], [2.0, 0.5]]))
-_INDICATOR = StepFunction.indicator(_GRID, 2)
 
 # every public function of the package that takes the Hurst exponent, with
 # valid other arguments
@@ -75,12 +73,8 @@ _HURST_ENTRY_POINTS = {
 _KERNEL_ENTRY_POINTS = {
     "constant_cH": (constant_cH, "the Volterra kernel constant"),
     "kernel_K": (lambda h: kernel_K(h, 1.0, 0.5), "the Volterra kernel"),
-    "kstar_step": (lambda h: kstar_step(h, _INDICATOR, 0.3), "the operator K*"),
-    "inner_product_H": (
-        lambda h: inner_product_H(h, _INDICATOR, _INDICATOR), "the H-space inner product"
-    ),
     "covariance_via_kernel": (
-        lambda h: covariance_via_kernel(h, _GRID, 2, 1), "the H-space inner product"
+        lambda h: covariance_via_kernel(h, 0.5, 0.25), "the H-space inner product"
     ),
 }
 _ALL_ENTRY_POINTS = {
@@ -147,17 +141,6 @@ class TestPaths:
     def test_multipath_zero_row_enforced(self):
         with pytest.raises(DomainError):
             MultiPath(UniformGrid(1.0, 1), np.array([[0.0, 0.1], [1.0, 1.0]]))
-
-
-class TestStepFunction:
-    def test_indicator_is_exact(self):
-        grid = UniformGrid(1.0, 4)
-        phi = StepFunction.indicator(grid, 3)
-        assert np.array_equal(phi.coefficients, [1.0, 1.0, 1.0, 0.0])
-
-    def test_coefficients_length_checked(self):
-        with pytest.raises(DomainError):
-            StepFunction(UniformGrid(1.0, 4), np.zeros(3))
 
 
 class TestSeedSpec:

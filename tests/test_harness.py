@@ -9,7 +9,7 @@ import pathlib
 import numpy as np
 import pytest
 
-from rvlab import bessel, harness, ito, parallel
+from rvlab import bessel, fbm, harness, ito, parallel
 from rvlab.errors import ConfigError, DomainError, GateError, NumericalError, QuadratureError
 from rvlab.harness import ExperimentConfig, registered_experiments, run_experiment
 from rvlab.parallel import replication_map
@@ -77,8 +77,7 @@ def _cube(i: int) -> int:
 
 
 def _blas_threads(i: int) -> int | None:
-    getter = getattr(parallel._numpy_openblas(), "scipy_openblas_get_num_threads64_", None)
-    return None if getter is None else getter()
+    return parallel._blas_threads()
 
 
 class _InlinePool:
@@ -502,6 +501,27 @@ def test_reports_identical_across_worker_counts(config):
     baseline = run_experiment(config, workers=1).to_csv()
     for workers in (2, 8):
         assert run_experiment(config, workers=workers).to_csv() == baseline
+
+
+@pytest.mark.parametrize("n", [128, 256])
+def test_covariance_check_ignores_the_parents_blas_threads(n):
+    # LAPACK's Cholesky gives other bits at 2 threads than at 1 from n = 128
+    # on; at workers=1 the parent factors, at workers > 1 the pool workers do
+    config = ExperimentConfig(
+        experiment="covariance-check", hurst=0.3, grid_sizes=(n,), replications=50,
+        master_seed=7,
+    )
+    before = parallel._blas_threads(2)
+    if before is None:
+        pytest.skip("numpy has no bundled OpenBLAS with a thread setter")
+    try:
+        reports = []
+        for workers in (1, 2, 8):
+            fbm._covariance_cholesky.cache_clear()  # no factor inherited by the pool
+            reports.append(run_experiment(config, workers=workers).to_csv())
+    finally:
+        parallel._blas_threads(before)
+    assert reports[1] == reports[0] and reports[2] == reports[0]
 
 
 @pytest.mark.parametrize("config", SMALL_CONFIGS, ids=lambda c: c.experiment)

@@ -1,22 +1,18 @@
-"""Tests for the Volterra kernel, the K* operator, the inner product and the
+"""Tests for the Volterra kernel, the factorization identity and the
 reproduction check.
 
 Oracles are independent of the code under test: Beta by direct numeric
 integration, the kernel's inner integral by quadrature after a substitution
-that removes its endpoint singularity, the closed-form dK/dt (itself checked
-by finite differences of kernel_K) for K*, the reproduction identity by
-generic adaptive quadrature of the kernel product against the closed-form
-covariance, and the extended pairing <phi, 1_[0,t]> = int phi dR(., t) for
-the inner product of a non-indicator step function.
+that removes its endpoint singularity, the closed-form dK/dt checked against
+finite differences of kernel_K, and the reproduction identity by generic
+adaptive quadrature of the kernel product against the closed-form
+covariance.
 """
-
-import math
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from rvlab.core import StepFunction, UniformGrid
 from rvlab.errors import DomainError, QuadratureError
 from rvlab.fbm import covariance
 from rvlab.harness import ExperimentConfig, run_experiment
@@ -25,9 +21,7 @@ from rvlab.kernel import (
     _quad,
     constant_cH,
     covariance_via_kernel,
-    inner_product_H,
     kernel_K,
-    kstar_step,
 )
 
 
@@ -105,7 +99,7 @@ class TestKernelK:
 
     def test_reproduces_unit_variance(self):
         # int_0^1 K(1, u)^2 du = R(1, 1) = 1
-        lhs = covariance_via_kernel(0.3, UniformGrid(1.0, 1), 1, 1, rtol=1e-8)
+        lhs = covariance_via_kernel(0.3, 1.0, 1.0, rtol=1e-8)
         assert lhs == pytest.approx(1.0, rel=1e-6)
 
     @pytest.mark.parametrize("h", [0.2, 0.3, 0.4])
@@ -144,17 +138,6 @@ def kernel_dKdt(h: float, t: float, s: float) -> float:
     return constant_cH(h) * (h - 0.5) * (t / s) ** (h - 0.5) * (t - s) ** (h - 1.5)
 
 
-def extended_inner(h: float, phi: StepFunction, t: float) -> float:
-    """Oracle: <phi, 1_[0,t]> = int_0^T phi_s dR/ds(s, t) ds with no quadrature.
-
-    Against piecewise-constant phi the integral telescopes through the
-    antiderivative s -> R(s, t) to sum_i a_i (R(t_{i+1}, t) - R(t_i, t)).
-    """
-    grid = phi.grid
-    grid.index_of(t)  # t must be a grid time
-    return math.fsum(phi.coefficients * np.diff(covariance(h, grid.nodes(), t)))
-
-
 class TestKernelDerivative:
     def test_negative_for_rough_h(self):
         for t in (0.5, 1.0, 2.0):
@@ -185,155 +168,27 @@ class TestKernelDerivative:
             kernel_dKdt(0.3, 0.5, 0.0)
 
 
-class TestKStar:
-    def test_indicator_support(self):
-        # (K* 1_[0,t])(s) = K_H(t, s) for s < t and 0 for s > t
-        h = 0.3
-        phi = StepFunction.indicator(UniformGrid(1.0, 4), 2)  # 1_[0, 0.5)
-        assert kstar_step(h, phi, 0.75) == 0.0
-        assert kstar_step(h, phi, 0.3) == kernel_K(h, 0.5, 0.3)
-        with pytest.raises(DomainError):
-            kstar_step(h, phi, 0.5)
-
-    def test_indicator_linearity_over_interval(self):
-        # K*(1_[a,b])(s) = K*(1_[0,b])(s) - K*(1_[0,a])(s)
-        h, a, b = 0.3, 0.25, 0.75
-        grid = UniformGrid(1.0, 4)
-        phi = StepFunction(grid, np.array([0.0, 1.0, 1.0, 0.0]))  # 1_[0.25, 0.75)
-        for s in (0.1, 0.3, 0.6, 0.9):
-            expected = (kernel_K(h, b, s) if s < b else 0.0) - (
-                kernel_K(h, a, s) if s < a else 0.0
-            )
-            assert kstar_step(h, phi, s) == pytest.approx(expected, rel=1e-12, abs=1e-15)
-
-    def test_step_reduces_to_indicator(self):
-        h = 0.3
-        grid = UniformGrid(1.0, 4)
-        phi = StepFunction.indicator(grid, 3)
-        for s in (0.2, 0.6, 0.8):
-            expected = kernel_K(h, 0.75, s) if s < 0.75 else 0.0
-            assert kstar_step(h, phi, s) == pytest.approx(expected, rel=1e-12, abs=1e-15)
-
-    def test_constant_one_gives_horizon_kernel(self):
-        h = 0.3
-        grid = UniformGrid(1.0, 5)
-        phi = StepFunction(grid, np.ones(5))
-        for s in (0.15, 0.55, 0.9):
-            assert kstar_step(h, phi, s) == pytest.approx(
-                kernel_K(h, 1.0, s), rel=1e-12
-            )
-
-    def test_zero_function_maps_to_zero(self):
-        phi = StepFunction(UniformGrid(1.0, 4), np.zeros(4))
-        assert kstar_step(0.3, phi, 0.37) == 0.0
-
-    def test_rejects_grid_node_evaluation(self):
-        phi = StepFunction(UniformGrid(1.0, 4), np.array([1.0, 2.0, 0.0, 1.0]))
-        with pytest.raises(DomainError):
-            kstar_step(0.3, phi, 0.25)
-
-    def test_agrees_with_direct_operator_formula(self):
-        # Independent oracle: evaluate the operator's defining formula
-        # K(T,s) phi(s) + int_s^T (phi(t) - phi(s)) dK/dt(t,s) dt directly,
-        # with the t-integral done by quadrature of the closed-form
-        # derivative over each cell above s.
-        h = 0.3
-        grid = UniformGrid(1.0, 4)
-        rng = np.random.default_rng(61)
-        phi = StepFunction(grid, rng.standard_normal(4))
-        nodes = grid.nodes()
-
-        def direct(s: float) -> float:
-            i = int(s / grid.dt)
-            total = kernel_K(h, 1.0, s) * phi.coefficients[i]
-            for j in range(i + 1, grid.n):
-                diff = phi.coefficients[j] - phi.coefficients[i]
-                piece, err = quad(
-                    lambda t: kernel_dKdt(h, t, s), nodes[j], nodes[j + 1],
-                    epsabs=0, epsrel=1e-10,
-                )
-                total += diff * piece
-            return total
-
-        for s in (0.1, 0.3, 0.6, 0.85):
-            assert kstar_step(h, phi, s) == pytest.approx(direct(s), rel=1e-8)
-
-
 class TestInnerProduct:
+    # <1_[0,t], 1_[0,s]> in the H space, computed as int_0^{t^s} K(t, u) K(s, u) du
     def test_indicators_reproduce_covariance(self):
         h = 0.3
-        grid = UniformGrid(1.0, 4)
-        phi = StepFunction.indicator(grid, 3)  # 1_[0, 0.75]
-        psi = StepFunction.indicator(grid, 2)  # 1_[0, 0.5]
-        value = inner_product_H(h, phi, psi, rtol=1e-6)
-        assert value == pytest.approx(covariance(h, 0.75, 0.5), rel=1e-4)
-
-    def test_symmetry(self):
-        h = 0.35
-        grid = UniformGrid(1.0, 4)
-        rng = np.random.default_rng(3)
-        phi = StepFunction(grid, rng.standard_normal(4))
-        psi = StepFunction(grid, rng.standard_normal(4))
-        a = inner_product_H(h, phi, psi, rtol=1e-6)
-        b = inner_product_H(h, psi, phi, rtol=1e-6)
-        assert abs(a - b) < 1e-12
-
-    def test_positive_semidefinite(self):
-        h = 0.3
-        grid = UniformGrid(1.0, 4)
-        rng = np.random.default_rng(11)
-        for _ in range(3):
-            phi = StepFunction(grid, rng.standard_normal(4))
-            assert inner_product_H(h, phi, phi, rtol=1e-6) >= 0.0
+        for t, s in [(0.75, 0.5), (0.5, 0.75)]:
+            value = covariance_via_kernel(h, t, s, rtol=1e-6)
+            assert value == pytest.approx(covariance(h, 0.75, 0.5), rel=1e-4)
 
     def test_range_stops_at_earlier_last_jump(self):
-        h = 0.3
-        grid = UniformGrid(1.0, 6)
-        zero = StepFunction(grid, np.zeros(6))
-        phi = StepFunction(grid, np.array([0.7, -1.2, 0.4, 1.1, 0.0, 0.0]))  # ends at 2/3
-        psi = StepFunction(grid, np.array([-0.5, 0.9, 0.0, 0.0, 1.3, 0.6]))  # ends at T
-        assert inner_product_H(h, zero, psi) == 0.0
-        full, _ = quad(lambda s: kstar_step(h, phi, s) * kstar_step(h, psi, s), 0.0, 1.0,
-                       points=list(grid.nodes()[1:-1]), epsabs=0, epsrel=1e-10, limit=400)
-        assert inner_product_H(h, phi, psi, rtol=1e-10) == pytest.approx(full, rel=1e-10)
+        # K(t, .) vanishes beyond t, so integrating to min(t, s) only loses
+        # nothing against [0, T] with the truncated product
+        h, horizon = 0.3, 1.0
 
-    def test_requires_shared_grid(self):
-        phi = StepFunction.indicator(UniformGrid(1.0, 4), 2)
-        psi = StepFunction.indicator(UniformGrid(1.0, 8), 2)
-        with pytest.raises(DomainError):
-            inner_product_H(0.3, phi, psi)
+        def truncated(t: float, u: float) -> float:
+            return kernel_K(h, t, u) if u < t else 0.0
 
-
-class TestExtendedInner:
-    def test_indicator_recovers_covariance(self):
-        h = 0.3
-        grid = UniformGrid(1.0, 8)
-        for k, t_idx in [(2, 6), (4, 4), (6, 2)]:
-            phi = StepFunction.indicator(grid, k)
-            t = grid.node(t_idx)
-            assert extended_inner(h, phi, t) == pytest.approx(
-                covariance(h, grid.node(k), t), rel=1e-10
-            )
-
-    def test_zero_function(self):
-        phi = StepFunction(UniformGrid(1.0, 4), np.zeros(4))
-        assert extended_inner(0.3, phi, 0.5) == 0.0
-
-    def test_agrees_with_inner_product_on_steps(self):
-        h = 0.3
-        grid = UniformGrid(1.0, 4)
-        rng = np.random.default_rng(40)
-        phi = StepFunction(grid, rng.standard_normal(4))
-        for t_idx in (2, 3):
-            psi = StepFunction.indicator(grid, t_idx)
-            via_quadrature = inner_product_H(h, phi, psi, rtol=1e-6)
-            via_derivative = extended_inner(h, phi, grid.node(t_idx))
-            assert via_quadrature == pytest.approx(via_derivative, rel=2e-4)
-
-    def test_requires_grid_time(self):
-        phi = StepFunction.indicator(UniformGrid(1.0, 4), 2)
-        with pytest.raises(DomainError):
-            extended_inner(0.3, phi, 0.3)
+        for t, s in [(2 / 3, 1.0), (1.0, 2 / 3), (0.5, 0.5)]:
+            full, _ = quad(lambda u: truncated(t, u) * truncated(s, u), 0.0, horizon,
+                           points=sorted({t, s} - {horizon}), epsabs=0, epsrel=1e-10,
+                           limit=400)
+            assert covariance_via_kernel(h, t, s, rtol=1e-10) == pytest.approx(full, rel=1e-10)
 
 
 def test_kernel_check_table_small():
