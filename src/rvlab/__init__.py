@@ -10,7 +10,6 @@ __version__ = "0.1.0"
 
 from .core import (
     MultiPath,
-    RealPath,
     SeedSpec,
     UniformGrid,
 )
@@ -18,7 +17,6 @@ from .core import (
 __all__ = [
     "__version__",
     "MultiPath",
-    "RealPath",
     "SeedSpec",
     "UniformGrid",
 ]

@@ -25,7 +25,6 @@ from scipy.special import gammaln
 
 from .core import (
     MultiPath,
-    RealPath,
     SeedSpec,
     UniformGrid,
     check_hurst,
@@ -41,7 +40,6 @@ if TYPE_CHECKING:
 
 __all__ = [
     "k_q",
-    "bessel_from_multipath",
     "theta_path",
     "require_bessel_dimension",
     "require_variation_gate",
@@ -64,23 +62,19 @@ def require_bessel_dimension(d: int) -> None:
         raise GateError(f"the Bessel process needs d >= 2, got d={d}")
 
 
-def bessel_from_multipath(path: MultiPath) -> RealPath:
-    """R_t = ||B_t||, the nodewise Euclidean norm of a d >= 2 path."""
-    if path.dimension < 2:
-        raise DomainError(f"the Bessel process needs d >= 2, got d={path.dimension}")
-    return RealPath(path.grid, np.linalg.norm(path.values, axis=1))
-
-
-def theta_path(path: MultiPath, hurst: float) -> RealPath:
-    """Theta_t = R_t - H (d-1) int_0^t s^{2H-1} / R_s ds along one path.
+def theta_path(path: MultiPath, hurst: float) -> np.ndarray:
+    """Theta_t = R_t - H (d-1) int_0^t s^{2H-1} / R_s ds at every node of a
+    d >= 2 path, with R_t = ||B_t|| its nodewise Euclidean norm.
 
     Requires R_{t_i} > 0 for i >= 1 (an almost-sure event; a zero signals a
     corrupted sampler, not randomness).
     """
     h = check_hurst(hurst)
     d = path.dimension
-    r = bessel_from_multipath(path)
-    interior = r.values[1:]
+    if d < 2:
+        raise DomainError(f"the Bessel process needs d >= 2, got d={d}")
+    r = np.linalg.norm(path.values, axis=1)
+    interior = r[1:]
     if np.any(interior == 0.0):
         i = 1 + int(np.flatnonzero(interior == 0.0)[0])
         raise NumericalError(
@@ -89,7 +83,7 @@ def theta_path(path: MultiPath, hurst: float) -> RealPath:
         )
     inv_r = np.concatenate([[0.0], 1.0 / interior])  # node 0 never used
     # (d - 1) stays in the scalar weight: folding it into 1/R changes bits
-    return ito_representation(r.values, h * (d - 1), inv_r, path.grid, h)
+    return ito_representation(r, h * (d - 1), inv_r, path.grid, h)
 
 
 def require_variation_gate(d: int, hurst: float) -> None:
@@ -101,13 +95,16 @@ def require_variation_gate(d: int, hurst: float) -> None:
         )
 
 
-def _moment_grid(t_list: list[float], max_n: int = 4096) -> UniformGrid:
-    """Smallest uniform grid whose nodes contain every requested time."""
+def _moment_grid(t_list: list[float], max_n: int = 4096) -> tuple[UniformGrid, tuple]:
+    """Smallest uniform grid whose nodes contain every requested time, and
+    the indices of those nodes."""
     horizon = max(t_list)
     for n in range(1, max_n + 1):
-        dt = horizon / n
-        if all(abs(t / dt - round(t / dt)) < 1e-9 for t in t_list):
-            return UniformGrid(horizon, n)
+        grid = UniformGrid(horizon, n)
+        try:
+            return grid, tuple(grid.index_of(t) for t in t_list)
+        except DomainError:
+            continue
     raise ConfigError(f"t_list {t_list} does not fit a uniform grid with n <= {max_n}")
 
 
@@ -132,8 +129,7 @@ def negative_moment_experiment(config: ExperimentConfig, workers: int) -> Report
         raise ConfigError("need at least two times for the scaling regression")
     if sorted(set(t_list)) != list(t_list) or min(t_list) <= 0:
         raise ConfigError("t_list must be positive and strictly increasing")
-    grid = _moment_grid(t_list)
-    indices = tuple(grid.index_of(t) for t in t_list)
+    grid, indices = _moment_grid(t_list)
     paths = PathJob(h, d, grid.horizon, grid.n, SeedSpec(config.master_seed))
     per_rep = replication_map(
         functools.partial(_moment_rep, paths, q, indices), replications, workers
@@ -176,7 +172,7 @@ def negative_moment_experiment(config: ExperimentConfig, workers: int) -> Report
 
 
 def _theta_terminal_rep(paths: PathJob, r: int) -> float:
-    return float(theta_path(paths.sample(r), paths.hurst).values[-1])
+    return float(theta_path(paths.sample(r), paths.hurst)[-1])
 
 
 def self_similarity_suite(config: ExperimentConfig, workers: int) -> Report:

@@ -24,7 +24,7 @@ import click
 
 from .core import SeedSpec, UniformGrid, write_path_csv
 from .errors import ConfigError, NumericalError, RvlabError
-from .fbm import SAMPLERS, sample_fbm_multi, sampler
+from .fbm import SAMPLERS, sample_fbm_multi
 from .harness import (
     EXIT_CONFIG,
     EXIT_NUMERICAL,
@@ -94,11 +94,7 @@ def fbm_cmd(hurst, horizon, grid_size, dim, method, replication, seed, out):
     """Sample one fBm path and write it as CSV (t,value or t,v1,...,vd)."""
     try:
         grid = UniformGrid(horizon, grid_size)
-        spec = SeedSpec(seed, replication)
-        if dim == 1:
-            path = sampler(method)(hurst, grid, spec)
-        else:
-            path = sample_fbm_multi(hurst, dim, grid, spec, method=method)
+        path = sample_fbm_multi(hurst, dim, grid, SeedSpec(seed, replication), method=method)
         if out:
             text = io.StringIO()
             write_path_csv(path, text)

@@ -1,10 +1,12 @@
-"""Core value types: the Hurst parameter check, uniform grids, sampled
-paths and reproducible seed derivation, plus the singular time-weight
-integral and the Ito-type representation built on it, which every transform
-of a sampled path (divergence integrals, Theta) goes through.
+"""Core value types: the Hurst parameter check, uniform grids, the sampled
+d-dimensional path and reproducible seed derivation, plus the singular
+time-weight integral and the Ito-type representation built on it, which every
+transform of a sampled path (divergence integrals, Theta) goes through.
 
-Everything here is immutable; paths wrap read-only numpy arrays so they can
-be shared freely across worker processes and threads.
+A scalar process (a divergence integral, Theta) is a plain array of its
+values at the grid nodes.  The sampled path is immutable and wraps a
+read-only numpy array, so it can be shared freely across worker processes
+and threads.
 """
 
 from __future__ import annotations
@@ -18,7 +20,6 @@ from .errors import DomainError
 
 __all__ = [
     "UniformGrid",
-    "RealPath",
     "MultiPath",
     "SeedSpec",
     "check_hurst",
@@ -54,6 +55,10 @@ class UniformGrid:
             raise DomainError(f"horizon must be positive and finite, got {self.horizon}")
         if self.n < 1:
             raise DomainError(f"grid size must be >= 1, got {self.n}")
+        if not self.horizon / self.n > 0:
+            raise DomainError(
+                f"the cell width of horizon {self.horizon} over {self.n} cells underflows to 0"
+            )
 
     @property
     def dt(self) -> float:
@@ -71,41 +76,14 @@ class UniformGrid:
             raise DomainError(f"node index {i} outside 0..{self.n}")
         return self.horizon if i == self.n else i * self.horizon / self.n
 
-    def index_of(self, t: float, rtol: float = 1e-9) -> int:
-        """Index of the node equal to ``t``; DomainError if t is off-grid."""
+    def index_of(self, t: float) -> int:
+        """Index of the node within 1e-9 cell widths of ``t`` (node 0 only for
+        t = 0); DomainError if t is off-grid."""
         i = int(round(t / self.dt))
-        if not (0 <= i <= self.n) or abs(t - self.node(i)) > rtol * max(self.horizon, 1.0):
+        tol = 1e-9 * self.dt if i else 0.0
+        if not (0 <= i <= self.n) or abs(t - self.node(i)) > tol:
             raise DomainError(f"t = {t} is not a node of {self}")
         return i
-
-
-def _frozen(values: np.ndarray) -> np.ndarray:
-    arr = np.array(values, dtype=float)
-    arr.setflags(write=False)
-    return arr
-
-
-@dataclass(frozen=True)
-class RealPath:
-    """A real-valued process sampled at the nodes of a uniform grid.
-
-    Every process this library produces (fBm, divergence integrals, Theta)
-    starts at zero; the constructor tolerates shifted paths so that
-    level-invariant statistics can be exercised on them.
-    """
-
-    grid: UniformGrid
-    values: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "values", _frozen(self.values))
-        if self.values.ndim != 1 or self.values.shape[0] != self.grid.n + 1:
-            raise DomainError(
-                f"path needs {self.grid.n + 1} values, got shape {self.values.shape}"
-            )
-
-    def increments(self) -> np.ndarray:
-        return np.diff(self.values)
 
 
 @dataclass(frozen=True)
@@ -117,7 +95,9 @@ class MultiPath:
     values: np.ndarray  # shape (n+1, d)
 
     def __post_init__(self):
-        object.__setattr__(self, "values", _frozen(self.values))
+        values = np.array(self.values, dtype=float)
+        values.setflags(write=False)
+        object.__setattr__(self, "values", values)
         if self.values.ndim != 2 or self.values.shape[0] != self.grid.n + 1:
             raise DomainError(
                 f"multipath needs shape ({self.grid.n + 1}, d), got {self.values.shape}"
@@ -192,7 +172,7 @@ def weighted_cumulative(values: np.ndarray, grid: UniformGrid, h: float) -> np.n
 
 def ito_representation(
     f_vals: np.ndarray, weight: float, g_vals: np.ndarray, grid: UniformGrid, h: float
-) -> RealPath:
+) -> np.ndarray:
     """X_t = f_t - f_0 - weight int_0^t g(s) s^{2H-1} ds at every node, X_0 = 0.
 
     The Ito-type formula F(B_t) - F(0) - H int_0^t (Laplacian F)(B_s) s^{2H-1} ds
@@ -201,26 +181,17 @@ def ito_representation(
     """
     values = f_vals - f_vals[0] - weight * weighted_cumulative(g_vals, grid, h)
     values[0] = 0.0
-    return RealPath(grid, values)
+    return values
 
 
-def write_path_csv(path: "RealPath | MultiPath", fh: TextIO) -> None:
-    """Serialize a path as CSV: ``t,value`` or ``t,v1,...,vd``.
+def write_path_csv(path: MultiPath, fh: TextIO) -> None:
+    """Serialize a path as CSV: ``t,value`` at d = 1, else ``t,v1,...,vd``.
 
     Values are written with shortest round-trip ``repr`` (numpy scalars are
     unwrapped first, whose repr is not parseable).
     """
-    t = path.grid.nodes()
-    if isinstance(path, RealPath):
-        fh.write("t,value\n")
-        for ti, vi in zip(t, path.values):
-            fh.write(f"{float(ti)!r},{float(vi)!r}\n")
-    else:
-        d = path.dimension
-        fh.write("t," + ",".join(f"v{j + 1}" for j in range(d)) + "\n")
-        for i, ti in enumerate(t):
-            fh.write(
-                f"{float(ti)!r},"
-                + ",".join(repr(float(v)) for v in path.values[i])
-                + "\n"
-            )
+    d = path.dimension
+    names = ["value"] if d == 1 else [f"v{j + 1}" for j in range(d)]
+    fh.write("t," + ",".join(names) + "\n")
+    for ti, row in zip(path.grid.nodes(), path.values):
+        fh.write(f"{float(ti)!r}," + ",".join(repr(float(v)) for v in row) + "\n")

@@ -17,7 +17,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import MultiPath, RealPath, SeedSpec, UniformGrid, check_hurst
+from .core import MultiPath, SeedSpec, UniformGrid, check_hurst
 from .errors import ConfigError, DomainError, EmbeddingError, FactorizationError
 from .parallel import _blas_threads
 
@@ -28,7 +28,6 @@ __all__ = [
     "sample_fbm_circulant",
     "sample_fbm_multi",
     "PathJob",
-    "sampler",
     "SAMPLERS",
     "CHOLESKY_MAX_N",
 ]
@@ -37,7 +36,9 @@ log = logging.getLogger(__name__)
 
 CHOLESKY_MAX_N = 4096
 
-# Registered sampler methods; ``sampler(name)`` resolves sample_fbm_<name>.
+# Registered sampler methods: "circulant" is sample_fbm_circulant, "cholesky"
+# sample_fbm_cholesky.  sample_fbm_multi looks the function up when called,
+# so a rebinding of either module name reaches every sample.
 SAMPLERS = ("circulant", "cholesky")
 
 # Relative eigenvalue tolerance of the circulant embedding: eigenvalues in
@@ -122,11 +123,12 @@ def _covariance_cholesky(h: float, horizon: float, n: int) -> np.ndarray:
 
 def sample_fbm_cholesky(
     hurst: float, grid: UniformGrid, seed: SeedSpec, component: int = 0
-) -> RealPath:
+) -> np.ndarray:
     """Exact fBm sample via Cholesky factorization of the covariance matrix.
 
-    The returned path has Gram matrix R_H(t_i, t_j) on the nonzero nodes and
-    is deterministic given ``seed`` and ``component`` (the sub-stream).
+    Returns the values at the n+1 nodes, 0 at node 0, with Gram matrix
+    R_H(t_i, t_j) on the nonzero nodes, deterministic given ``seed`` and
+    ``component`` (the sub-stream).
     Guarded to n <= 4096 (the factorization is O(n^3)).
     """
     h = check_hurst(hurst)
@@ -137,8 +139,7 @@ def sample_fbm_cholesky(
         )
     chol = _covariance_cholesky(h, grid.horizon, grid.n)
     z = seed.stream(component=component).standard_normal(grid.n)
-    values = np.concatenate([[0.0], chol @ z])
-    return RealPath(grid, values)
+    return np.concatenate([[0.0], chol @ z])
 
 
 @functools.lru_cache(maxsize=16)
@@ -177,13 +178,13 @@ def _embedding_eigenvalues(h: float, horizon: float, n: int) -> np.ndarray:
 
 def sample_fbm_circulant(
     hurst: float, grid: UniformGrid, seed: SeedSpec, component: int = 0
-) -> RealPath:
+) -> np.ndarray:
     """Exact fBm sample via FFT circulant embedding of the increments.
 
     Generates stationary fractional Gaussian noise from the 2n-point
-    circulant embedding, then cumulative-sums to a path.  Same law as the
-    Cholesky sampler, O(n log n), bit-reproducible for a given seed across
-    any number of workers.
+    circulant embedding, then cumulative-sums to the values at the n+1
+    nodes.  Same law as the Cholesky sampler, O(n log n), bit-reproducible
+    for a given seed across any number of workers.
     """
     n = grid.n
     root = _embedding_sqrt(check_hurst(hurst), grid.horizon, n)
@@ -198,15 +199,7 @@ def sample_fbm_circulant(
         w[1:n] = (a[1:n] + 1j * b) * (root[1:n] / np.sqrt(2.0))
         w[n + 1:] = np.conj(w[1:n][::-1])
     fgn = np.fft.ifft(w).real[:n] * np.sqrt(m)
-    values = np.concatenate([[0.0], np.cumsum(fgn)])
-    return RealPath(grid, values)
-
-
-def sampler(method: str):
-    """The 1-dim sampler registered as ``method``, looked up at call time."""
-    if method not in SAMPLERS:
-        raise ConfigError(f"unknown sampler method {method!r}; registered: {list(SAMPLERS)}")
-    return globals()[f"sample_fbm_{method}"]
+    return np.concatenate([[0.0], np.cumsum(fgn)])
 
 
 def sample_fbm_multi(
@@ -223,10 +216,12 @@ def sample_fbm_multi(
     """
     if d < 1:
         raise DomainError(f"dimension must be >= 1, got {d}")
-    sample = sampler(method)
+    if method not in SAMPLERS:
+        raise ConfigError(f"unknown sampler method {method!r}; registered: {list(SAMPLERS)}")
+    sample = sample_fbm_cholesky if method == "cholesky" else sample_fbm_circulant
     cols = np.empty((grid.n + 1, d))
     for j in range(d):
-        cols[:, j] = sample(hurst, grid, seed, component=j).values
+        cols[:, j] = sample(hurst, grid, seed, component=j)
     return MultiPath(grid, cols)
 
 

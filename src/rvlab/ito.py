@@ -33,7 +33,6 @@ import numpy as np
 from .core import (
     LANE_XI,
     MultiPath,
-    RealPath,
     SeedSpec,
     UniformGrid,
     check_hurst,
@@ -217,16 +216,18 @@ def _on_path(fn: Callable, path: MultiPath, label: str) -> np.ndarray:
 
 
 def divergence_via_ito(
-    spec: IntegrandSpec, path: RealPath, hurst: float
-) -> RealPath:
-    """The d = 1 case of :func:`divergence_via_ito_multi` on a scalar path."""
-    return divergence_via_ito_multi(spec, MultiPath(path.grid, path.values[:, None]), hurst)
+    spec: IntegrandSpec, grid: UniformGrid, values: np.ndarray, hurst: float
+) -> np.ndarray:
+    """The d = 1 case of :func:`divergence_via_ito_multi` on the node values
+    of a scalar fBm."""
+    return divergence_via_ito_multi(spec, MultiPath(grid, values[:, None]), hurst)
 
 
 def divergence_via_ito_multi(
     spec: IntegrandSpec, path: MultiPath, hurst: float
-) -> RealPath:
-    """Pathwise X_t = int_0^t grad F(B_s) dB_s via the Ito representation.
+) -> np.ndarray:
+    """Pathwise X_t = int_0^t grad F(B_s) dB_s via the Ito representation,
+    at every node of the path.
 
     X_t = F(B_t) - F(0) - H int_0^t (sum_i d^2F/dx_i^2)(B_s) s^{2H-1} ds,
     exact in law for whitelisted integrands; see :func:`divergence_reading`
@@ -465,7 +466,7 @@ def default_interval_pairs(horizon: float) -> list[tuple[float, float]]:
 def _lp_rep(paths: PathJob, label: str, index_pairs: tuple, r: int) -> list[float]:
     x = divergence_via_ito_multi(INTEGRANDS[label], paths.sample(r), paths.hurst)
     p = 1.0 / paths.hurst
-    return [float(np.abs(x.values[ib] - x.values[ia]) ** p) for ia, ib in index_pairs]
+    return [float(np.abs(x[ib] - x[ia]) ** p) for ia, ib in index_pairs]
 
 
 def lp_scaling_experiment(config: ExperimentConfig, workers: int) -> Report:

@@ -1,7 +1,7 @@
 """q-variation statistics and the Gaussian moment constant e_H.
 
-The q-variation of a sampled path is the finite sum of q-th powers of
-absolute increments over the path's own grid.  For fBm with q = 1/H it
+The q-variation of a process sampled on a grid is the finite sum of q-th
+powers of the absolute increments of its node values.  For fBm with q = 1/H it
 converges in L^1 to e_H * T, where e_H is the absolute 1/H-moment of a
 standard Gaussian; :func:`rvlab.ito.variation_experiment` measures that
 convergence grid by grid.  Both are plain floats.
@@ -14,7 +14,7 @@ import math
 import numpy as np
 from scipy.special import gammaln
 
-from .core import RealPath, check_hurst
+from .core import check_hurst
 from .errors import DomainError, NumericalError
 
 __all__ = [
@@ -23,8 +23,8 @@ __all__ = [
 ]
 
 
-def variation_Vnq(path: RealPath, q: float) -> float:
-    """q-variation V_n^q(X) = sum_i |X_{t_{i+1}} - X_{t_i}|^q.
+def variation_Vnq(values: np.ndarray, q: float) -> float:
+    """q-variation V_n^q(X) = sum_i |X_{t_{i+1}} - X_{t_i}|^q of the node values of X.
 
     The sum runs left to right with compensated summation so the value is
     identical no matter how replications were scheduled.  A sum that
@@ -33,7 +33,7 @@ def variation_Vnq(path: RealPath, q: float) -> float:
     if not q > 0:
         raise DomainError(f"variation exponent must be positive, got {q}")
     with np.errstate(over="ignore"):
-        powers = np.abs(path.increments()) ** q
+        powers = np.abs(np.diff(values)) ** q
     try:
         total = math.fsum(powers)
     except OverflowError:  # fsum's partial sums of finite terms passed the largest double

@@ -5,12 +5,7 @@ import pytest
 
 from rvlab.core import MultiPath, SeedSpec, UniformGrid
 from rvlab.errors import ConfigError, DomainError, GateError, NumericalError
-from rvlab.bessel import (
-    bessel_from_multipath,
-    k_q,
-    require_variation_gate,
-    theta_path,
-)
+from rvlab.bessel import k_q, require_variation_gate, theta_path
 from rvlab.fbm import sample_fbm_multi
 from rvlab.harness import ExperimentConfig, run_experiment
 from rvlab.variation import e_H
@@ -21,17 +16,21 @@ def _multipath(values):
     return MultiPath(UniformGrid(1.0, values.shape[0] - 1), values)
 
 
+def _radius(path):
+    return np.linalg.norm(path.values, axis=1)
+
+
 class TestBesselProcess:
     def test_pythagorean_row(self):
-        path = _multipath([[0.0, 0.0], [3.0, 4.0]])
-        r = bessel_from_multipath(path)
-        assert r.values[0] == 0.0
-        assert r.values[1] == 5.0
+        # one cell: Theta_1 = R_1 - H (d - 1) (1 / (2H)) / R_1 with R_1 = ||(3, 4)|| = 5
+        theta = theta_path(_multipath([[0.0, 0.0], [3.0, 4.0]]), 0.3)
+        assert theta[0] == 0.0
+        assert theta[1] == pytest.approx(5.0 - 0.5 / 5.0, rel=1e-15)
 
     def test_requires_two_dimensions(self):
         path = _multipath([[0.0], [1.0]])
         with pytest.raises(DomainError, match="d >= 2"):
-            bessel_from_multipath(path)
+            theta_path(path, 0.3)
 
     def test_mean_squared_radius(self):
         # E R_t^2 = d t^{2H}
@@ -50,15 +49,15 @@ class TestThetaPath:
         grid = UniformGrid(1.0, 256)
         path = sample_fbm_multi(h, d, grid, SeedSpec(72, 0))
         theta = theta_path(path, h)
-        r = bessel_from_multipath(path)
-        assert theta.values[0] == 0.0
-        assert np.all(theta.values[1:] <= r.values[1:])
+        r = _radius(path)
+        assert theta[0] == 0.0
+        assert np.all(theta[1:] <= r[1:])
 
     def test_drift_is_nondecreasing(self):
         h, d = 0.45, 3
         grid = UniformGrid(1.0, 128)
         path = sample_fbm_multi(h, d, grid, SeedSpec(72, 1))
-        drift = bessel_from_multipath(path).values - theta_path(path, h).values
+        drift = _radius(path) - theta_path(path, h)
         assert np.all(np.diff(drift) >= 0)
 
     def test_zero_radius_flags_corruption(self):
@@ -75,7 +74,7 @@ class TestThetaPath:
         q_mat, _ = np.linalg.qr(rng.standard_normal((d, d)))
         rotated = MultiPath(grid, path.values @ q_mat.T)
         assert np.allclose(
-            theta_path(path, h).values, theta_path(rotated, h).values,
+            theta_path(path, h), theta_path(rotated, h),
             rtol=1e-12, atol=1e-12,
         )
 
@@ -87,7 +86,7 @@ class TestThetaPath:
         h, d, m = 0.45, 3, 4000
         grid = UniformGrid(1.0, 4096)
         samples = np.array(
-            [theta_path(sample_fbm_multi(h, d, grid, SeedSpec(73, r)), h).values[-1]
+            [theta_path(sample_fbm_multi(h, d, grid, SeedSpec(73, r)), h)[-1]
              for r in range(m)]
         )
         se = samples.std(ddof=1) / np.sqrt(m)
@@ -97,10 +96,9 @@ class TestThetaPath:
         h, d = 0.45, 3
         grid = UniformGrid(1.0, 64)
         base = sample_fbm_multi(h, d, grid, SeedSpec(72, 5))
-        r, theta = bessel_from_multipath(base), theta_path(base, h)
-        drift = r.values - theta.values
-        assert np.array_equal(r.values, np.linalg.norm(base.values, axis=1))
-        assert theta.values[0] == 0.0
+        theta = theta_path(base, h)
+        drift = _radius(base) - theta
+        assert theta[0] == 0.0
         assert np.all(drift >= 0.0)
         assert np.all(np.diff(drift) >= 0.0)
 
@@ -112,7 +110,7 @@ class TestThetaPath:
         for n in (2**10, 2**12):
             grid = UniformGrid(1.0, n)
             vals = np.array(
-                [theta_path(sample_fbm_multi(h, d, grid, SeedSpec(74, r)), h).values[-1]
+                [theta_path(sample_fbm_multi(h, d, grid, SeedSpec(74, r)), h)[-1]
                  for r in range(m)]
             )
             means[n] = (vals.mean(), vals.std(ddof=1) / np.sqrt(m))

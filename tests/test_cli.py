@@ -44,6 +44,27 @@ class TestFbmCommand:
         assert result.exit_code == 0
         assert result.output.splitlines()[0] == "t,v1,v2"
 
+    @pytest.mark.parametrize(
+        "name, args",
+        [
+            ("d1-circulant", ["--hurst", "0.3", "--grid-size", "16", "--method", "circulant",
+                              "--seed", "3", "--replication", "2"]),
+            ("d1-cholesky", ["--hurst", "0.3", "--grid-size", "16", "--method", "cholesky",
+                             "--seed", "3", "--replication", "2"]),
+            ("d2-cholesky", ["--hurst", "0.4", "--grid-size", "8", "--dim", "2",
+                             "--method", "cholesky", "--seed", "5", "--replication", "1"]),
+            ("d3", ["--hurst", "0.25", "--horizon", "2.5", "--grid-size", "8", "--dim", "3",
+                    "--seed", "7", "--replication", "4"]),
+            ("n1", ["--hurst", "0.45", "--grid-size", "1", "--seed", "11", "--replication", "3"]),
+        ],
+        ids=lambda v: v if isinstance(v, str) else None,
+    )
+    def test_path_golden_bytes(self, runner, name, args):
+        expected = (GOLDEN / "fbm" / f"{name}.csv").read_text(encoding="utf-8")
+        result = runner.invoke(main, ["fbm", *args])
+        assert result.exit_code == 0, result.output
+        assert result.output == expected
+
     def test_same_seed_same_output(self, runner):
         args = ["fbm", "--hurst", "0.35", "--grid-size", "8", "--seed", "11"]
         assert runner.invoke(main, args).output == runner.invoke(main, args).output
@@ -208,6 +229,33 @@ class TestExperimentCommands:
         assert result.exit_code in (0, 1), result.output
         doc = json.loads(result.stdout)
         assert doc["meta"]["config"]["params"] == {"control": False, "grid_size": 16}
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["lp-scaling", "--horizon", "1e-321", "--replications", "4"],
+            ["kernel-check", "--horizon", "5e-324", "--lattice", "3"],
+            ["covariance-check", "--horizon", "1e-321", "--grid-sizes", "4096",
+             "--replications", "2"],
+        ],
+        ids=lambda args: args[0],
+    )
+    def test_cell_width_underflow_exits_2(self, runner, args):
+        result = runner.invoke(main, [*args, "--workers", "1"])
+        assert result.exit_code == 2, result.output
+        assert result.output.startswith("error: the cell width of horizon")
+        assert result.exception is None or isinstance(result.exception, SystemExit)
+
+    def test_moment_time_off_every_grid_exits_2(self, runner):
+        # the coarsest grid of [0, 1] with 1e-10 as a node has 1e10 cells;
+        # node 0, where R = 0, is not 1e-10
+        result = runner.invoke(
+            main, ["negative-moments", "--dimension", "3", "--t-list", "1e-10,1",
+                   "--replications", "4", "--workers", "1"],
+        )
+        assert result.exit_code == 2, result.output
+        assert result.output.startswith("error: ")
+        assert "does not fit a uniform grid" in result.output
 
     def test_kernel_check_rejects_half(self, runner):
         result = runner.invoke(main, ["kernel-check", "--hurst", "0.5"])

@@ -9,7 +9,6 @@ import pytest
 
 from rvlab.core import (
     MultiPath,
-    RealPath,
     SeedSpec,
     UniformGrid,
     check_hurst,
@@ -63,7 +62,7 @@ _HURST_ENTRY_POINTS = {
     "require_variation_gate": lambda h: require_variation_gate(3, h),
     "divergence_reading": divergence_reading,
     "divergence_via_ito": lambda h: divergence_via_ito(
-        INTEGRANDS["identity"], RealPath(_GRID, _PATH_2D.values[:, 0]), h
+        INTEGRANDS["identity"], _GRID, _PATH_2D.values[:, 0], h
     ),
     "divergence_via_ito_multi": lambda h: divergence_via_ito_multi(
         INTEGRANDS["identity"], _PATH_2D, h
@@ -120,17 +119,31 @@ class TestUniformGrid:
         with pytest.raises(DomainError):
             grid.index_of(0.123)
 
+    @pytest.mark.parametrize("t", [1e-300, -1e-10])
+    def test_index_of_maps_only_zero_to_node_zero(self, t):
+        # the tolerance is relative to the cell width, so a tiny t of either
+        # sign is no node of a coarse grid
+        with pytest.raises(DomainError, match="is not a node"):
+            UniformGrid(1.0, 1).index_of(t)
+
+    @pytest.mark.parametrize("horizon, n", [(1e-321, 4096), (5e-324, 2)])
+    def test_rejects_cell_width_that_underflows(self, horizon, n):
+        with pytest.raises(DomainError, match=f"horizon {horizon} over {n} cells underflows"):
+            UniformGrid(horizon, n)
+
 
 class TestPaths:
-    def test_real_path_values_are_immutable(self):
-        grid = UniformGrid(1.0, 2)
-        path = RealPath(grid, np.array([0.0, 1.0, -1.0]))
+    def test_multipath_values_are_immutable(self):
+        values = np.array([[0.0], [1.0], [-1.0]])
+        path = MultiPath(UniformGrid(1.0, 2), values)
         assert path.values.flags.writeable is False
-        assert np.array_equal(path.increments(), [1.0, -2.0])
+        values[1, 0] = 5.0  # the path holds its own copy
+        assert path.values[1, 0] == 1.0
 
-    def test_real_path_length_checked(self):
-        with pytest.raises(DomainError):
-            RealPath(UniformGrid(1.0, 2), np.zeros(4))
+    def test_multipath_shape_checked(self):
+        for values in (np.zeros(3), np.zeros((4, 1)), np.zeros((3, 0))):
+            with pytest.raises(DomainError):
+                MultiPath(UniformGrid(1.0, 2), values)
 
     def test_multipath_component_roundtrip(self):
         grid = UniformGrid(1.0, 2)
@@ -180,16 +193,16 @@ def test_ito_representation_drift_is_the_exact_time_weight():
     f = np.linspace(1.0, 3.0, 9)
     x = ito_representation(f, weight, np.ones(9), grid, h)
     t = grid.nodes()
-    assert x.values[0] == 0.0
+    assert x[0] == 0.0
     np.testing.assert_allclose(
-        x.values, f - f[0] - weight * t ** (2 * h) / (2 * h), rtol=1e-13, atol=1e-15
+        x, f - f[0] - weight * t ** (2 * h) / (2 * h), rtol=1e-13, atol=1e-15
     )
 
 
 def test_write_path_csv_headers_and_values():
     grid = UniformGrid(1.0, 2)
     buf = io.StringIO()
-    write_path_csv(RealPath(grid, [0.0, 0.5, 1.5]), buf)
+    write_path_csv(MultiPath(grid, [[0.0], [0.5], [1.5]]), buf)
     lines = buf.getvalue().splitlines()
     assert lines[0] == "t,value"
     assert lines[1] == "0.0,0.0"

@@ -129,24 +129,24 @@ class TestDivergence:
     def test_identity_potential_returns_path(self):
         grid = UniformGrid(1.0, 64)
         path = sample_fbm_circulant(0.45, grid, SeedSpec(2, 0))
-        x = divergence_via_ito(INTEGRANDS["identity"], path, 0.45)
-        assert np.array_equal(x.values, path.values)
+        x = divergence_via_ito(INTEGRANDS["identity"], grid, path, 0.45)
+        assert np.array_equal(x, path)
 
     def test_quadratic_identity_per_node(self):
         # For f = x^2/2: 2 X_t + t^{2H} = B_t^2 at every node.
         h = 0.45
         grid = UniformGrid(1.0, 256)
         path = sample_fbm_circulant(h, grid, SeedSpec(2, 1))
-        x = divergence_via_ito(INTEGRANDS["quadratic"], path, h)
+        x = divergence_via_ito(INTEGRANDS["quadratic"], grid, path, h)
         t = grid.nodes()
-        lhs = 2 * x.values + t ** (2 * h)
-        assert np.allclose(lhs, path.values**2, rtol=1e-11, atol=1e-13)
+        lhs = 2 * x + t ** (2 * h)
+        assert np.allclose(lhs, path**2, rtol=1e-11, atol=1e-13)
 
     def test_constant_potential_gives_zero(self):
         grid = UniformGrid(1.0, 32)
         path = sample_fbm_circulant(0.3, grid, SeedSpec(2, 2))
-        x = divergence_via_ito(INTEGRANDS["constant"], path, 0.3)
-        assert np.all(x.values == 0.0)
+        x = divergence_via_ito(INTEGRANDS["constant"], grid, path, 0.3)
+        assert np.all(x == 0.0)
 
     def test_linearity_in_potential(self):
         h = 0.4
@@ -158,18 +158,18 @@ class TestDivergence:
             laplacian=lambda x: np.sum(1.0 + 2.0 * np.asarray(x), axis=-1),
             label="quadratic+cubic",
         )
-        x_sum = divergence_via_ito(combined, path, h)
+        x_sum = divergence_via_ito(combined, grid, path, h)
         x_parts = (
-            divergence_via_ito(INTEGRANDS["quadratic"], path, h).values
-            + divergence_via_ito(INTEGRANDS["cubic"], path, h).values
+            divergence_via_ito(INTEGRANDS["quadratic"], grid, path, h)
+            + divergence_via_ito(INTEGRANDS["cubic"], grid, path, h)
         )
-        assert np.allclose(x_sum.values, x_parts, rtol=1e-12, atol=1e-14)
+        assert np.allclose(x_sum, x_parts, rtol=1e-12, atol=1e-14)
 
     def test_starts_at_zero(self):
         grid = UniformGrid(1.0, 16)
         path = sample_fbm_circulant(0.3, grid, SeedSpec(2, 4))
         for label in ("identity", "quadratic", "cubic"):
-            assert divergence_via_ito(INTEGRANDS[label], path, 0.3).values[0] == 0.0
+            assert divergence_via_ito(INTEGRANDS[label], grid, path, 0.3)[0] == 0.0
 
     def test_overflow_reports_node(self):
         grid = UniformGrid(1.0, 16)
@@ -182,7 +182,7 @@ class TestDivergence:
         )
         with np.errstate(over="ignore"):
             with pytest.raises(NumericalError, match="node"):
-                divergence_via_ito(explosive, path, 0.3)
+                divergence_via_ito(explosive, grid, path, 0.3)
 
     def test_reading_label(self):
         assert divergence_reading(0.3) == "divergence"
@@ -198,14 +198,14 @@ class TestDivergenceMulti:
         x = divergence_via_ito_multi(INTEGRANDS["radial_quadratic"], path, h)
         t = grid.nodes()
         expected = 0.5 * (np.sum(path.values**2, axis=1) - d * t ** (2 * h))
-        assert np.allclose(x.values, expected, rtol=1e-11, atol=1e-13)
+        assert np.allclose(x, expected, rtol=1e-11, atol=1e-13)
 
     def test_linear_potential_sums_components(self):
         h, d = 0.4, 2
         grid = UniformGrid(1.0, 64)
         path = sample_fbm_multi(h, d, grid, SeedSpec(3, 1))
         x = divergence_via_ito_multi(INTEGRANDS["linear_sum"], path, h)
-        assert np.allclose(x.values, path.values.sum(axis=1), rtol=1e-12, atol=0)
+        assert np.allclose(x, path.values.sum(axis=1), rtol=1e-12, atol=0)
 
     def test_dimension_one_reduces_to_scalar_case(self):
         h = 0.45
@@ -213,8 +213,8 @@ class TestDivergenceMulti:
         multi = sample_fbm_multi(h, 1, grid, SeedSpec(3, 2))
         scalar = sample_fbm_circulant(h, grid, SeedSpec(3, 2))
         x_multi = divergence_via_ito_multi(INTEGRANDS["radial_quadratic"], multi, h)
-        x_scalar = divergence_via_ito(INTEGRANDS["quadratic"], scalar, h)
-        assert np.array_equal(x_multi.values, x_scalar.values)
+        x_scalar = divergence_via_ito(INTEGRANDS["quadratic"], grid, scalar, h)
+        assert np.array_equal(x_multi, x_scalar)
 
     def test_cubic_closed_form(self):
         # F = sum x_i^3 / 3 has Laplacian 2 sum x_i, so
@@ -225,7 +225,7 @@ class TestDivergenceMulti:
         x = divergence_via_ito_multi(INTEGRANDS["cubic"], path, h)
         drift = weighted_cumulative(path.values.sum(axis=1), grid, h)
         expected = np.sum(path.values**3, axis=1) / 3.0 - 2 * h * drift
-        assert np.allclose(x.values, expected, rtol=1e-12, atol=1e-14)
+        assert np.allclose(x, expected, rtol=1e-12, atol=1e-14)
 
 
 class TestScalarDivergenceVariation:

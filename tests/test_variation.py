@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from rvlab.core import RealPath, SeedSpec, UniformGrid
+from rvlab.core import SeedSpec, UniformGrid
 from rvlab.errors import ConfigError, DomainError, NumericalError
 from rvlab.fbm import sample_fbm_circulant
 from rvlab.harness import ExperimentConfig, run_experiment
@@ -39,53 +39,39 @@ def gaussian_abs_moment(p: float) -> float:
 
 class TestVariationStatistic:
     def test_constant_path_has_zero_variation(self):
-        path = RealPath(UniformGrid(1.0, 4), np.zeros(5))
-        assert variation_Vnq(path, 1.7) == 0.0
+        assert variation_Vnq(np.zeros(5), 1.7) == 0.0
 
     def test_linear_path_first_variation_is_horizon(self):
-        grid = UniformGrid(2.0, 8)
-        path = RealPath(grid, grid.nodes())
-        assert variation_Vnq(path, 1.0) == pytest.approx(2.0, rel=1e-14)
+        assert variation_Vnq(UniformGrid(2.0, 8).nodes(), 1.0) == pytest.approx(2.0, rel=1e-14)
 
     def test_hand_sum(self):
-        path = RealPath(UniformGrid(1.0, 2), np.array([0.0, 1.0, -1.0]))
-        assert variation_Vnq(path, 2.0) == 5.0
+        assert variation_Vnq(np.array([0.0, 1.0, -1.0]), 2.0) == 5.0
 
     def test_rejects_nonpositive_exponent(self):
-        path = RealPath(UniformGrid(1.0, 2), np.zeros(3))
         with pytest.raises(DomainError):
-            variation_Vnq(path, 0.0)
+            variation_Vnq(np.zeros(3), 0.0)
 
     @pytest.mark.parametrize("values", [
         [0.0, 1e200, 0.0],  # a power overflows
         [0.0, 1e154, 0.0],  # finite powers whose sum overflows
     ])
     def test_overflow_is_a_numerical_error(self, values):
-        path = RealPath(UniformGrid(1.0, 2), np.array(values))
         with pytest.raises(NumericalError, match="non-finite"):
-            variation_Vnq(path, 2.0)
+            variation_Vnq(np.array(values), 2.0)
 
     def test_invariances(self):
         rng = np.random.default_rng(77)
-        grid = UniformGrid(1.0, 32)
         values = np.concatenate([[0.0], rng.standard_normal(32)])
-        path = RealPath(grid, values)
         q = 1.0 / 0.3
-        base = variation_Vnq(path, q)
+        base = variation_Vnq(values, q)
 
         # level shifts change increments only through rounding of v + c
-        shifted = RealPath(grid, values + 3.7)
-        assert variation_Vnq(shifted, q) == pytest.approx(base, rel=1e-12)
-
-        negated = RealPath(grid, -values)
-        assert variation_Vnq(negated, q) == base
-
-        doubled = RealPath(grid, 2.0 * values)
-        assert variation_Vnq(doubled, 2.0) == 4.0 * variation_Vnq(path, 2.0)
+        assert variation_Vnq(values + 3.7, q) == pytest.approx(base, rel=1e-12)
+        assert variation_Vnq(-values, q) == base
+        assert variation_Vnq(2.0 * values, 2.0) == 4.0 * variation_Vnq(values, 2.0)
 
         c = -1.83
-        scaled = RealPath(grid, c * values)
-        assert variation_Vnq(scaled, q) == pytest.approx(
+        assert variation_Vnq(c * values, q) == pytest.approx(
             abs(c) ** q * base, rel=1e-12
         )
 
