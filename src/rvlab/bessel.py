@@ -12,6 +12,10 @@ never through an abstract divergence operator.  The drift integrand 1/R_s
 is sampled at cell right endpoints (R_0 = 0 makes the left endpoint
 undefined; the true integrand behaves like s^{H-1}, which is integrable, so
 the first-cell bias vanishes under refinement).
+
+K_q takes log-Gamma from ``math.lgamma``.  The self-similarity test's
+``scipy.stats`` is bound by :func:`load_scipy_stats` when its config is
+validated; nothing else here uses scipy.
 """
 
 from __future__ import annotations
@@ -21,7 +25,6 @@ import math
 from typing import TYPE_CHECKING
 
 import numpy as np
-from scipy.special import gammaln
 
 from .core import (
     MultiPath,
@@ -53,7 +56,7 @@ def k_q(d: int, q: float) -> float:
     defined only for 0 < q < d."""
     if not 0 < q < d:
         raise GateError(f"negative moment requires 0 < q < d, got q={q}, d={d}")
-    return float(np.exp(-0.5 * q * np.log(2.0) + gammaln((d - q) / 2) - gammaln(d / 2)))
+    return math.exp(-0.5 * q * math.log(2.0) + math.lgamma((d - q) / 2) - math.lgamma(d / 2))
 
 
 def require_bessel_dimension(d: int) -> None:
@@ -171,6 +174,20 @@ def negative_moment_experiment(config: ExperimentConfig, workers: int) -> Report
     )
 
 
+ks_2samp = None  # scipy.stats', bound by load_scipy_stats
+
+
+def load_scipy_stats() -> None:
+    """Bind scipy.stats.ks_2samp to this module; idempotent.
+
+    Only the self-similarity test uses scipy.stats, so it loads when a
+    self-similarity config is validated, not at start-up.
+    """
+    global ks_2samp
+    if ks_2samp is None:
+        from scipy.stats import ks_2samp
+
+
 def _theta_terminal_rep(paths: PathJob, r: int) -> float:
     return float(theta_path(paths.sample(r), paths.hurst)[-1])
 
@@ -209,10 +226,7 @@ def self_similarity_suite(config: ExperimentConfig, workers: int) -> Report:
         if max(a_list) == 1:
             raise ConfigError("a power control at a = 1 is never rejected: a^-H = a^-2H there")
         cases.append((max(a_list), "a^-2H", -2 * h))
-    # Imported here, not at module level: scipy.stats is over a third of
-    # the package's start-up time, and only this experiment uses it.
-    from scipy.stats import ks_2samp
-
+    load_scipy_stats()  # a no-op after config validation
     threshold = level / len(a_list)
     rows = []
     for k, (a, scaling, exponent) in enumerate(cases):

@@ -11,6 +11,7 @@ and threads.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from typing import TextIO
 
@@ -55,6 +56,10 @@ class UniformGrid:
             raise DomainError(f"horizon must be positive and finite, got {self.horizon}")
         if self.n < 1:
             raise DomainError(f"grid size must be >= 1, got {self.n}")
+        if self.n > sys.float_info.max:  # horizon / n would raise OverflowError
+            raise DomainError(
+                f"grid size must not exceed the largest double, {sys.float_info.max:.6g}"
+            )
         if not self.horizon / self.n > 0:
             raise DomainError(
                 f"the cell width of horizon {self.horizon} over {self.n} cells underflows to 0"

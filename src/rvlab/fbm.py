@@ -16,6 +16,7 @@ import logging
 from typing import NamedTuple
 
 import numpy as np
+import numpy.fft  # numpy loads it lazily; here, not in every forked pool worker
 
 from .core import MultiPath, SeedSpec, UniformGrid, check_hurst
 from .errors import ConfigError, DomainError, EmbeddingError, FactorizationError

@@ -150,6 +150,8 @@ class ExperimentConfig:
         SeedSpec(self.master_seed)  # 64-bit gate
         if self.output_format not in ("csv", "json"):
             raise ConfigError(f"output format must be csv or json, got {self.output_format!r}")
+        if spec.load is not None:
+            spec.load()  # the experiment's own imports, paid in set-up, not in the run
 
     def param(self, key: str, group: str = "params"):
         """``params[key]``, or ``tolerances[key]``, as given, else its registered default."""
@@ -189,6 +191,7 @@ class _ExperimentSpec:
     fields: frozenset  # top-level fields read, hurst and master_seed included
     params: dict  # key -> default
     tolerances: dict  # key -> default, or a _Derived one
+    load: Callable | None  # () -> None: binds the imports only this experiment needs
 
 
 def _cov_rep(paths: fbm.PathJob, r: int) -> np.ndarray:
@@ -249,9 +252,9 @@ def _run_covariance_check(config: ExperimentConfig, workers: int) -> Report:
 _REGISTRY: dict[str, _ExperimentSpec] = {}
 
 
-def _register(name, runner, fields, params=None, tolerances=None):
+def _register(name, runner, fields, params=None, tolerances=None, load=None):
     _REGISTRY[name] = _ExperimentSpec(
-        runner, frozenset({"hurst", "master_seed", *fields}), params or {}, tolerances or {}
+        runner, frozenset({"hurst", "master_seed", *fields}), params or {}, tolerances or {}, load
     )
 
 
@@ -270,7 +273,8 @@ _register("negative-moments", bessel.negative_moment_experiment, ("dimension", "
           tolerances={"slope_tol": 0.02, "intercept_tol": 0.05})
 _register("self-similarity", bessel.self_similarity_suite, ("dimension", "replications"),
           params={"t": 0.5, "a_list": [2.0, 4.0], "grid_size": 1024, "level": 0.01,
-                  "control": True})
+                  "control": True},
+          load=bessel.load_scipy_stats)
 _register("lp-scaling", ito.lp_scaling_experiment, ("horizon", "replications"),
           params={"integrand": "identity", "grid_size": 4096},
           # criterion 09's bounds: the u = 1 exponent is held tighter
@@ -278,7 +282,7 @@ _register("lp-scaling", ito.lp_scaling_experiment, ("horizon", "replications"),
               1.0, lambda c: 0.05 if c.param("integrand") == "identity" else 0.15)})
 _register("kernel-check", kernel.kernel_check_experiment, ("horizon",),
           params={"lattice": 5, "rtol": kernel.DEFAULT_L2_TOL},
-          tolerances={"rel_err_max": 1e-4})
+          tolerances={"rel_err_max": 1e-4}, load=kernel.load_scipy)
 _register("covariance-check", _run_covariance_check, _VARIATION, tolerances={"max_z": 3.0})
 
 

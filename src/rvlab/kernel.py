@@ -8,6 +8,14 @@ The kernel's inner integral int_s^t u^{H-3/2} (u-s)^{H-1/2} du is an
 incomplete Beta function (substitute u = s/v), so K_H itself needs no
 quadrature.  The one adaptive Gauss-Kronrod quadrature left is the L^2
 integral of the kernel product in ``covariance_via_kernel``.
+
+scipy (``integrate``, ``gammaln`` and ``betainc``) is bound by
+:func:`load_scipy`, not at import: the package imports this module at
+start-up, and only the kernel-check experiment needs scipy.  The registry calls the loader when a
+kernel-check config is validated, so the import is paid in set-up; every
+entry point also reaches it on a cold path (a cache miss of ``_log_beta``,
+or once per quadrature) before it uses those names, so ``kernel_K`` does no
+per-call work for it.
 """
 
 from __future__ import annotations
@@ -18,9 +26,6 @@ import warnings
 from typing import TYPE_CHECKING
 
 import numpy as np
-from scipy import integrate
-from scipy.special import gammaln
-from scipy.special.cython_special import betainc  # the ufunc's kernel, no ufunc overhead
 
 from .core import UniformGrid, check_hurst
 from .errors import DomainError, QuadratureError
@@ -42,10 +47,22 @@ __all__ = [
 # integrand keeps integrable power singularities at both endpoints.
 DEFAULT_L2_TOL = 1e-7
 
+integrate = gammaln = betainc = None  # scipy's, bound by load_scipy
+
+
+def load_scipy() -> None:
+    """Bind scipy.integrate, gammaln and betainc to this module; idempotent."""
+    global integrate, gammaln, betainc
+    if betainc is None:
+        from scipy import integrate
+        from scipy.special import gammaln
+        from scipy.special.cython_special import betainc  # the ufunc's kernel, no ufunc overhead
+
 
 @functools.lru_cache(maxsize=64)
 def _log_beta(h: float) -> float:
-    """log B(1-2H, H+1/2), through log-Gamma."""
+    """log B(1-2H, H+1/2), through log-Gamma; a miss binds scipy first."""
+    load_scipy()
     return gammaln(1 - 2 * h) + gammaln(h + 0.5) - gammaln(1.5 - h)
 
 
@@ -62,6 +79,7 @@ def constant_cH(hurst: float) -> float:
 def _quad(func, a, b, rtol, limit=400) -> float:
     """scipy.integrate.quad that fails on overflow, on a missed rtol and, at any
     scale, whenever quadpack reports failure (its 4th, message element)."""
+    load_scipy()
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", integrate.IntegrationWarning)
@@ -88,8 +106,8 @@ def _inner_integral(h: float, t: float, s: float) -> float:
     With a = 1-2H and b = H+1/2, u = s/v gives s^{2H-1} int_{s/t}^1 v^{a-1} (1-v)^{b-1} dv
     (Decreusefond & Ustunel 1999; Nualart 2006, Sec. 5.1).  Passing (t-s)/t,
     not 1 - s/t, keeps the precision as s/t -> 1."""
-    incomplete = betainc(h + 0.5, 1 - 2 * h, (t - s) / t)
-    return s ** (2 * h - 1) * math.exp(_log_beta(h)) * incomplete
+    beta = math.exp(_log_beta(h))  # before betainc: its first call binds scipy
+    return s ** (2 * h - 1) * beta * betainc(h + 0.5, 1 - 2 * h, (t - s) / t)
 
 
 def kernel_K(hurst: float, t: float, s: float) -> float:

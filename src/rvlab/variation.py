@@ -4,7 +4,8 @@ The q-variation of a process sampled on a grid is the finite sum of q-th
 powers of the absolute increments of its node values.  For fBm with q = 1/H it
 converges in L^1 to e_H * T, where e_H is the absolute 1/H-moment of a
 standard Gaussian; :func:`rvlab.ito.variation_experiment` measures that
-convergence grid by grid.  Both are plain floats.
+convergence grid by grid.  Both are plain floats; e_H takes log-Gamma from
+``math.lgamma``, so the variation experiments load no scipy module.
 """
 
 from __future__ import annotations
@@ -12,7 +13,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.special import gammaln
 
 from .core import check_hurst
 from .errors import DomainError, NumericalError
@@ -44,6 +44,9 @@ def variation_Vnq(values: np.ndarray, q: float) -> float:
 
 
 def e_H(hurst: float) -> float:
-    """e_H = E|Z|^{1/H} = 2^{1/(2H)} Gamma((1/H + 1)/2) / Gamma(1/2), via log-Gamma."""
+    """e_H = E|Z|^{1/H} = 2^{1/(2H)} Gamma((1/H + 1)/2) / Gamma(1/2), via ``math.lgamma``."""
     p = 1.0 / check_hurst(hurst)
-    return float(np.exp(0.5 * p * np.log(2.0) + gammaln(0.5 * (p + 1)) - gammaln(0.5)))
+    try:
+        return math.exp(0.5 * p * math.log(2.0) + math.lgamma(0.5 * (p + 1)) - math.lgamma(0.5))
+    except OverflowError:  # for H below about 0.00332
+        raise NumericalError(f"e_H = E|Z|^(1/H) overflows a double at H = {hurst}") from None

@@ -120,7 +120,7 @@ class TestThetaPath:
 
 class TestKqConstant:
     def test_closed_form_for_d3_q1(self):
-        assert k_q(3, 1.0) == pytest.approx(np.sqrt(2 / np.pi), rel=1e-12)
+        assert k_q(3, 1.0) == pytest.approx(np.sqrt(2 / np.pi), rel=1e-14)
 
     def test_monte_carlo_validation(self):
         rng = np.random.default_rng(99)

@@ -111,6 +111,8 @@ class TestUniformGrid:
                 UniformGrid(horizon, 4)
         with pytest.raises(DomainError):
             UniformGrid(1.0, 0)
+        with pytest.raises(DomainError, match="largest double"):
+            UniformGrid(1.0, 10**310)  # horizon / n cannot convert n to float
 
     def test_index_of_roundtrips_nodes(self):
         grid = UniformGrid(1.0, 7)

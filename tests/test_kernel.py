@@ -9,10 +9,16 @@ adaptive quadrature of the kernel product against the closed-form
 covariance.
 """
 
+import os
+import pathlib
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
+import rvlab
 from rvlab.errors import DomainError, QuadratureError
 from rvlab.fbm import covariance
 from rvlab.harness import ExperimentConfig, run_experiment
@@ -215,3 +221,24 @@ def test_nonconvergent_quadrature_reports_achieved_error():
 def test_overflowing_integrand_is_a_quadrature_error():
     with pytest.raises(QuadratureError, match="overflowed"):
         _quad(lambda x: 10.0 ** (400 * x), 0.0, 1.0, rtol=1e-7)
+
+
+@pytest.mark.parametrize(
+    "call, bits",
+    [
+        ("kernel_K(0.3, 1.0, 0.5)", "0x1.befbb4bc0fdd4p-1"),
+        ("constant_cH(0.3)", "0x1.75e7a50d667fcp-1"),
+        ("covariance_via_kernel(0.3, 1.0, 0.5)", "0x1.fffffffffdf8bp-2"),
+        ("_inner_integral(0.3, 1.0, 0.5)", "0x1.1f5f19b86a475p+0"),
+    ],
+    ids=lambda v: v.split("(")[0] if "(" in v else None,
+)
+def test_entry_point_binds_scipy_on_its_first_call(call, bits):
+    # the first call of a fresh interpreter, no config validated: each entry
+    # point must bind scipy itself, and give the bits of the eager import
+    probe = f"from rvlab.kernel import {call.split('(')[0]}\nprint(({call}).hex())"
+    env = {**os.environ, "PYTHONPATH": str(pathlib.Path(rvlab.__file__).parents[1])}
+    done = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, env=env, check=True,
+    )
+    assert done.stdout.strip() == bits

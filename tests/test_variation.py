@@ -93,6 +93,15 @@ class TestEHConstant:
     def test_closed_form_matches_oracle(self, h):
         assert e_H(h) == pytest.approx(gaussian_abs_moment(1.0 / h), rel=1e-10)
 
+    @pytest.mark.parametrize("p, moment", [(2, 1), (4, 3), (6, 15), (8, 105), (10, 945)])
+    def test_even_moments_are_double_factorials(self, p, moment):
+        # E|Z|^p = (p - 1)!! for even p
+        assert e_H(1.0 / p) == pytest.approx(moment, rel=1e-14)
+
+    def test_overflow_is_a_numerical_error(self):
+        with pytest.raises(NumericalError, match="overflows a double"):
+            e_H(0.003)
+
     def test_strictly_decreasing_on_lattice(self):
         values = [e_H(h) for h in (0.25, 0.3, 0.4, 0.5)]
         assert all(b < a for a, b in zip(values, values[1:]))
