@@ -3,7 +3,8 @@
 Subcommands: ``fbm`` (sample a path), one per registered experiment, named
 after it, ``run`` (JSON config through the experiment registry) and
 ``experiments`` (list the registered names).  Exit codes: 0 pass,
-1 tolerance failure, 2 configuration/gate error, 3 numerical failure.
+1 tolerance failure, 2 configuration/gate error, 3 numerical failure or a
+run out of memory.
 
 An experiment subcommand has one option per top-level field and param the
 experiment reads, named after it with ``_`` as ``-`` (``master_seed`` is
@@ -47,29 +48,28 @@ out_option = click.option("--out", type=click.Path(dir_okay=False), default=None
 _FIELDS = {f.name for f in dataclasses.fields(ExperimentConfig)}
 
 
-def _dispatch(config: ExperimentConfig, workers: int | None) -> int:
-    report = run_experiment(config, workers=workers or default_workers())
+def _exit_code(exc: Exception) -> int:
+    return EXIT_NUMERICAL if isinstance(exc, (NumericalError, MemoryError)) else EXIT_CONFIG
+
+
+def _fail(exc: Exception) -> None:
+    text = f"out of memory: {exc}" if isinstance(exc, MemoryError) else exc
+    click.echo(f"error: {text}", err=True)
+    sys.exit(_exit_code(exc))
+
+
+def _run(make_config: Callable[[], ExperimentConfig], workers: int | None) -> None:
+    try:
+        config = make_config()
+        report = run_experiment(config, workers=workers or default_workers())
+    except (RvlabError, MemoryError) as exc:
+        _fail(exc)
     text = report.to_csv() if config.output_format == "csv" else report.to_json()
     if not config.output_path:
         click.echo(text, nl=False)
     for name, ok in report.flags.items():
         click.echo(f"# {name}: {'pass' if ok else 'FAIL'}", err=True)
-    return EXIT_OK if report.passed else EXIT_TOLERANCE
-
-
-def _exit_code(exc: RvlabError) -> int:
-    if isinstance(exc, NumericalError):
-        return EXIT_NUMERICAL
-    return EXIT_CONFIG
-
-
-def _run(make_config: Callable[[], ExperimentConfig], workers: int | None) -> None:
-    try:
-        code = _dispatch(make_config(), workers)
-    except RvlabError as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(_exit_code(exc))
-    sys.exit(code)
+    sys.exit(EXIT_OK if report.passed else EXIT_TOLERANCE)
 
 
 @click.group()
@@ -101,9 +101,8 @@ def fbm_cmd(hurst, horizon, grid_size, dim, method, replication, seed, out):
             write_text(out, text.getvalue())
         else:
             write_path_csv(path, sys.stdout)
-    except RvlabError as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(_exit_code(exc))
+    except (RvlabError, MemoryError) as exc:
+        _fail(exc)
 
 
 def _option(key: str, default) -> click.Option:

@@ -11,7 +11,6 @@ and threads.
 
 from __future__ import annotations
 
-import sys
 from dataclasses import dataclass
 from typing import TextIO
 
@@ -44,6 +43,12 @@ def check_hurst(h: float, rough: str | None = None) -> float:
     return h
 
 
+# The largest grid size numpy can sample on: an array may hold at most the
+# largest intp in bytes, and the circulant sampler's largest array is its
+# 2n-point complex128 embedding row (16 bytes a point).
+MAX_GRID_SIZE = np.iinfo(np.intp).max // 32
+
+
 @dataclass(frozen=True)
 class UniformGrid:
     """Uniform partition t_i = i T / n of [0, T] with n cells (n+1 nodes)."""
@@ -56,9 +61,10 @@ class UniformGrid:
             raise DomainError(f"horizon must be positive and finite, got {self.horizon}")
         if self.n < 1:
             raise DomainError(f"grid size must be >= 1, got {self.n}")
-        if self.n > sys.float_info.max:  # horizon / n would raise OverflowError
+        if self.n > MAX_GRID_SIZE:  # also keeps horizon / n from an OverflowError
             raise DomainError(
-                f"grid size must not exceed the largest double, {sys.float_info.max:.6g}"
+                f"grid size must not exceed {MAX_GRID_SIZE}: numpy cannot hold the "
+                "circulant sampler's 2n-point complex embedding row beyond it"
             )
         if not self.horizon / self.n > 0:
             raise DomainError(

@@ -24,7 +24,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import bessel, fbm, ito, kernel
-from .core import SeedSpec, check_hurst
+from .core import SeedSpec, UniformGrid, check_hurst
 from .errors import ConfigError
 from .parallel import replication_map
 from .report import Report, build_id, check_shape
@@ -147,6 +147,10 @@ class ExperimentConfig:
                 )
         xi_draws = self.param("xi_draws") if "xi_draws" in spec.params else None
         check_shape(self.replications, self.grid_sizes, xi_draws)
+        sizes = self.grid_sizes if "grid_sizes" in spec.fields else ()
+        sizes += (self.param("grid_size"),) if "grid_size" in spec.params else ()
+        for n in sizes:  # numpy's size bound and the cell width, before anything runs
+            UniformGrid(self.horizon, n)
         SeedSpec(self.master_seed)  # 64-bit gate
         if self.output_format not in ("csv", "json"):
             raise ConfigError(f"output format must be csv or json, got {self.output_format!r}")

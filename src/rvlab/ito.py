@@ -15,10 +15,10 @@ a fixed whitelist (registered below with finite-difference validation of the
 supplied derivatives); the Hoelder-regularity hypotheses behind the limit
 theorems are analytic facts about those integrands, not runtime checks.
 
-The d-dimensional experiments also estimate the limit, the nu-integral
-int sum_i |<u_i, xi>|^{1/H} dt N(0, I)(dxi), by Monte Carlo on every
-replication (:func:`xi_mc_target`): each antithetic pair draws its own
-direction at every node, so the node terms are independent given the path.
+The d-dimensional experiments also check the limit's nu-integral form
+int sum_i |<u_i, xi>|^{1/H} dt N(0, I)(dxi) once per config: Monte Carlo over
+xi on one path (:func:`xi_mc_target`) against its closed form
+e_H sum_i |u_i|^{1/H} dt.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, NamedTuple
+from typing import TYPE_CHECKING, Callable
 
 import numpy as np
 
@@ -48,8 +48,6 @@ from .report import (
     Report,
     aggregate,
     loglog_fit,
-    root_sum_squares,
-    scaled_mean,
 )
 from .variation import e_H, variation_Vnq
 
@@ -68,14 +66,14 @@ __all__ = [
     "DEFAULT_XI_DRAWS",
 ]
 
-# nu-integral Monte Carlo: 128 draws as 64 antithetic pairs, each drawing its
-# own direction at every node.  Fewer pairs make the standard error itself
-# noisy, and the 3-s.e. cross-check then fails correct runs more often than
-# its nominal 0.27%.
-DEFAULT_XI_DRAWS = 128
-# normals per draw block, which holds whole pairs (at least one): 4.2 MB, and
+# nu-integral Monte Carlo of the one check per config: 1024 draws as 512
+# antithetic pairs, each drawing its own direction at every node.  Fewer
+# draws lose power: at 512, directions uniform on the cube rather than on
+# the sphere pass the check on criterion 05's path.
+DEFAULT_XI_DRAWS = 1024
+# normals per draw block, which holds whole pairs (at least one): 0.5 MB, and
 # its two pairs x nodes work arrays 2/d times that
-_XI_BLOCK_NORMALS = 2**19
+_XI_BLOCK_NORMALS = 2**16
 
 _FD_TOL = 1e-4
 
@@ -301,8 +299,8 @@ def xi_mc_target(
             "the xi target of the path is non-finite: |<u, xi>|^p overflows or u is not finite"
         )
     # mean and std are taken after scaling by a power of two, as in
-    # report.scaled_mean and report.root_sum_squares: neither the sum nor
-    # the squared deviations overflow or underflow
+    # report.aggregate: neither the sum nor the squared deviations overflow
+    # or underflow
     e = np.frexp(values.max())[1]
     scaled = np.ldexp(values, -e)
     with np.errstate(over="ignore"):  # caught below as non-finite
@@ -313,81 +311,79 @@ def xi_mc_target(
     return mean, se
 
 
-def _cross_check(per_rep, n: int, dimension: int) -> tuple[float, float]:
-    """Compare closed-form and xi-MC targets over the replications.
+def _cross_check(closed: float, estimate: float, se: float, n: int, dimension: int) -> dict:
+    """The nu-integral check as entries of a report's ``extra``.
 
-    Per path the two targets differ only by xi-MC noise, so their means must
-    agree within 3 combined standard errors; a violation means the two
-    target routes are internally inconsistent and aborts the experiment.
-    At d = 1 the xi target has no noise (theta = +-1), so the two must agree
-    to rounding: a relative 1e-12.
+    Given the path the xi target's mean is the closed form, so the two must
+    agree within 3 standard errors, and at d = 1, where theta = +-1 leaves
+    the xi target no noise, to a relative 1e-12.  The margin is that bound
+    less their distance; a negative or NaN margin aborts the experiment.
     """
-    m = len(per_rep)
-    mean_a = scaled_mean([ta for _, ta, _, _, _ in per_rep])
-    mean_b = scaled_mean([tb for _, _, _, tb, _ in per_rep])
-    se_b = root_sum_squares([se for *_, se in per_rep]) / m
-    if dimension == 1:
-        agree, bound = math.isclose(mean_a, mean_b, rel_tol=1e-12), "relative 1e-12"
-        agree = agree and math.isfinite(se_b)
-    else:
-        agree, bound = abs(mean_a - mean_b) <= 3 * se_b, f"3 s.e. = {3 * se_b:.2e}"
-    if not agree:  # a NaN anywhere aborts too
+    bound = 1e-12 * max(abs(closed), abs(estimate)) if dimension == 1 else 3 * se
+    margin = bound - abs(estimate - closed)
+    if not (margin >= 0 and math.isfinite(se)):  # a NaN anywhere aborts too
+        label = "relative 1e-12" if dimension == 1 else f"3 s.e. = {bound:.2e}"
         raise NumericalError(
             f"closed-form and xi-Monte-Carlo targets disagree at n={n}: "
-            f"{mean_a:.6f} vs {mean_b:.6f} ({bound})"
+            f"{closed:.6f} vs {estimate:.6f} ({label})"
         )
-    return mean_b, se_b
+    return {"xi_check_n": n, "xi_check_closed_form": closed, "xi_check_estimate": estimate,
+            "xi_check_se": se, "xi_check_margin": margin}
 
-
-_DUAL_TARGET_COLUMNS = CONVERGENCE_COLUMNS + ("target_mc", "target_mc_se")
 
 # fBm is the divergence integral of the identity potential (u = 1).  fBm and
 # Theta (u = B/R) have unit-norm integrands, so their limit is e_H * T in
-# closed form; the d-dim cases also estimate the limit by xi Monte Carlo on
-# every replication.
+# closed form; the d-dim cases also check the limit's nu-integral form.
 _UNIT_TARGET = ("fbm-variation", "theta-variation")
 _XI_TARGET = ("divergence-variation-multi", "theta-variation")
 
 
-class _VariationJob(NamedTuple):
-    """One grid size of a variation experiment, as shipped to the workers."""
-
-    paths: PathJob
-    experiment: str
-    integrand: str | None
-    xi_draws: int | None
+def _integrand_nodes(experiment: str, integrand: str | None, path: MultiPath) -> np.ndarray:
+    """u at nodes 1 .. n of the path: B/R for Theta, else grad F(B)."""
+    if experiment == "theta-variation":
+        return path.values[1:] / np.linalg.norm(path.values[1:], axis=1)[:, None]
+    return np.asarray(INTEGRANDS[integrand].gradient(path.values), dtype=float)[1:]
 
 
-def _variation_rep(job: _VariationJob, r: int) -> tuple[float, ...]:
-    """One replication: (V_n^{1/H}(X), target, |V - target|, xi target, xi s.e.).
+def _path_target(u: np.ndarray, h: float, dt: float) -> float:
+    """The closed-form limit e_H sum_i |u_i|^{1/H} dt on one path."""
+    return e_H(h) * math.fsum(np.linalg.norm(u, axis=1) ** (1.0 / h)) * dt
 
-    The xi pair is NaN in the experiments without an xi target.
-    """
-    h, p = job.paths.hurst, 1.0 / job.paths.hurst
-    path = job.paths.sample(r)
-    grid = path.grid
-    if job.experiment == "theta-variation":
+
+def _variation_rep(
+    paths: PathJob, experiment: str, integrand: str | None, r: int
+) -> tuple[float, float, float]:
+    """One replication: (V_n^{1/H}(X), target, |V - target|)."""
+    h = paths.hurst
+    path = paths.sample(r)
+    if experiment == "theta-variation":
         x = theta_path(path, h)
-        u = path.values[1:] / np.linalg.norm(path.values[1:], axis=1)[:, None]
     else:
-        spec = INTEGRANDS[job.integrand]
-        x = divergence_via_ito_multi(spec, path, h)
-        u = np.asarray(spec.gradient(path.values), dtype=float)[1:]
-    v = variation_Vnq(x, p)
-    if job.experiment in _UNIT_TARGET:
-        target = e_H(h) * job.paths.horizon
+        x = divergence_via_ito_multi(INTEGRANDS[integrand], path, h)
+    v = variation_Vnq(x, 1.0 / h)
+    if experiment in _UNIT_TARGET:
+        target = e_H(h) * paths.horizon
     else:
-        target = e_H(h) * math.fsum(np.linalg.norm(u, axis=1) ** p) * grid.dt
+        u = _integrand_nodes(experiment, integrand, path)
+        target = _path_target(u, h, path.grid.dt)
         if target == 0.0 and np.any(u):
             raise NumericalError(
-                f"the variation target of integrand {job.integrand!r} underflows to 0 "
+                f"the variation target of integrand {integrand!r} underflows to 0 "
                 "although the integrand does not vanish on the path"
             )
-    xi = (np.nan, np.nan)
-    if job.experiment in _XI_TARGET:
-        stream = job.paths.seed.replicate(r).stream(lane=LANE_XI)
-        xi = xi_mc_target(u, grid.dt, p, stream, job.xi_draws)
-    return (v, target, abs(v - target), *xi)
+    return v, target, abs(v - target)
+
+
+def _nu_check(paths: PathJob, experiment: str, integrand: str | None, xi_draws: int) -> dict:
+    """The nu-integral form of the limit against its closed form, once per
+    config: on the u of replication 0's path, with ``xi_draws`` draws from
+    that replication's xi lane.  Both targets read the same u, so the check
+    tests the xi target and c_p, not the sampler, the transforms or V_n."""
+    path = paths.sample(0)
+    u, h, dt = _integrand_nodes(experiment, integrand, path), paths.hurst, path.grid.dt
+    stream = paths.seed.replicate(0).stream(lane=LANE_XI)
+    estimate, se = xi_mc_target(u, dt, 1.0 / h, stream, xi_draws)
+    return _cross_check(_path_target(u, h, dt), estimate, se, paths.n, paths.dimension)
 
 
 def variation_experiment(config: ExperimentConfig, workers: int) -> ConvergenceReport:
@@ -398,10 +394,11 @@ def variation_experiment(config: ExperimentConfig, workers: int) -> ConvergenceR
     dimensions (``divergence-variation``, ``divergence-variation-multi``), or
     Theta under the gate 2dH^2 > 1 (``theta-variation``).  Per-path targets are
     right-endpoint Riemann sums of ||u||^{1/H}; unit-norm integrands use the
-    closed form e_H * T.  The d-dim cases cross-check the target against
-    Monte Carlo over xi on every replication (the closed form holds because
-    <u, xi> is N(0, ||u||^2) under the Gaussian xi-measure), and disagreement
-    beyond 3 standard errors (at d = 1, beyond rounding) aborts.
+    closed form e_H * T.  The d-dim cases check the closed form once, on one
+    path at the finest n, against Monte Carlo over xi (:func:`_nu_check`; the
+    two agree because <u, xi> is N(0, ||u||^2) under the Gaussian xi-measure),
+    report the check in ``extra`` and abort on a disagreement beyond 3
+    standard errors (at d = 1, beyond rounding).
     """
     experiment, h, dimension = config.experiment, config.hurst, config.dimension
     horizon, replications = config.horizon, config.replications
@@ -423,34 +420,35 @@ def variation_experiment(config: ExperimentConfig, workers: int) -> ConvergenceR
     else:
         integrand = _lookup(config.param("integrand")).label
         meta.update(integrand=integrand, reading=divergence_reading(h))
-    dual = experiment in _XI_TARGET
-    xi_draws = config.param("xi_draws") if dual else None
-    if dual:
+    extra = {}
+    if experiment in _XI_TARGET:
+        xi_draws = config.param("xi_draws")
         meta.update(dimension=dimension, xi_draws=xi_draws)
+        finest = PathJob(h, dimension, horizon, config.grid_sizes[-1], seed)
+        extra = _nu_check(finest, experiment, integrand, xi_draws)
     rows = []
     for n in config.grid_sizes:
-        job = _VariationJob(
-            PathJob(h, dimension, horizon, n, seed), experiment, integrand, xi_draws
-        )
-        per_rep = replication_map(functools.partial(_variation_rep, job), replications, workers)
-        target_mc = _cross_check(per_rep, n, dimension) if dual else ()
-        est, _ = aggregate([v for v, *_ in per_rep])
+        paths = PathJob(h, dimension, horizon, n, seed)
+        rep = functools.partial(_variation_rep, paths, experiment, integrand)
+        per_rep = replication_map(rep, replications, workers)
+        est, _ = aggregate([v for v, _, _ in per_rep])
         if experiment in _UNIT_TARGET:
             target = horizon * e_H(h)
         else:
-            target, _ = aggregate([t for _, t, *_ in per_rep])
+            target, _ = aggregate([t for _, t, _ in per_rep])
             if target == 0.0:
                 raise DegenerateInputError(
                     f"integrand {integrand!r} has an identically zero variation target"
                 )
-        abs_err, stderr = aggregate([dev for _, _, dev, *_ in per_rep])
-        rows.append((n, est, target, abs_err, abs_err / abs(target), stderr, *target_mc))
+        abs_err, stderr = aggregate([dev for _, _, dev in per_rep])
+        rows.append((n, est, target, abs_err, abs_err / abs(target), stderr))
     flags = {"monotone_decreasing": _strictly_decreasing([row[4] for row in rows])}
-    if dual:
+    if extra:
         flags["targets_agree_3se"] = True  # enforced by _cross_check; a violation raises
     flags["rel_err_final_ok"] = rows[-1][4] < config.param("rel_err_final", "tolerances")
-    columns = _DUAL_TARGET_COLUMNS if dual else CONVERGENCE_COLUMNS
-    return ConvergenceReport(columns=columns, rows=rows, flags=flags, meta=meta)
+    return ConvergenceReport(
+        columns=CONVERGENCE_COLUMNS, rows=rows, extra=extra, flags=flags, meta=meta
+    )
 
 
 def _strictly_decreasing(values: list[float]) -> bool:

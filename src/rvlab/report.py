@@ -19,7 +19,7 @@ import numpy as np
 from . import __version__
 from .errors import ConfigError, DomainError
 
-__all__ = ["aggregate", "scaled_mean", "root_sum_squares", "check_shape", "loglog_fit", "write_text", "Report", "ConvergenceReport", "CONVERGENCE_COLUMNS", "build_id"]
+__all__ = ["aggregate", "check_shape", "loglog_fit", "write_text", "Report", "ConvergenceReport", "CONVERGENCE_COLUMNS", "build_id"]
 
 CONVERGENCE_COLUMNS = ("n", "estimate", "target", "abs_err", "rel_err", "stderr")
 
@@ -32,50 +32,35 @@ def build_id() -> str:
     return f"rvlab-{__version__}"
 
 
-def aggregate(values: Sequence[float]) -> tuple[float, float | None]:
-    """Mean and jackknife standard error of per-replication values.
-
-    Summation is compensated and follows replication-index order, so the
-    result does not depend on which worker produced which value.  With a
-    single value the standard error is undefined and reported as ``None``.
-    """
-    m = len(values)
-    if m == 0:
-        raise DomainError("aggregate needs at least one value")
-    mean = scaled_mean(values)
-    if m == 1:
-        return mean, None
-    # Jackknife variance of the mean; for the mean statistic this reduces to
-    # sum((v - mean)^2) / (m (m - 1)).
-    return mean, root_sum_squares([v - mean for v in values], m * (m - 1))
-
-
 def _scale(values: Sequence[float]) -> int:
     """The binary exponent of the largest |v|: scaled by 2^-e, every |v| < 1."""
     return math.frexp(max(map(abs, values), default=0.0))[1]
 
 
-def scaled_mean(values: Sequence[float]) -> float:
-    """sum(v) / len(values), the sum compensated.
+def aggregate(values: Sequence[float]) -> tuple[float, float | None]:
+    """Mean and jackknife standard error of per-replication values.
 
-    The values are scaled by one power of two before they are summed, so
-    the sum does not overflow when the mean is finite.  The scaling is
-    exact: inside the normal range every bit is kept.
+    Summation is compensated and follows replication-index order, so the
+    result does not depend on which worker produced which value.  The values
+    are scaled by one power of two before they are summed, so the sum does
+    not overflow when the mean is finite, and the deviations likewise before
+    they are squared, so the squares neither overflow nor underflow; the
+    scaling is exact, and inside the normal range every bit is kept.  With a
+    single value the standard error is undefined and reported as ``None``.
     """
+    m = len(values)
+    if m == 0:
+        raise DomainError("aggregate needs at least one value")
     e = _scale(values)
-    return math.ldexp(math.fsum(math.ldexp(v, -e) for v in values) / len(values), e)
-
-
-def root_sum_squares(values: Sequence[float], divisor: float = 1.0) -> float:
-    """sqrt(sum(v^2) / divisor), the sum compensated.
-
-    The values are scaled as in :func:`scaled_mean` before they are
-    squared, so the squares neither overflow nor underflow at any scale of
-    the values.
-    """
-    e = _scale(values)
-    ss = math.fsum(math.ldexp(v, -e) ** 2 for v in values)
-    return math.ldexp(math.sqrt(ss / divisor), e)
+    mean = math.ldexp(math.fsum(math.ldexp(v, -e) for v in values) / m, e)
+    if m == 1:
+        return mean, None
+    # Jackknife variance of the mean; for the mean statistic this reduces to
+    # sum((v - mean)^2) / (m (m - 1)).
+    deviations = [v - mean for v in values]
+    e = _scale(deviations)
+    ss = math.fsum(math.ldexp(v, -e) ** 2 for v in deviations)
+    return mean, math.ldexp(math.sqrt(ss / (m * (m - 1))), e)
 
 
 def check_shape(
@@ -205,16 +190,13 @@ class ConvergenceReport(Report):
     """Per-grid-size Monte Carlo estimates against a limit target.
 
     Rows are (n, estimate, target, abs_err, rel_err, stderr) sorted by n
-    ascending; extra columns (e.g. a second Monte Carlo target) may be
-    appended after the base six.
+    ascending.
     """
 
     def __post_init__(self):
         super().__post_init__()
-        if tuple(self.columns[: len(CONVERGENCE_COLUMNS)]) != CONVERGENCE_COLUMNS:
-            raise ConfigError(
-                f"convergence report columns must start with {CONVERGENCE_COLUMNS}"
-            )
+        if tuple(self.columns) != CONVERGENCE_COLUMNS:
+            raise ConfigError(f"convergence report columns must be {CONVERGENCE_COLUMNS}")
         ns = [row[0] for row in self.rows]
         if ns != sorted(ns):
             raise ConfigError("convergence report rows must be sorted by n")

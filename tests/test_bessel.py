@@ -32,16 +32,6 @@ class TestBesselProcess:
         with pytest.raises(DomainError, match="d >= 2"):
             theta_path(path, 0.3)
 
-    def test_mean_squared_radius(self):
-        # E R_t^2 = d t^{2H}
-        h, d, m = 0.45, 3, 10_000
-        grid = UniformGrid(1.0, 4)
-        sq = [
-            np.sum(sample_fbm_multi(h, d, grid, SeedSpec(71, r)).values[-1] ** 2)
-            for r in range(m)
-        ]
-        assert np.mean(sq) == pytest.approx(d, rel=0.05)
-
 
 class TestThetaPath:
     def test_starts_at_zero_and_sits_below_radius(self):
@@ -157,9 +147,12 @@ class TestThetaVariationExperiment:
             experiment="theta-variation", hurst=0.45, dimension=3, grid_sizes=[128],
             replications=16, master_seed=75,
         ))
-        row = report.rows[0]
-        assert row[2] == pytest.approx(e_H(0.45), rel=1e-12)
-        assert row[6] == pytest.approx(row[2], abs=3 * row[7])
+        assert report.rows[0][2] == pytest.approx(e_H(0.45), rel=1e-12)
+        check = report.extra
+        assert check["xi_check_closed_form"] == pytest.approx(e_H(0.45), rel=1e-12)
+        assert check["xi_check_estimate"] == pytest.approx(
+            check["xi_check_closed_form"], abs=3 * check["xi_check_se"]
+        )
         assert report.flags["targets_agree_3se"]
 
 

@@ -11,6 +11,7 @@ import pytest
 from click.testing import CliRunner
 
 import rvlab
+from rvlab import fbm
 from rvlab.cli import _exit_code, main
 from rvlab.errors import ConfigError, GateError, NumericalError
 from rvlab.harness import ExperimentConfig, declared, registered_experiments
@@ -260,7 +261,7 @@ class TestExperimentCommands:
         # horizon / n converts n to float, which raised a raw OverflowError
         result = runner.invoke(main, args)
         assert result.exit_code == 2, result.output
-        assert result.output.startswith("error: grid size must not exceed the largest double")
+        assert result.output.startswith("error: grid size must not exceed")
         assert result.exception is None or isinstance(result.exception, SystemExit)
 
     def test_moment_time_off_every_grid_exits_2(self, runner):
@@ -487,6 +488,48 @@ def test_exit_code_mapping():
     assert _exit_code(ConfigError("x")) == 2
     assert _exit_code(GateError("x")) == 2
     assert _exit_code(NumericalError("x")) == 3
+
+
+class TestResourceErrors:
+    # numpy rejects both sizes before it allocates anything: 1e20 passes its
+    # largest dimension, and 2^60 points of the 2n complex embedding row its
+    # largest array in bytes
+    @pytest.mark.parametrize("size", [10**20, 2**60], ids=["1e20", "2^60"])
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["fbm", "--hurst", "0.3", "--grid-size"],
+            ["fbm-variation", "--replications", "4", "--workers", "1", "--grid-sizes"],
+            ["covariance-check", "--replications", "4", "--workers", "1", "--grid-sizes"],
+            ["self-similarity", "--dimension", "3", "--replications", "4", "--workers", "1",
+             "--grid-size"],
+        ],
+        ids=lambda args: args[0],
+    )
+    def test_grid_numpy_cannot_hold_exits_2(self, runner, args, size):
+        result = runner.invoke(main, [*args, str(size)])
+        assert result.exit_code == 2, result.output
+        assert result.output.startswith("error: grid size must not exceed")
+        assert len(result.output.splitlines()) == 1
+        assert result.exception is None or isinstance(result.exception, SystemExit)
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["fbm", "--hurst", "0.3", "--grid-size", "64"],
+            ["fbm-variation", "--grid-sizes", "16", "--replications", "4", "--workers", "1"],
+        ],
+        ids=lambda args: args[0],
+    )
+    def test_memory_error_in_a_run_exits_3(self, runner, monkeypatch, args):
+        def out_of_memory(*args, **kwargs):
+            raise MemoryError("Unable to allocate 7.28 TiB for an array")
+
+        monkeypatch.setattr(fbm, "sample_fbm_circulant", out_of_memory)
+        result = runner.invoke(main, args)
+        assert result.exit_code == 3, result.output
+        assert result.output == "error: out of memory: Unable to allocate 7.28 TiB for an array\n"
+        assert result.exception is None or isinstance(result.exception, SystemExit)
 
 
 def _loaded_after(body: str) -> list[str]:

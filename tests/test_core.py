@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from rvlab.core import (
+    MAX_GRID_SIZE,
     MultiPath,
     SeedSpec,
     UniformGrid,
@@ -111,8 +112,11 @@ class TestUniformGrid:
                 UniformGrid(horizon, 4)
         with pytest.raises(DomainError):
             UniformGrid(1.0, 0)
-        with pytest.raises(DomainError, match="largest double"):
+        with pytest.raises(DomainError, match="grid size must not exceed"):
             UniformGrid(1.0, 10**310)  # horizon / n cannot convert n to float
+        UniformGrid(1.0, MAX_GRID_SIZE)
+        with pytest.raises(DomainError, match="embedding row"):
+            UniformGrid(1.0, MAX_GRID_SIZE + 1)
 
     def test_index_of_roundtrips_nodes(self):
         grid = UniformGrid(1.0, 7)

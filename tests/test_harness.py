@@ -165,7 +165,7 @@ BAD_CONFIGS = [
     ("kernel-check", {"params": {"lattice": 2.9}}),
     ("fbm-variation", {"dimension": 3}),
     ("covariance-check", {"dimension": 4}),
-    # xi_paths is not a param: every dual replication carries xi
+    # xi_paths is not a param: the nu-integral check reads one path
     ("divergence-variation-multi", {"params": {"xi_paths": 0}}),
     ("self-similarity", {"params": {"control": "false"}}),
     ("negative-moments", {"params": {"q": "1"}}),

@@ -312,9 +312,12 @@ class TestMultiDivergenceVariation:
             params={"integrand": "cubic", "xi_draws": 400},
         ))
         assert report.meta["integrand"] == "cubic" and report.meta["dimension"] == 3
-        row = report.rows[-1]
-        assert all(math.isfinite(v) for v in row)
-        assert row[6] == pytest.approx(row[2], abs=3 * row[7])
+        assert all(math.isfinite(v) for v in report.rows[-1])
+        check = report.extra
+        assert check["xi_check_n"] == 128 and check["xi_check_margin"] >= 0
+        assert check["xi_check_estimate"] == pytest.approx(
+            check["xi_check_closed_form"], abs=3 * check["xi_check_se"]
+        )
 
     def test_dual_targets_agree(self):
         report = run_experiment(ExperimentConfig(
@@ -322,8 +325,10 @@ class TestMultiDivergenceVariation:
             replications=20, master_seed=19, dimension=3,
             params={"integrand": "radial_quadratic"},
         ))
-        row = report.rows[0]
-        assert row[6] == pytest.approx(row[2], abs=3 * row[7])
+        check = report.extra
+        assert check["xi_check_estimate"] == pytest.approx(
+            check["xi_check_closed_form"], abs=3 * check["xi_check_se"]
+        )
         assert report.flags["targets_agree_3se"]
 
     @pytest.mark.parametrize(
@@ -379,15 +384,15 @@ class TestMultiDivergenceVariation:
             xi_mc_target(u, 1.0 / 16, 1.0 / 0.45, SeedSpec(81).stream(lane=1), 100)
         # a NaN target that reaches the cross-check aborts it too
         with pytest.raises(NumericalError, match="disagree"):
-            _cross_check([(1.0, e_H(0.45), 0.0, math.nan, math.nan)], 16, dimension)
+            _cross_check(e_H(0.45), math.nan, math.nan, 16, dimension)
 
     def test_dimension_one_cross_check_is_a_rounding_bound(self):
         # se is 0 at d = 1, so 3 s.e. would reject a last-bit difference
-        _cross_check([(1.0, 2.0, 0.0, 2.0 * (1 + 1e-14), 0.0)], 64, 1)
+        assert _cross_check(2.0, 2.0 * (1 + 1e-14), 0.0, 64, 1)["xi_check_margin"] > 0
         with pytest.raises(NumericalError, match="disagree"):
-            _cross_check([(1.0, 2.0, 0.0, 2.0 * (1 + 1e-9), 0.0)], 64, 1)
+            _cross_check(2.0, 2.0 * (1 + 1e-9), 0.0, 64, 1)
         with pytest.raises(NumericalError, match="disagree"):  # d >= 2 keeps 3 s.e.
-            _cross_check([(1.0, 2.0, 0.0, 2.0 * (1 + 1e-14), 0.0)], 64, 2)
+            _cross_check(2.0, 2.0 * (1 + 1e-14), 0.0, 64, 2)
 
     @pytest.mark.parametrize("label", sorted(INTEGRANDS))
     def test_dimension_one_run_passes_for_every_integrand(self, label):
@@ -401,8 +406,11 @@ class TestMultiDivergenceVariation:
             return
         report = run_experiment(config)
         assert report.flags["targets_agree_3se"]
-        for row in report.rows:
-            assert row[6] == pytest.approx(row[2], rel=1e-12) and row[7] <= 1e-12 * row[2]
+        check = report.extra
+        assert check["xi_check_n"] == 256 and check["xi_check_margin"] >= 0
+        closed = check["xi_check_closed_form"]
+        assert check["xi_check_estimate"] == pytest.approx(closed, rel=1e-12)
+        assert check["xi_check_se"] <= 1e-12 * closed
 
     def test_dimension_one_xi_target_off_by_1e9_exits_3(self, monkeypatch, tmp_path):
         exact = ito.xi_mc_target
@@ -422,20 +430,17 @@ class TestMultiDivergenceVariation:
         assert "disagree" in result.output
 
     def test_cross_check_abort(self):
-        fake = [(1.0, 1.0, 0.0, 2.0, 1e-6)]  # target_a = 1, target_mc = 2
-        with pytest.raises(NumericalError, match="disagree"):
-            _cross_check(fake, 64, 3)
+        with pytest.raises(NumericalError, match="disagree"):  # closed form 1, xi target 2
+            _cross_check(1.0, 2.0, 1e-6, 64, 3)
 
     def test_cross_check_nan_se_aborts(self):
-        fake = [(1.0, 1.0, 0.0, 1.0, math.nan)]  # a standard error that checks nothing
-        with pytest.raises(NumericalError, match="disagree"):
-            _cross_check(fake, 64, 3)
+        with pytest.raises(NumericalError, match="disagree"):  # an s.e. that checks nothing
+            _cross_check(1.0, 1.0, math.nan, 64, 3)
 
     def test_cross_check_nan_target_on_one_path_aborts(self):
-        # every replication carries xi, so a NaN is a failure, not a skipped path
-        fake = [(1.0, 1.0, 0.0, 1.0, 0.1), (1.0, 1.0, 0.0, math.nan, math.nan)]
+        # the check reads one path, so a NaN closed form on it is a failure
         with pytest.raises(NumericalError, match="disagree"):
-            _cross_check(fake, 64, 3)
+            _cross_check(math.nan, 1.0, 0.1, 64, 3)
 
     @pytest.mark.parametrize("draws", [0, 2, 3])
     def test_xi_draws_without_a_standard_error_rejected(self, draws):
@@ -452,8 +457,8 @@ def _unit_rows(n: int, d: int) -> np.ndarray:
 class TestXiSubBlocks:
     # The block cap decides how many pairs are drawn and reduced at once.
     # Caps of 1 pair, 7 pairs and all pairs split the draws differently from
-    # the default, which holds 42 pairs of n = 4096 in d = 3 (so 100 pairs
-    # take three blocks) and 680 of n = 257 (5,000 pairs take eight).
+    # the default, which holds 5 pairs of n = 4096 in d = 3 (so 100 pairs
+    # take 20 blocks) and 85 of n = 257 (5,000 pairs take 59).
     @pytest.mark.parametrize("n, draws", [(4096, 200), (257, 10_000), (4096, 6)])
     def test_width_leaves_result_bit_equal(self, n, draws, monkeypatch):
         u = _unit_rows(n, 3)
@@ -476,6 +481,80 @@ class TestXiSubBlocks:
             tracemalloc.stop()
         # the normals of all 500 pairs alone are 49 MB
         assert peak < 16e6, peak
+
+
+# Criteria 05 and 06: the check reads replication 0's path at n = 4096 alone,
+# so two replications check what the criteria's 200 do.
+_CRITERIA = {"divergence-variation-multi": 104, "theta-variation": 105}
+
+
+def _criterion_config(experiment: str) -> ExperimentConfig:
+    return ExperimentConfig(
+        experiment=experiment, hurst=0.45, dimension=3, grid_sizes=[4096], replications=2,
+        master_seed=_CRITERIA[experiment],
+    )
+
+
+def _c_p(d: int, p: float) -> float:
+    return 2 ** (p / 2) * math.gamma((d + p) / 2) / math.gamma(d / 2)
+
+
+class _CubeNormals:
+    """A stream whose normals are uniform on [-1, 1]: normalised, they give
+    directions that are not uniform on the sphere."""
+
+    def __init__(self, stream):
+        self.stream = stream
+
+    def standard_normal(self, out):
+        out[...] = self.stream.uniform(-1.0, 1.0, out.shape)
+
+
+def _c_p_of_d_minus_1(exact):
+    # 0.65 times the true c_p at H 0.45 and d 3
+    def target(u, dt, p, stream, draws):
+        scale = _c_p(u.shape[1] - 1, p) / _c_p(u.shape[1], p)
+        return tuple(scale * v for v in exact(u, dt, p, stream, draws))
+
+    return target
+
+
+def _cube_directions(exact):
+    # E|theta_1|^p is 1.0% low at H 0.45 along a coordinate axis
+    return lambda u, dt, p, stream, draws: exact(u, dt, p, _CubeNormals(stream), draws)
+
+
+class TestNuCheckPower:
+    @pytest.mark.parametrize("experiment", sorted(_CRITERIA))
+    def test_true_xi_law_passes(self, experiment):
+        report = run_experiment(_criterion_config(experiment))
+        assert report.flags["targets_agree_3se"] and report.extra["xi_check_n"] == 4096
+
+    @pytest.mark.parametrize("law", [_c_p_of_d_minus_1, _cube_directions])
+    @pytest.mark.parametrize("experiment", sorted(_CRITERIA))
+    def test_wrong_xi_law_fails(self, monkeypatch, experiment, law):
+        monkeypatch.setattr(ito, "xi_mc_target", law(ito.xi_mc_target))
+        with pytest.raises(NumericalError, match="disagree"):
+            run_experiment(_criterion_config(experiment))
+
+    def test_one_xi_target_per_config(self, monkeypatch, tmp_path):
+        # pool workers are forked with the wrapper, so a call there is logged too
+        exact, log = ito.xi_mc_target, tmp_path / "calls"
+
+        def logged(u, *args, **kwargs):
+            with open(log, "a") as fh:
+                fh.write(f"{len(u)}\n")
+            return exact(u, *args, **kwargs)
+
+        monkeypatch.setattr(ito, "xi_mc_target", logged)
+        for experiment in sorted(_CRITERIA):
+            log.write_text("")
+            config = ExperimentConfig(
+                experiment=experiment, hurst=0.45, dimension=3, grid_sizes=[16, 32],
+                replications=6, params={"xi_draws": 8},
+            )
+            assert run_experiment(config, workers=2).flags["targets_agree_3se"]
+            assert log.read_text().split() == ["32"], experiment
 
 
 class TestLpScaling:
