@@ -47,6 +47,17 @@ def check_hurst(h: float, rough: str | None = None) -> float:
 # largest intp in bytes, and the circulant sampler's largest array is its
 # 2n-point complex128 embedding row (16 bytes a point).
 MAX_GRID_SIZE = np.iinfo(np.intp).max // 32
+# A d-dimensional path is an (n + 1) x d float64 array: 8 bytes an entry.
+MAX_PATH_ENTRIES = np.iinfo(np.intp).max // 8
+
+
+def check_path_size(n: int, d: int) -> None:
+    """Reject a d-dimensional path on n cells that numpy cannot hold."""
+    if (n + 1) * d > MAX_PATH_ENTRIES:
+        raise DomainError(
+            f"a path of {n + 1} nodes in dimension {d} must have at most {MAX_PATH_ENTRIES} "
+            "entries: numpy cannot hold a larger float64 array"
+        )
 
 
 @dataclass(frozen=True)

@@ -18,7 +18,7 @@ from typing import NamedTuple
 import numpy as np
 import numpy.fft  # numpy loads it lazily; here, not in every forked pool worker
 
-from .core import MultiPath, SeedSpec, UniformGrid, check_hurst
+from .core import MultiPath, SeedSpec, UniformGrid, check_hurst, check_path_size
 from .errors import ConfigError, DomainError, EmbeddingError, FactorizationError
 from .parallel import _blas_threads
 
@@ -217,6 +217,7 @@ def sample_fbm_multi(
     """
     if d < 1:
         raise DomainError(f"dimension must be >= 1, got {d}")
+    check_path_size(grid.n, d)
     if method not in SAMPLERS:
         raise ConfigError(f"unknown sampler method {method!r}; registered: {list(SAMPLERS)}")
     sample = sample_fbm_cholesky if method == "cholesky" else sample_fbm_circulant

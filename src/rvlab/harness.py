@@ -24,7 +24,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import bessel, fbm, ito, kernel
-from .core import SeedSpec, UniformGrid, check_hurst
+from .core import SeedSpec, UniformGrid, check_hurst, check_path_size
 from .errors import ConfigError
 from .parallel import replication_map
 from .report import Report, build_id, check_shape
@@ -149,8 +149,9 @@ class ExperimentConfig:
         check_shape(self.replications, self.grid_sizes, xi_draws)
         sizes = self.grid_sizes if "grid_sizes" in spec.fields else ()
         sizes += (self.param("grid_size"),) if "grid_size" in spec.params else ()
-        for n in sizes:  # numpy's size bound and the cell width, before anything runs
+        for n in sizes:  # numpy's size bounds and the cell width, before anything runs
             UniformGrid(self.horizon, n)
+            check_path_size(n, self.dimension)
         SeedSpec(self.master_seed)  # 64-bit gate
         if self.output_format not in ("csv", "json"):
             raise ConfigError(f"output format must be csv or json, got {self.output_format!r}")
@@ -286,7 +287,7 @@ _register("lp-scaling", ito.lp_scaling_experiment, ("horizon", "replications"),
               1.0, lambda c: 0.05 if c.param("integrand") == "identity" else 0.15)})
 _register("kernel-check", kernel.kernel_check_experiment, ("horizon",),
           params={"lattice": 5, "rtol": kernel.DEFAULT_L2_TOL},
-          tolerances={"rel_err_max": 1e-4}, load=kernel.load_scipy)
+          tolerances={"rel_err_max": 1e-4})
 _register("covariance-check", _run_covariance_check, _VARIATION, tolerances={"max_z": 3.0})
 
 

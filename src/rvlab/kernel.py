@@ -5,30 +5,24 @@ R_H(t, s) = int_0^{t^s} K_H(t, u) K_H(s, u) du, the left side of that
 identity, and the registered reproduction check built on it.
 
 The kernel's inner integral int_s^t u^{H-3/2} (u-s)^{H-1/2} du is an
-incomplete Beta function (substitute u = s/v), so K_H itself needs no
-quadrature.  The one adaptive Gauss-Kronrod quadrature left is the L^2
-integral of the kernel product in ``covariance_via_kernel``.
-
-scipy (``integrate``, ``gammaln`` and ``betainc``) is bound by
-:func:`load_scipy`, not at import: the package imports this module at
-start-up, and only the kernel-check experiment needs scipy.  The registry calls the loader when a
-kernel-check config is validated, so the import is paid in set-up; every
-entry point also reaches it on a cold path (a cache miss of ``_log_beta``,
-or once per quadrature) before it uses those names, so ``kernel_K`` does no
-per-call work for it.
+incomplete Beta function (substitute u = s/v), evaluated by its continued
+fraction, so K_H itself needs no quadrature.  The one quadrature left is the
+L^2 integral of the kernel product in ``covariance_via_kernel``: a tanh-sinh
+(double-exponential) rule, which takes the integrand's algebraic endpoint
+singularities to full precision (Takahasi & Mori 1974).  The module needs
+numpy and math only; it imports no scipy.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-import warnings
 from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .core import UniformGrid, check_hurst
-from .errors import DomainError, QuadratureError
+from .errors import DomainError, NumericalError, QuadratureError
 from .fbm import covariance
 from .report import Report
 
@@ -47,23 +41,11 @@ __all__ = [
 # integrand keeps integrable power singularities at both endpoints.
 DEFAULT_L2_TOL = 1e-7
 
-integrate = gammaln = betainc = None  # scipy's, bound by load_scipy
-
-
-def load_scipy() -> None:
-    """Bind scipy.integrate, gammaln and betainc to this module; idempotent."""
-    global integrate, gammaln, betainc
-    if betainc is None:
-        from scipy import integrate
-        from scipy.special import gammaln
-        from scipy.special.cython_special import betainc  # the ufunc's kernel, no ufunc overhead
-
 
 @functools.lru_cache(maxsize=64)
 def _log_beta(h: float) -> float:
-    """log B(1-2H, H+1/2), through log-Gamma; a miss binds scipy first."""
-    load_scipy()
-    return gammaln(1 - 2 * h) + gammaln(h + 0.5) - gammaln(1.5 - h)
+    """log B(1-2H, H+1/2), through log-Gamma."""
+    return math.lgamma(1 - 2 * h) + math.lgamma(h + 0.5) - math.lgamma(1.5 - h)
 
 
 @functools.lru_cache(maxsize=64)
@@ -73,45 +55,65 @@ def constant_cH(hurst: float) -> float:
     The constant blows up as H approaches 1/2 (pole of 1 - 2H).
     """
     h = check_hurst(hurst, "the Volterra kernel constant")
-    return float(np.sqrt(2 * h / ((1 - 2 * h) * np.exp(_log_beta(h)))))
+    return math.sqrt(2 * h / ((1 - 2 * h) * math.exp(_log_beta(h))))
 
 
-def _quad(func, a, b, rtol, limit=400) -> float:
-    """scipy.integrate.quad that fails on overflow, on a missed rtol and, at any
-    scale, whenever quadpack reports failure (its 4th, message element)."""
-    load_scipy()
-    try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", integrate.IntegrationWarning)
-            result = integrate.quad(
-                func, a, b, epsabs=0.0, epsrel=rtol, limit=limit, full_output=True
-            )
-    except OverflowError as exc:
-        raise QuadratureError(
-            f"quadrature on [{a}, {b}] overflowed: {exc}", achieved=math.inf
-        ) from exc
-    value, abserr = result[0], result[1]
-    if len(result) > 3 or abserr > max(rtol * abs(value), 1e-13):
-        raise QuadratureError(
-            f"quadrature on [{a}, {b}] did not reach rtol={rtol}: "
-            f"achieved error estimate {abserr:.3e} on value {value:.6e}",
-            achieved=float(abserr),
-        )
-    return value
+_CF_TERMS = 64  # 15 suffice at the switch point for the kernel's p = H+1/2, q = 1-2H
+_FP_MIN = 1e-300
 
 
-def _inner_integral(h: float, t: float, s: float) -> float:
+def _betainc(p: float, q: float, x, y) -> np.ndarray:
+    """The regularized incomplete Beta I_x(p, q), with y = 1 - x given exactly.
+
+    A modified-Lentz evaluation of the continued fraction, used where
+    x < (p+1)/(p+q+2); above it I_x(p, q) = 1 - I_y(q, p) (Press et al.,
+    Numerical Recipes, Sec. 6.4).  Taking y from the caller keeps the
+    precision of a complement that 1 - x would round away.
+    """
+    x, y = np.broadcast_arrays(np.asarray(x, float), np.asarray(y, float))
+    flip = x > (p + 1) / (p + q + 2)
+    a, b = np.where(flip, q, p), np.where(flip, p, q)
+    z, w = np.where(flip, y, x), np.where(flip, x, y)
+    log_b = math.lgamma(p) + math.lgamma(q) - math.lgamma(p + q)
+    with np.errstate(divide="ignore"):  # z or w = 0: the front factor is 0
+        front = np.exp(a * np.log(z) + b * np.log(w) - log_b) / a
+
+    def floor(v):
+        return np.where(np.abs(v) < _FP_MIN, _FP_MIN, v)
+
+    c = np.ones_like(z)
+    d = 1 / floor(1 - (a + b) * z / (a + 1))
+    frac = d
+    for k in range(1, _CF_TERMS + 1):
+        even = k * (b - k) * z / ((a + 2 * k - 1) * (a + 2 * k))
+        d = 1 / floor(1 + even * d)
+        c = floor(1 + even / c)
+        frac = frac * d * c
+        odd = -(a + k) * (a + b + k) * z / ((a + 2 * k) * (a + 2 * k + 1))
+        d = 1 / floor(1 + odd * d)
+        c = floor(1 + odd / c)
+        frac = frac * d * c
+        if np.all(np.abs(d * c - 1) <= np.finfo(float).eps):
+            break
+    else:
+        raise NumericalError(f"incomplete Beta I_x({p}, {q}) did not converge in {_CF_TERMS} terms")
+    value = front * frac
+    return np.where(flip, 1 - value, value)
+
+
+def _inner_integral(h: float, t, s, gap):
     """int_s^t u^{H-3/2} (u-s)^{H-1/2} du = s^{2H-1} B(a, b) I_x(b, a), x = (t-s)/t.
 
     With a = 1-2H and b = H+1/2, u = s/v gives s^{2H-1} int_{s/t}^1 v^{a-1} (1-v)^{b-1} dv
-    (Decreusefond & Ustunel 1999; Nualart 2006, Sec. 5.1).  Passing (t-s)/t,
-    not 1 - s/t, keeps the precision as s/t -> 1."""
-    beta = math.exp(_log_beta(h))  # before betainc: its first call binds scipy
-    return s ** (2 * h - 1) * beta * betainc(h + 0.5, 1 - 2 * h, (t - s) / t)
+    (Decreusefond & Ustunel 1999; Nualart 2006, Sec. 5.1).  ``gap`` is t - s;
+    x = gap/t and its complement s/t are both formed without a subtraction,
+    which keeps the precision as s/t -> 1 and as s/t -> 0."""
+    beta = math.exp(_log_beta(h))
+    return s ** (2 * h - 1) * beta * _betainc(h + 0.5, 1 - 2 * h, gap / t, s / t)
 
 
-def kernel_K(hurst: float, t: float, s: float) -> float:
-    """The Volterra kernel K_H(t, s) for 0 < s < t, H < 1/2.
+def kernel_K(hurst: float, t, s, gap=None):
+    """The Volterra kernel K_H(t, s) for 0 < s < t, H < 1/2; elementwise on arrays.
 
     K_H(t, s) = c_H [ (t/s)^{H-1/2} (t-s)^{H-1/2}
                       - (H - 1/2) s^{1/2-H} int_s^t u^{H-3/2} (u-s)^{H-1/2} du ].
@@ -119,31 +121,115 @@ def kernel_K(hurst: float, t: float, s: float) -> float:
     The prefactor of the integral term is s^{1/2-H}: this is the variant
     consistent with the closed-form dK/dt and it reproduces the covariance
     (verified by the kernel-check identity); the flipped exponent fails both.
+    ``gap`` is t - s, for a caller that has it more exactly than the
+    subtraction, as the quadrature does near its upper endpoint.
     """
     h = check_hurst(hurst, "the Volterra kernel")
-    if not (0.0 < s < t):
+    t, s = np.asarray(t, float), np.asarray(s, float)
+    gap = t - s if gap is None else np.asarray(gap, float)
+    if not (np.all(s > 0) and np.all(gap > 0)):
         raise DomainError(f"kernel_K requires 0 < s < t, got t={t}, s={s}")
-    c_h = constant_cH(h)
-    direct = (t / s) ** (h - 0.5) * (t - s) ** (h - 0.5)
-    return c_h * (direct - (h - 0.5) * s ** (0.5 - h) * _inner_integral(h, t, s))
+    direct = (s / t) ** (0.5 - h) * gap ** (h - 0.5)
+    k = constant_cH(h) * (direct + (0.5 - h) * s ** (0.5 - h) * _inner_integral(h, t, s, gap))
+    return float(k) if k.ndim == 0 else k
 
 
-def covariance_via_kernel(
-    hurst: float, t: float, s: float, rtol: float = DEFAULT_L2_TOL
-) -> float:
+# tanh-sinh nodes u = m / (1 + exp(-pi sinh tau)), |tau| <= tau_max(m), reach
+# within _END_GAP of either end of [0, m].  Level k has 2 * 6 * 2^k + 1 nodes
+# a limit; they are evaluated in blocks of at most _BLOCK (limit, node)
+# entries, so memory does not grow with the number of limits.
+_END_GAP = 4 * np.finfo(float).tiny
+_COARSE_NODES = 6
+_MAX_LEVEL = 12
+_BLOCK = 1 << 16
+
+
+def _tanh_sinh(integrand, upper, rtol: float) -> np.ndarray:
+    """int_0^m f(u) du for every upper limit m in ``upper``, by the tanh-sinh rule.
+
+    ``integrand(u, g)`` gets nodes u and their distances g = m - u, each of
+    shape ``upper.shape + (nodes,)``; both come from the transform, not from
+    a subtraction, so nodes reach within 1e-307 of either end.  The step
+    halves until, for every limit, the change from the previous level plus
+    the tail beyond the outermost nodes is at most ``rtol`` times the value.
+    The tail is extrapolated from the decay between the outermost node and
+    the one a step inside it.  Raises QuadratureError at the level cap or on
+    a value that is not finite.
+    """
+    m = np.asarray(upper, float)[..., None]
+    if not np.all(m > _END_GAP):
+        raise QuadratureError(f"no tanh-sinh node fits in [0, {np.min(m):.6g}]", achieved=math.inf)
+    tau_max = np.arcsinh(np.log(m / _END_GAP) / math.pi)
+    block = max(1, _BLOCK // m.size)
+
+    def level_sum(j, step):
+        """Sum of the terms w(tau) f(u(tau)) at tau = j step, and the first and last term."""
+        part = np.zeros(m.shape[:-1])
+        for start in range(0, j.size, block):
+            tau = j[start:start + block] * step
+            grow = np.exp(math.pi * np.sinh(tau))
+            lo, hi = 1 / (1 + grow), grow / (1 + grow)
+            with np.errstate(all="ignore"):  # checked below
+                terms = math.pi * np.cosh(tau) * lo * hi * m * integrand(m * hi, m * lo)
+            if not np.all(np.isfinite(terms)):
+                raise QuadratureError(
+                    f"tanh-sinh quadrature on [0, {np.max(m):.6g}] met a value that is not finite",
+                    achieved=math.inf,
+                )
+            part += terms.sum(axis=-1)
+            if start == 0:
+                first = terms[..., 0]
+        return part, np.abs(np.stack([first, terms[..., -1]], axis=-1))
+
+    step = tau_max / _COARSE_NODES
+    total, ends = level_sum(np.arange(-_COARSE_NODES, _COARSE_NODES + 1), step)
+    total *= step[..., 0]
+    for level in range(1, _MAX_LEVEL + 1):
+        count = _COARSE_NODES << level
+        step = tau_max / count
+        part, inner = level_sum(np.arange(1 - count, count, 2), step)
+        previous, total = total, 0.5 * total + step[..., 0] * part
+        # the terms decay double-exponentially beyond +-tau_max: the tail is
+        # about the end term over its decay rate, a conservative one here
+        with np.errstate(divide="ignore", invalid="ignore"):
+            rate = np.log(inner / ends) / step
+            tail = np.where(ends > 0, ends / np.where(rate > 0, rate, 0.0), 0.0).sum(axis=-1)
+        error = np.abs(total - previous) + tail
+        if np.all(error <= rtol * np.abs(total)):
+            return total
+    with np.errstate(divide="ignore", invalid="ignore"):
+        achieved = float(np.max(np.where(error > 0, error / np.abs(total), 0.0)))
+    raise QuadratureError(
+        f"tanh-sinh quadrature on [0, {np.max(m):.6g}] did not reach rtol={rtol} in "
+        f"{_MAX_LEVEL} halvings: achieved relative error estimate {achieved:.3e}",
+        achieved=achieved,
+    )
+
+
+def covariance_via_kernel(hurst: float, t, s, rtol: float = DEFAULT_L2_TOL):
     """Left side of the factorization identity: int_0^{t^s} K_H(t, u) K_H(s, u) du.
 
-    The integrand has integrable power singularities at u = 0 and at the
-    upper limit min(t, s), both endpoints, so quadpack needs no break points.
+    Elementwise over broadcast arrays t and s, in one quadrature.  The
+    integrand has integrable power singularities at u = 0 and at the upper
+    limit min(t, s).  K_H(ct, cs) = c^{H-1/2} K_H(t, s), so the integral is
+    taken with t and s divided by max(t, s) and scaled back by max(t, s)^{2H}:
+    every horizon integrates on the unit scale.
     """
     h = check_hurst(hurst, "the H-space inner product")
-    return _quad(lambda u: kernel_K(h, t, u) * kernel_K(h, s, u), 0.0, min(t, s), rtol)
+    t, s = np.broadcast_arrays(np.asarray(t, float), np.asarray(s, float))
+    scale = np.maximum(t, s)
+    if not (np.all(np.minimum(t, s) > 0) and np.all(np.isfinite(scale))):
+        raise DomainError(f"covariance_via_kernel requires finite t, s > 0, got t={t}, s={s}")
+    t, s = t / scale, s / scale
+    upper = np.minimum(t, s)
+    t_past, s_past = (t - upper)[..., None], (s - upper)[..., None]
+    t, s = t[..., None], s[..., None]
 
+    def product(u, g):
+        return kernel_K(h, t, u, t_past + g) * kernel_K(h, s, u, s_past + g)
 
-# quadpack takes subinterval midpoints as 0.5 * (a + b), and a + b overflows
-# once it passes the largest double: on [0, T] with T above half of it,
-# quadpack reports success on values 15-50% off (from T = 9.06e307 at H = 0.3)
-_MAX_HORIZON = np.finfo(float).max / 2
+    value = _tanh_sinh(product, upper, rtol) * scale ** (2 * h)
+    return float(value) if value.ndim == 0 else value
 
 
 def kernel_check_experiment(config: ExperimentConfig, workers: int) -> Report:
@@ -158,19 +244,19 @@ def kernel_check_experiment(config: ExperimentConfig, workers: int) -> Report:
     if lattice < 1 or not 50 * np.finfo(float).eps < rtol < 1:
         raise DomainError(f"need lattice >= 1 and 50 eps < rtol < 1, got {lattice} and {rtol}")
     # grid.node(i) computes i * horizon / lattice, so (lattice - 1) * horizon must stay finite
-    if not (horizon <= _MAX_HORIZON and math.isfinite((lattice - 1) * horizon)):
+    if not math.isfinite((lattice - 1) * horizon):
         raise DomainError(
-            f"kernel-check needs horizon <= {_MAX_HORIZON:.4g} and a finite "
-            f"(lattice - 1) * horizon, got horizon {horizon} at lattice {lattice}"
+            f"kernel-check needs a finite (lattice - 1) * horizon, "
+            f"got horizon {horizon} at lattice {lattice}"
         )
     grid = UniformGrid(horizon, lattice)
+    pairs = [(grid.node(i), grid.node(j)) for i in range(1, lattice + 1) for j in range(1, i + 1)]
+    t, s = np.array(pairs).T
+    lhs = covariance_via_kernel(h, t, s, rtol)
     rows = []
-    for i in range(1, lattice + 1):
-        for j in range(1, i + 1):
-            t, s = grid.node(i), grid.node(j)
-            lhs = covariance_via_kernel(h, t, s, rtol)
-            rhs = covariance(h, t, s)
-            rows.append((t, s, lhs, rhs, abs(lhs - rhs) / abs(rhs)))
+    for (ti, si), left in zip(pairs, lhs.tolist()):
+        right = covariance(h, ti, si)
+        rows.append((ti, si, left, right, abs(left - right) / abs(right)))
     worst = max(r[4] for r in rows)
     return Report(
         columns=("t", "s", "lhs", "rhs", "rel_err"),

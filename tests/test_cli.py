@@ -394,7 +394,6 @@ class TestRunCommand:
             {"dimension": 3},
             {"horizon": 1e999},
             {"tolerances": {"rel_err_final": "x"}},
-            {"experiment": "kernel-check", "horizon": 1e308, "params": {"lattice": 1}},
             {"experiment": "kernel-check", "horizon": 5e307, "params": {"lattice": 7}},
             {"experiment": "covariance-check", "grid_sizes": [8, 16]},
             *(
@@ -431,9 +430,9 @@ class TestRunCommand:
             # a^-H = a^-2H at a = 1: the power control can never be rejected
             ({"experiment": "self-similarity", "dimension": 3, "replications": 8,
               "params": {"a_list": [1.0], "grid_size": 16}}, 2),
-            # quadpack reports failure on an integral near 1e-184
-            ({"experiment": "kernel-check", "hurst": 0.3, "horizon": 1e-306,
-              "params": {"lattice": 1}}, 3),
+            # at H 0.005 about 1e-3 of int_0^1 K(1, u)^2 du lies within 1e-307 of
+            # the ends, closer than any double node: no rule reaches rtol 1e-7
+            ({"experiment": "kernel-check", "hurst": 0.005, "params": {"lattice": 1}}, 3),
             # the target grows like T^2 and underflows; the integrand is not zero
             ({"experiment": "divergence-variation-multi", "hurst": 0.45, "dimension": 3,
               "horizon": 1e-300, "grid_sizes": [16], "replications": 8,
@@ -513,6 +512,24 @@ class TestResourceErrors:
         assert len(result.output.splitlines()) == 1
         assert result.exception is None or isinstance(result.exception, SystemExit)
 
+    # 2^57 cells pass the grid size bound, but 8 components of 2^57 + 1 nodes
+    # pass numpy's largest float64 array; it raised from np.empty and exited 1
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["fbm", "--hurst", "0.3", "--dim", "8", "--grid-size"],
+            ["theta-variation", "--dimension", "8", "--replications", "4", "--workers", "1",
+             "--grid-sizes"],
+        ],
+        ids=lambda args: args[0],
+    )
+    def test_path_numpy_cannot_hold_exits_2(self, runner, args):
+        result = runner.invoke(main, [*args, str(2**57)])
+        assert result.exit_code == 2, result.output
+        assert result.output.startswith("error: a path of 144115188075855873 nodes in dimension 8")
+        assert len(result.output.splitlines()) == 1
+        assert result.exception is None or isinstance(result.exception, SystemExit)
+
     @pytest.mark.parametrize(
         "args",
         [
@@ -558,9 +575,9 @@ def _scipy(modules: list[str]) -> list[str]:
     ids=["import", "help"],
 )
 def test_cold_start_loads_no_scipy(body):
-    # only kernel-check and self-similarity use scipy; each loads it when its
-    # config is validated.  rvlab.kernel itself is still imported (the
-    # benchmark's span recorder finds it in sys.modules).
+    # only self-similarity uses scipy, and loads it when its config is
+    # validated.  rvlab.kernel is still imported (the benchmark's span
+    # recorder finds it in sys.modules).
     loaded = _loaded_after(body)
     assert _scipy(loaded) == []
     assert "rvlab.kernel" in loaded
@@ -576,10 +593,18 @@ def test_theta_variation_loads_no_scipy():
     assert _scipy(loaded) == []
 
 
+def test_kernel_check_loads_no_scipy():
+    loaded = _loaded_after(
+        "from rvlab.harness import ExperimentConfig, run_experiment\n"
+        "config = ExperimentConfig(experiment='kernel-check', hurst=0.3, params={'lattice': 2})\n"
+        "assert run_experiment(config).passed"
+    )
+    assert _scipy(loaded) == []
+    assert "rvlab.kernel" in loaded
+
+
 @pytest.mark.parametrize(
-    "experiment, needs",
-    [("kernel-check", {"scipy.integrate", "scipy.special"}), ("self-similarity", {"scipy.stats"})],
-    ids=["kernel-check", "self-similarity"],
+    "experiment, needs", [("self-similarity", {"scipy.stats"})], ids=["self-similarity"]
 )
 def test_validating_a_config_loads_its_scipy_modules(experiment, needs):
     # in set-up, before run_experiment is called
