@@ -1,6 +1,6 @@
 """Fractional Bessel process R_t = ||B_t||, the divergence part Theta, its
 d >= 2 and 2dH^2 > 1 gates (its variation limit is run by
-:func:`rvlab.ito.variation_experiment`), the constant K_q and the
+:func:`rvlab.ito.theta_variation`), the constant K_q and the
 negative-moment / self-similarity experiments.
 
 Theta is evaluated pathwise through the representation
@@ -156,21 +156,12 @@ def negative_moment_experiment(config: ExperimentConfig, workers: int) -> Report
     for key in ("slope", "intercept"):
         gap = abs(extra[key] - extra[f"{key}_target"])
         flags[f"{key}_ok"] = gap <= config.param(f"{key}_tol", "tolerances")
-    meta = {
-        "experiment": "negative-moments",
-        "dimension": d,
-        "q": q,
-        "hurst": h,
-        "replications": replications,
-        "master_seed": config.master_seed,
-        "grid_n": grid.n,
-    }
     return Report(
         columns=("t", "estimate", "target", "abs_err", "rel_err", "stderr"),
         rows=rows,
         extra=extra,
         flags=flags,
-        meta=meta,
+        meta={"q": q, "grid_n": grid.n},
     )
 
 
@@ -242,18 +233,9 @@ def self_similarity_suite(config: ExperimentConfig, workers: int) -> Report:
     flags = {"marginals_match": all(row[-1] for row in rows[: len(a_list)])}
     if control:
         flags["control_rejected"] = rows[-1][-1]
-    meta = {
-        "experiment": "self-similarity",
-        "dimension": d,
-        "hurst": h,
-        "replications": replications,
-        "master_seed": config.master_seed,
-        "grid_size": grid_size,
-        "level": level,
-    }
     return Report(
         columns=("a", "t", "scaling", "m", "ks_stat", "p_value", "threshold", "ok"),
         rows=rows,
         flags=flags,
-        meta=meta,
+        meta={"grid_size": grid_size, "level": level},
     )

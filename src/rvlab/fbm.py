@@ -6,21 +6,25 @@ embedding of the stationary increment process (O(n log n), the default for
 experiments).  Both are driven by per-replication Philox streams derived
 from a :class:`~rvlab.core.SeedSpec`, so a path is a pure function of
 (master_seed, replication_index) regardless of how replications are
-scheduled.
+scheduled; :func:`covariance_check_experiment` tests both against R_H.
 """
 
 from __future__ import annotations
 
 import functools
 import logging
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 import numpy.fft  # numpy loads it lazily; here, not in every forked pool worker
 
 from .core import MultiPath, SeedSpec, UniformGrid, check_hurst, check_path_size
 from .errors import ConfigError, DomainError, EmbeddingError, FactorizationError
-from .parallel import _blas_threads
+from .parallel import _blas_threads, replication_map
+from .report import Report
+
+if TYPE_CHECKING:
+    from .harness import ExperimentConfig
 
 __all__ = [
     "covariance",
@@ -29,6 +33,7 @@ __all__ = [
     "sample_fbm_circulant",
     "sample_fbm_multi",
     "PathJob",
+    "covariance_check_experiment",
     "SAMPLERS",
     "CHOLESKY_MAX_N",
 ]
@@ -244,3 +249,51 @@ class PathJob(NamedTuple):
         return sample_fbm_multi(
             self.hurst, self.dimension, grid, self.seed.replicate(r), self.method
         )
+
+
+def _cov_rep(paths: PathJob, r: int) -> np.ndarray:
+    return paths.sample(r).values[1:, 0]
+
+
+def covariance_check_experiment(config: ExperimentConfig, workers: int) -> Report:
+    """Entrywise z-scores of empirical vs exact covariance for both samplers.
+
+    Uses the known-mean second-moment estimator, whose exact standard error
+    per entry is sqrt((R_ii R_jj + R_ij^2) / M); sampler agreement compares
+    the two independent estimates against sqrt(2) times that, on the one
+    entry of grid_sizes.
+    """
+    if len(config.grid_sizes) != 1:
+        raise ConfigError(f"covariance-check takes one grid size, got {list(config.grid_sizes)}")
+    h = config.hurst
+    n = config.grid_sizes[0]
+    m = config.replications
+    t = np.arange(1, n + 1) * (config.horizon / n)
+    exact = covariance(h, t[:, None], t[None, :])
+    se = np.sqrt((np.outer(np.diag(exact), np.diag(exact)) + exact**2) / m)
+    threshold = config.param("max_z", "tolerances")
+    empirical = {}
+    for arm, method in enumerate(("cholesky", "circulant")):
+        paths = PathJob(h, 1, config.horizon, n, SeedSpec(config.master_seed, arm * m), method)
+        draws = replication_map(functools.partial(_cov_rep, paths), m, workers)
+        x = np.asarray(draws)
+        empirical[method] = x.T @ x / m
+    rows = []
+    flags = {}
+    for method in ("cholesky", "circulant"):
+        max_z = float(np.max(np.abs(empirical[method] - exact) / se))
+        ok = max_z <= threshold
+        rows.append((f"{method}_vs_exact", max_z, n * n, threshold, ok))
+        flags[f"{method}_matches_covariance"] = ok
+    diff_z = float(
+        np.max(np.abs(empirical["cholesky"] - empirical["circulant"]) / (np.sqrt(2) * se))
+    )
+    ok = diff_z <= threshold
+    rows.append(("cholesky_vs_circulant", diff_z, n * n, threshold, ok))
+    flags["samplers_agree"] = ok
+    return Report(
+        columns=("check", "max_abs_z", "entries", "threshold", "ok"),
+        rows=rows,
+        flags=flags,
+        meta={"grid_n": n},
+    )

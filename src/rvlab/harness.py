@@ -5,6 +5,7 @@ A configuration is a single JSON document; unknown keys are errors.  Every
 report is a pure function of (config, build): randomness flows only through
 the master seed, replications own derived streams, and reductions run in
 replication-index order, so worker count never changes a byte of output.
+The registry below is the one place that names experiments.
 
 Exit codes: 0 pass, 1 acceptance-tolerance failure, 2 configuration or gate
 error, 3 numerical failure.
@@ -21,12 +22,9 @@ import time
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
 
-import numpy as np
-
 from . import bessel, fbm, ito, kernel
 from .core import SeedSpec, UniformGrid, check_hurst, check_path_size
 from .errors import ConfigError
-from .parallel import replication_map
 from .report import Report, build_id, check_shape
 
 __all__ = [
@@ -199,61 +197,6 @@ class _ExperimentSpec:
     load: Callable | None  # () -> None: binds the imports only this experiment needs
 
 
-def _cov_rep(paths: fbm.PathJob, r: int) -> np.ndarray:
-    return paths.sample(r).values[1:, 0]
-
-
-def _run_covariance_check(config: ExperimentConfig, workers: int) -> Report:
-    """Entrywise z-scores of empirical vs exact covariance for both samplers.
-
-    Uses the known-mean second-moment estimator, whose exact standard error
-    per entry is sqrt((R_ii R_jj + R_ij^2) / M); sampler agreement compares
-    the two independent estimates against sqrt(2) times that, on the one
-    entry of grid_sizes.
-    """
-    if len(config.grid_sizes) != 1:
-        raise ConfigError(f"covariance-check takes one grid size, got {list(config.grid_sizes)}")
-    h = config.hurst
-    n = config.grid_sizes[0]
-    m = config.replications
-    t = np.arange(1, n + 1) * (config.horizon / n)
-    exact = fbm.covariance(h, t[:, None], t[None, :])
-    se = np.sqrt((np.outer(np.diag(exact), np.diag(exact)) + exact**2) / m)
-    threshold = config.param("max_z", "tolerances")
-    empirical = {}
-    for arm, method in enumerate(("cholesky", "circulant")):
-        paths = fbm.PathJob(h, 1, config.horizon, n, SeedSpec(config.master_seed, arm * m), method)
-        draws = replication_map(functools.partial(_cov_rep, paths), m, workers)
-        x = np.asarray(draws)
-        empirical[method] = x.T @ x / m
-    rows = []
-    flags = {}
-    for method in ("cholesky", "circulant"):
-        max_z = float(np.max(np.abs(empirical[method] - exact) / se))
-        ok = max_z <= threshold
-        rows.append((f"{method}_vs_exact", max_z, n * n, threshold, ok))
-        flags[f"{method}_matches_covariance"] = ok
-    diff_z = float(
-        np.max(np.abs(empirical["cholesky"] - empirical["circulant"]) / (np.sqrt(2) * se))
-    )
-    ok = diff_z <= threshold
-    rows.append(("cholesky_vs_circulant", diff_z, n * n, threshold, ok))
-    flags["samplers_agree"] = ok
-    return Report(
-        columns=("check", "max_abs_z", "entries", "threshold", "ok"),
-        rows=rows,
-        extra={},
-        flags=flags,
-        meta={
-            "experiment": "covariance-check",
-            "hurst": h,
-            "grid_n": n,
-            "replications": m,
-            "master_seed": config.master_seed,
-        },
-    )
-
-
 _REGISTRY: dict[str, _ExperimentSpec] = {}
 
 
@@ -264,14 +207,15 @@ def _register(name, runner, fields, params=None, tolerances=None, load=None):
 
 
 _VARIATION = ("horizon", "grid_sizes", "replications")
-_register("fbm-variation", ito.variation_experiment, _VARIATION,
+_register("fbm-variation", ito.fbm_variation, _VARIATION,
           tolerances={"rel_err_final": 0.05})
-_register("divergence-variation", ito.variation_experiment, _VARIATION,
+_register("divergence-variation", ito.divergence_variation, _VARIATION,
           params={"integrand": "quadratic"}, tolerances={"rel_err_final": 0.10})
-_register("divergence-variation-multi", ito.variation_experiment, ("dimension", *_VARIATION),
+_register("divergence-variation-multi", functools.partial(ito.divergence_variation, nu=True),
+          ("dimension", *_VARIATION),
           params={"integrand": "radial_quadratic", "xi_draws": ito.DEFAULT_XI_DRAWS},
           tolerances={"rel_err_final": 0.10})
-_register("theta-variation", ito.variation_experiment, ("dimension", *_VARIATION),
+_register("theta-variation", ito.theta_variation, ("dimension", *_VARIATION),
           params={"xi_draws": ito.DEFAULT_XI_DRAWS}, tolerances={"rel_err_final": 0.10})
 _register("negative-moments", bessel.negative_moment_experiment, ("dimension", "replications"),
           params={"q": 1.0, "t_list": [0.25, 0.5, 1.0, 2.0]},
@@ -288,7 +232,8 @@ _register("lp-scaling", ito.lp_scaling_experiment, ("horizon", "replications"),
 _register("kernel-check", kernel.kernel_check_experiment, ("horizon",),
           params={"lattice": 5, "rtol": kernel.DEFAULT_L2_TOL},
           tolerances={"rel_err_max": 1e-4})
-_register("covariance-check", _run_covariance_check, _VARIATION, tolerances={"max_z": 3.0})
+_register("covariance-check", fbm.covariance_check_experiment, _VARIATION,
+          tolerances={"max_z": 3.0})
 
 
 def registered_experiments() -> list[str]:
@@ -305,11 +250,21 @@ def declared(experiment: str) -> dict:
 def run_experiment(config: ExperimentConfig, workers: int = 1) -> Report:
     """Validate gates, run the experiment, stamp metadata, emit the report.
 
+    The meta keys copied from the config are stamped here, not by the
+    runner: the experiment and H, and the dimension, replications and seed
+    of an experiment that reads them.
+
     The returned report (and any file written) is a pure function of the
     config; wall time is kept in memory only.
     """
     started = time.perf_counter()
-    report = _REGISTRY[config.experiment].runner(config, workers)
+    spec = _REGISTRY[config.experiment]
+    report = spec.runner(config, workers)
+    # a run without replications draws nothing, so it reports no seed
+    copied = [key for key in ("dimension", "replications") if key in spec.fields]
+    copied += ["master_seed"] if "replications" in spec.fields else []
+    report.meta.update(experiment=config.experiment, hurst=config.hurst,
+                       **{key: getattr(config, key) for key in copied})
     report.meta["config"] = config.echo()
     report.meta["build"] = build_id()
     report.meta["wall_time_s"] = time.perf_counter() - started

@@ -1,5 +1,5 @@
 """Divergence integrals via Ito representations and the one engine behind
-the four 1/H-variation experiments.
+the 1/H-variation experiments.
 
 Divergence (Skorohod) integrals are never discretized directly: for a
 potential F on R^d the process X_t = int_0^t grad F(B_s) dB_s is evaluated
@@ -15,10 +15,13 @@ a fixed whitelist (registered below with finite-difference validation of the
 supplied derivatives); the Hoelder-regularity hypotheses behind the limit
 theorems are analytic facts about those integrands, not runtime checks.
 
-The d-dimensional experiments also check the limit's nu-integral form
-int sum_i |<u_i, xi>|^{1/H} dt N(0, I)(dxi) once per config: Monte Carlo over
-xi on one path (:func:`xi_mc_target`) against its closed form
-e_H sum_i |u_i|^{1/H} dt.
+Each variation experiment is a pair: a process X = int u dB and its
+integrand u.  Its runner (:func:`fbm_variation`, :func:`divergence_variation`,
+:func:`theta_variation`) declares X as a ``transform(path, H)``, u at the
+nodes (or none, for the unit-norm closed form e_H * T) and whether the limit's
+nu-integral form int sum_i |<u_i, xi>|^{1/H} dt N(0, I)(dxi) is checked, once
+per config: Monte Carlo over xi on one path (:func:`xi_mc_target`) against
+its closed form e_H sum_i |u_i|^{1/H} dt.  One engine runs them all.
 """
 
 from __future__ import annotations
@@ -61,7 +64,9 @@ __all__ = [
     "divergence_reading",
     "divergence_via_ito",
     "divergence_via_ito_multi",
-    "variation_experiment",
+    "fbm_variation",
+    "divergence_variation",
+    "theta_variation",
     "lp_scaling_experiment",
     "DEFAULT_XI_DRAWS",
 ]
@@ -331,18 +336,14 @@ def _cross_check(closed: float, estimate: float, se: float, n: int, dimension: i
             "xi_check_se": se, "xi_check_margin": margin}
 
 
-# fBm is the divergence integral of the identity potential (u = 1).  fBm and
-# Theta (u = B/R) have unit-norm integrands, so their limit is e_H * T in
-# closed form; the d-dim cases also check the limit's nu-integral form.
-_UNIT_TARGET = ("fbm-variation", "theta-variation")
-_XI_TARGET = ("divergence-variation-multi", "theta-variation")
+def _gradient_nodes(spec: IntegrandSpec, path: MultiPath) -> np.ndarray:
+    """u = grad F(B) at nodes 1 .. n of the path."""
+    return np.asarray(spec.gradient(path.values), dtype=float)[1:]
 
 
-def _integrand_nodes(experiment: str, integrand: str | None, path: MultiPath) -> np.ndarray:
-    """u at nodes 1 .. n of the path: B/R for Theta, else grad F(B)."""
-    if experiment == "theta-variation":
-        return path.values[1:] / np.linalg.norm(path.values[1:], axis=1)[:, None]
-    return np.asarray(INTEGRANDS[integrand].gradient(path.values), dtype=float)[1:]
+def _directions(path: MultiPath) -> np.ndarray:
+    """Theta's integrand u = B/R at nodes 1 .. n of the path."""
+    return path.values[1:] / np.linalg.norm(path.values[1:], axis=1)[:, None]
 
 
 def _path_target(u: np.ndarray, h: float, dt: float) -> float:
@@ -351,108 +352,118 @@ def _path_target(u: np.ndarray, h: float, dt: float) -> float:
 
 
 def _variation_rep(
-    paths: PathJob, experiment: str, integrand: str | None, r: int
+    paths: PathJob, transform: Callable, u_of: Callable | None, label: str | None, r: int
 ) -> tuple[float, float, float]:
-    """One replication: (V_n^{1/H}(X), target, |V - target|)."""
+    """One replication: (V_n^{1/H}(X), target, |V - target|), X = transform(path, H)."""
     h = paths.hurst
     path = paths.sample(r)
-    if experiment == "theta-variation":
-        x = theta_path(path, h)
-    else:
-        x = divergence_via_ito_multi(INTEGRANDS[integrand], path, h)
-    v = variation_Vnq(x, 1.0 / h)
-    if experiment in _UNIT_TARGET:
+    v = variation_Vnq(transform(path, h), 1.0 / h)
+    if u_of is None:
         target = e_H(h) * paths.horizon
     else:
-        u = _integrand_nodes(experiment, integrand, path)
+        u = u_of(path)
         target = _path_target(u, h, path.grid.dt)
         if target == 0.0 and np.any(u):
             raise NumericalError(
-                f"the variation target of integrand {integrand!r} underflows to 0 "
+                f"the variation target of integrand {label!r} underflows to 0 "
                 "although the integrand does not vanish on the path"
             )
     return v, target, abs(v - target)
 
 
-def _nu_check(paths: PathJob, experiment: str, integrand: str | None, xi_draws: int) -> dict:
+def _nu_check(paths: PathJob, u_of: Callable, xi_draws: int) -> dict:
     """The nu-integral form of the limit against its closed form, once per
     config: on the u of replication 0's path, with ``xi_draws`` draws from
     that replication's xi lane.  Both targets read the same u, so the check
     tests the xi target and c_p, not the sampler, the transforms or V_n."""
     path = paths.sample(0)
-    u, h, dt = _integrand_nodes(experiment, integrand, path), paths.hurst, path.grid.dt
+    u, h, dt = u_of(path), paths.hurst, path.grid.dt
     stream = paths.seed.replicate(0).stream(lane=LANE_XI)
     estimate, se = xi_mc_target(u, dt, 1.0 / h, stream, xi_draws)
     return _cross_check(_path_target(u, h, dt), estimate, se, paths.n, paths.dimension)
 
 
-def variation_experiment(config: ExperimentConfig, workers: int) -> ConvergenceReport:
-    """L^1 convergence of V_n^{1/H}(X) to e_H int_0^T ||u_s||^{1/H} ds.
+def _variation(
+    config: ExperimentConfig, workers: int, transform: Callable, meta: dict,
+    u_of: Callable | None = None, xi_u: Callable | None = None,
+) -> ConvergenceReport:
+    """L^1 convergence of V_n^{1/H}(X) to e_H int_0^T ||u_s||^{1/H} ds, for
+    X = ``transform(path, H)`` with integrand u.
 
-    ``config.experiment`` selects X: fBm itself (``fbm-variation``), the
-    divergence integral of a registered ``integrand`` in one or ``dimension``
-    dimensions (``divergence-variation``, ``divergence-variation-multi``), or
-    Theta under the gate 2dH^2 > 1 (``theta-variation``).  Per-path targets are
-    right-endpoint Riemann sums of ||u||^{1/H}; unit-norm integrands use the
-    closed form e_H * T.  The d-dim cases check the closed form once, on one
-    path at the finest n, against Monte Carlo over xi (:func:`_nu_check`; the
-    two agree because <u, xi> is N(0, ||u||^2) under the Gaussian xi-measure),
-    report the check in ``extra`` and abort on a disagreement beyond 3
-    standard errors (at d = 1, beyond rounding).
+    ``u_of(path)`` gives u at nodes 1 .. n, and the per-path target is the
+    right-endpoint Riemann sum of ||u||^{1/H}; without it ||u|| = 1 and the
+    target is the closed form e_H * T.  With ``xi_u``, the u it gives is
+    checked once, on one path at the finest n, against Monte Carlo over xi
+    (:func:`_nu_check`; the two agree because <u, xi> is N(0, ||u||^2) under
+    the Gaussian xi-measure); the check goes in ``extra`` and a disagreement
+    beyond 3 standard errors (at d = 1, beyond rounding) aborts.  ``meta``
+    holds the runner's own report keys; its ``integrand`` names u in errors.
     """
-    experiment, h, dimension = config.experiment, config.hurst, config.dimension
-    horizon, replications = config.horizon, config.replications
+    h, horizon, replications = config.hurst, config.horizon, config.replications
     seed = SeedSpec(config.master_seed)
-    meta = {
-        "experiment": experiment,
-        "hurst": h,
-        "horizon": horizon,
-        "replications": replications,
-        "master_seed": config.master_seed,
-    }
-    integrand = None
-    if experiment == "fbm-variation":
-        integrand = "identity"
-        meta["method"] = PathJob._field_defaults["method"]
-    elif experiment == "theta-variation":
-        require_variation_gate(dimension, h)
-        require_bessel_dimension(dimension)
-    else:
-        integrand = _lookup(config.param("integrand")).label
-        meta.update(integrand=integrand, reading=divergence_reading(h))
+    label = meta.get("integrand")
+    meta = {"horizon": horizon, **meta}
     extra = {}
-    if experiment in _XI_TARGET:
-        xi_draws = config.param("xi_draws")
-        meta.update(dimension=dimension, xi_draws=xi_draws)
-        finest = PathJob(h, dimension, horizon, config.grid_sizes[-1], seed)
-        extra = _nu_check(finest, experiment, integrand, xi_draws)
+    if xi_u is not None:
+        meta["xi_draws"] = xi_draws = config.param("xi_draws")
+        finest = PathJob(h, config.dimension, horizon, config.grid_sizes[-1], seed)
+        extra = _nu_check(finest, xi_u, xi_draws)
     rows = []
     for n in config.grid_sizes:
-        paths = PathJob(h, dimension, horizon, n, seed)
-        rep = functools.partial(_variation_rep, paths, experiment, integrand)
+        paths = PathJob(h, config.dimension, horizon, n, seed)
+        rep = functools.partial(_variation_rep, paths, transform, u_of, label)
         per_rep = replication_map(rep, replications, workers)
         est, _ = aggregate([v for v, _, _ in per_rep])
-        if experiment in _UNIT_TARGET:
+        if u_of is None:
             target = horizon * e_H(h)
         else:
             target, _ = aggregate([t for _, t, _ in per_rep])
             if target == 0.0:
                 raise DegenerateInputError(
-                    f"integrand {integrand!r} has an identically zero variation target"
+                    f"integrand {label!r} has an identically zero variation target"
                 )
         abs_err, stderr = aggregate([dev for _, _, dev in per_rep])
         rows.append((n, est, target, abs_err, abs_err / abs(target), stderr))
-    flags = {"monotone_decreasing": _strictly_decreasing([row[4] for row in rows])}
+    rel_err = [row[4] for row in rows]
+    flags = {"monotone_decreasing": all(b < a for a, b in zip(rel_err, rel_err[1:]))}
     if extra:
         flags["targets_agree_3se"] = True  # enforced by _cross_check; a violation raises
-    flags["rel_err_final_ok"] = rows[-1][4] < config.param("rel_err_final", "tolerances")
+    flags["rel_err_final_ok"] = rel_err[-1] < config.param("rel_err_final", "tolerances")
     return ConvergenceReport(
         columns=CONVERGENCE_COLUMNS, rows=rows, extra=extra, flags=flags, meta=meta
     )
 
 
-def _strictly_decreasing(values: list[float]) -> bool:
-    return all(b < a for a, b in zip(values, values[1:]))
+# The runners build their transforms when called, from this module's names,
+# so that a function rebound here (as a profiler does) is the one that runs.
+
+
+def fbm_variation(config: ExperimentConfig, workers: int) -> ConvergenceReport:
+    """fBm is the divergence integral of the identity potential (u = 1): its
+    1/H-variation against e_H * T."""
+    transform = functools.partial(divergence_via_ito_multi, INTEGRANDS["identity"])
+    return _variation(config, workers, transform, {"method": PathJob._field_defaults["method"]})
+
+
+def divergence_variation(
+    config: ExperimentConfig, workers: int, nu: bool = False
+) -> ConvergenceReport:
+    """The divergence integral of the registered ``integrand``, in one or
+    ``dimension`` dimensions, against its per-path target; with ``nu`` the
+    target's nu-integral form is checked too."""
+    spec = _lookup(config.param("integrand"))
+    u_of = functools.partial(_gradient_nodes, spec)
+    transform = functools.partial(divergence_via_ito_multi, spec)
+    meta = {"integrand": spec.label, "reading": divergence_reading(config.hurst)}
+    return _variation(config, workers, transform, meta, u_of, u_of if nu else None)
+
+
+def theta_variation(config: ExperimentConfig, workers: int) -> ConvergenceReport:
+    """Theta (u = B/R, unit norm) under the gate 2dH^2 > 1, against e_H * T,
+    with the nu-integral check on u."""
+    require_variation_gate(config.dimension, config.hurst)
+    require_bessel_dimension(config.dimension)
+    return _variation(config, workers, theta_path, {}, xi_u=_directions)
 
 
 def default_interval_pairs(horizon: float) -> list[tuple[float, float]]:
@@ -504,13 +515,9 @@ def lp_scaling_experiment(config: ExperimentConfig, workers: int) -> Report:
         )
     slope, intercept, r2 = loglog_fit(widths, means)
     meta = {
-        "experiment": "lp-scaling",
         "integrand": spec.label,
-        "hurst": h,
         "horizon": horizon,
         "grid_size": grid_size,
-        "replications": replications,
-        "master_seed": config.master_seed,
         "reading": divergence_reading(h),
     }
     extra = {"slope": slope, "intercept": intercept, "r_squared": r2, "slope_target": 1.0}

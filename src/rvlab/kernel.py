@@ -263,5 +263,4 @@ def kernel_check_experiment(config: ExperimentConfig, workers: int) -> Report:
         rows=rows,
         extra={"max_rel_err": worst},
         flags={"reproduction_ok": worst < config.param("rel_err_max", "tolerances")},
-        meta={"experiment": "kernel-check", "hurst": config.hurst},
     )

@@ -17,6 +17,7 @@ from typing import Sequence
 import numpy as np
 
 from . import __version__
+from .core import MAX_PATH_ENTRIES
 from .errors import ConfigError, DomainError
 
 __all__ = ["aggregate", "check_shape", "loglog_fit", "write_text", "Report", "ConvergenceReport", "CONVERGENCE_COLUMNS", "build_id"]
@@ -72,8 +73,8 @@ def check_shape(
 
     A standard error needs at least 2 replications, and the xi target's
     standard error at least 2 antithetic pairs, so xi draws are an even count
-    >= 4; grid sizes, where an experiment has them, are strictly increasing
-    positive integers.
+    >= 4, and at most twice the float64 entries numpy can hold; grid sizes,
+    where an experiment has them, are strictly increasing positive integers.
     """
     if grid_sizes is not None and (
         not grid_sizes or min(grid_sizes) < 1 or list(grid_sizes) != sorted(set(grid_sizes))
@@ -83,6 +84,8 @@ def check_shape(
         raise ConfigError("need at least 2 replications for standard errors")
     if xi_draws is not None and (xi_draws < 4 or xi_draws % 2):
         raise ConfigError(f"xi_draws must be an even count >= 4, got {xi_draws}")
+    if xi_draws is not None and xi_draws // 2 > MAX_PATH_ENTRIES:  # a float64 per pair
+        raise ConfigError(f"xi_draws must not exceed {2 * MAX_PATH_ENTRIES}, got {xi_draws}")
 
 
 def write_text(path: str, text: str) -> None:

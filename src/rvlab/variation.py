@@ -3,7 +3,7 @@
 The q-variation of a process sampled on a grid is the finite sum of q-th
 powers of the absolute increments of its node values.  For fBm with q = 1/H it
 converges in L^1 to e_H * T, where e_H is the absolute 1/H-moment of a
-standard Gaussian; :func:`rvlab.ito.variation_experiment` measures that
+standard Gaussian; :func:`rvlab.ito.fbm_variation` measures that
 convergence grid by grid.  Both are plain floats; e_H takes log-Gamma from
 ``math.lgamma``, so the variation experiments load no scipy module.
 """

@@ -249,6 +249,22 @@ class TestExperimentCommands:
 
     @pytest.mark.parametrize(
         "args",
+        [["divergence-variation"], ["divergence-variation-multi", "--dimension", "2"]],
+        ids=lambda args: args[0],
+    )
+    def test_per_path_target_underflow_names_the_integrand(self, runner, args):
+        # |B|^{2/H} dt underflows at horizon 1e-300 although u = B^2 does not vanish
+        result = runner.invoke(main, [*args, "--integrand", "cubic", "--horizon", "1e-300",
+                                      "--hurst", "0.45", "--grid-sizes", "16",
+                                      "--replications", "2", "--workers", "1"])
+        assert result.exit_code == 3, result.output
+        assert result.output.startswith(
+            "error: the variation target of integrand 'cubic' underflows to 0"
+        )
+        assert result.exception is None or isinstance(result.exception, SystemExit)
+
+    @pytest.mark.parametrize(
+        "args",
         [
             ["fbm", "--hurst", "0.3", "--grid-size", str(10**310)],
             ["lp-scaling", "--grid-size", str(10**310), "--replications", "4", "--workers", "1"],
@@ -402,7 +418,8 @@ class TestRunCommand:
                     "params": {"xi_draws": xi_draws},
                 }
                 for experiment in ("theta-variation", "divergence-variation-multi")
-                for xi_draws in (0, 2, 3)
+                # 2^62 draws: 2^61 pair values pass numpy's largest float64 array
+                for xi_draws in (0, 2, 3, 2**62)
             ),
         ],
         ids=str,

@@ -1,6 +1,7 @@
 """Tests for config validation, the experiment registry, aggregation,
 report serialization and worker-count determinism."""
 
+import ast
 import dataclasses
 import json
 import math
@@ -212,7 +213,7 @@ def no_work(monkeypatch):
     def no_work(*args, **kwargs):
         raise AssertionError("replications ran before the input was rejected")
 
-    for module in (harness, ito, bessel):
+    for module in (fbm, ito, bessel):
         monkeypatch.setattr(module, "replication_map", no_work)
 
 
@@ -528,6 +529,20 @@ GOLDEN_CONFIGS = SMALL_CONFIGS + [
         params={"lattice": 2, "rtol": 1e-6},
     ),
 ]
+
+
+def test_only_the_registry_names_experiments():
+    # a runner learns its experiment from what the registry passes it, and
+    # run_experiment stamps the name into the report
+    names = set(registered_experiments())
+    found = []
+    for path in sorted(pathlib.Path(harness.__file__).parent.glob("*.py")):
+        if path.name == "harness.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Constant) and node.value in names:
+                found.append(f"{path.name}:{node.lineno}: {node.value!r}")
+    assert not found, found
 
 
 def test_golden_configs_cover_every_experiment():
