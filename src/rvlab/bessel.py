@@ -13,9 +13,9 @@ is sampled at cell right endpoints (R_0 = 0 makes the left endpoint
 undefined; the true integrand behaves like s^{H-1}, which is integrable, so
 the first-cell bias vanishes under refinement).
 
-K_q takes log-Gamma from ``math.lgamma``.  The self-similarity test's
-``scipy.stats`` is bound by :func:`load_scipy_stats` when its config is
-validated; nothing else here uses scipy.
+K_q is the Gaussian moment :func:`rvlab.variation.chi_moment` at p = -q.
+The self-similarity test imports ``scipy.stats`` when it starts, before it
+samples; nothing else here uses scipy.
 """
 
 from __future__ import annotations
@@ -37,6 +37,7 @@ from .errors import ConfigError, DomainError, GateError, NumericalError
 from .fbm import PathJob
 from .parallel import replication_map
 from .report import Report, aggregate, loglog_fit
+from .variation import chi_moment
 
 if TYPE_CHECKING:
     from .harness import ExperimentConfig
@@ -52,11 +53,10 @@ __all__ = [
 
 
 def k_q(d: int, q: float) -> float:
-    """K_q = E||Z||^{-q} for Z ~ N(0, I_d): 2^{-q/2} Gamma((d-q)/2) / Gamma(d/2),
-    defined only for 0 < q < d."""
+    """K_q = E||Z||^{-q} for Z ~ N(0, I_d), defined only for 0 < q < d."""
     if not 0 < q < d:
         raise GateError(f"negative moment requires 0 < q < d, got q={q}, d={d}")
-    return math.exp(-0.5 * q * math.log(2.0) + math.lgamma((d - q) / 2) - math.lgamma(d / 2))
+    return chi_moment(d, -q)
 
 
 def require_bessel_dimension(d: int) -> None:
@@ -133,14 +133,20 @@ def negative_moment_experiment(config: ExperimentConfig, workers: int) -> Report
     if sorted(set(t_list)) != list(t_list) or min(t_list) <= 0:
         raise ConfigError("t_list must be positive and strictly increasing")
     grid, indices = _moment_grid(t_list)
+    try:
+        targets = [constant * t ** (-h * q) for t in t_list]
+    except OverflowError:
+        targets = [math.inf]
+    if not all(0 < target < math.inf for target in targets):
+        raise NumericalError(f"a target K_q t^(-Hq) over t_list {t_list} is not a positive "
+                             "finite double")
     paths = PathJob(h, d, grid.horizon, grid.n, SeedSpec(config.master_seed))
     per_rep = replication_map(
         functools.partial(_moment_rep, paths, q, indices), replications, workers
     )
     rows = []
-    for k, t in enumerate(t_list):
+    for k, (t, target) in enumerate(zip(t_list, targets)):
         est, stderr = aggregate([per_rep[r][k] for r in range(replications)])
-        target = constant * t ** (-h * q)
         abs_err = abs(est - target)
         rows.append((t, est, target, abs_err, abs_err / target, stderr))
     slope, intercept, r2 = loglog_fit(t_list, [row[1] for row in rows])
@@ -165,20 +171,6 @@ def negative_moment_experiment(config: ExperimentConfig, workers: int) -> Report
     )
 
 
-ks_2samp = None  # scipy.stats', bound by load_scipy_stats
-
-
-def load_scipy_stats() -> None:
-    """Bind scipy.stats.ks_2samp to this module; idempotent.
-
-    Only the self-similarity test uses scipy.stats, so it loads when a
-    self-similarity config is validated, not at start-up.
-    """
-    global ks_2samp
-    if ks_2samp is None:
-        from scipy.stats import ks_2samp
-
-
 def _theta_terminal_rep(paths: PathJob, r: int) -> float:
     return float(theta_path(paths.sample(r), paths.hurst)[-1])
 
@@ -197,6 +189,8 @@ def self_similarity_suite(config: ExperimentConfig, workers: int) -> Report:
     be *rejected* at the same corrected threshold, demonstrating the test has
     power at this sample size.
     """
+    from scipy.stats import ks_2samp  # the one scipy import of the package
+
     d, h, replications = config.dimension, config.hurst, config.replications
     seed = SeedSpec(config.master_seed)
     a_list, t, level = config.param("a_list"), config.param("t"), config.param("level")
@@ -217,7 +211,6 @@ def self_similarity_suite(config: ExperimentConfig, workers: int) -> Report:
         if max(a_list) == 1:
             raise ConfigError("a power control at a = 1 is never rejected: a^-H = a^-2H there")
         cases.append((max(a_list), "a^-2H", -2 * h))
-    load_scipy_stats()  # a no-op after config validation
     threshold = level / len(a_list)
     rows = []
     for k, (a, scaling, exponent) in enumerate(cases):

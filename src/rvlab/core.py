@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from typing import TextIO
 
 import numpy as np
+import numpy.random  # SeedSpec's; numpy loads it lazily, so here, not in a run or pool worker
 
 from .errors import DomainError
 

@@ -153,8 +153,6 @@ class ExperimentConfig:
         SeedSpec(self.master_seed)  # 64-bit gate
         if self.output_format not in ("csv", "json"):
             raise ConfigError(f"output format must be csv or json, got {self.output_format!r}")
-        if spec.load is not None:
-            spec.load()  # the experiment's own imports, paid in set-up, not in the run
 
     def param(self, key: str, group: str = "params"):
         """``params[key]``, or ``tolerances[key]``, as given, else its registered default."""
@@ -194,15 +192,14 @@ class _ExperimentSpec:
     fields: frozenset  # top-level fields read, hurst and master_seed included
     params: dict  # key -> default
     tolerances: dict  # key -> default, or a _Derived one
-    load: Callable | None  # () -> None: binds the imports only this experiment needs
 
 
 _REGISTRY: dict[str, _ExperimentSpec] = {}
 
 
-def _register(name, runner, fields, params=None, tolerances=None, load=None):
+def _register(name, runner, fields, params=None, tolerances=None):
     _REGISTRY[name] = _ExperimentSpec(
-        runner, frozenset({"hurst", "master_seed", *fields}), params or {}, tolerances or {}, load
+        runner, frozenset({"hurst", "master_seed", *fields}), params or {}, tolerances or {}
     )
 
 
@@ -222,8 +219,7 @@ _register("negative-moments", bessel.negative_moment_experiment, ("dimension", "
           tolerances={"slope_tol": 0.02, "intercept_tol": 0.05})
 _register("self-similarity", bessel.self_similarity_suite, ("dimension", "replications"),
           params={"t": 0.5, "a_list": [2.0, 4.0], "grid_size": 1024, "level": 0.01,
-                  "control": True},
-          load=bessel.load_scipy_stats)
+                  "control": True})
 _register("lp-scaling", ito.lp_scaling_experiment, ("horizon", "replications"),
           params={"integrand": "identity", "grid_size": 4096},
           # criterion 09's bounds: the u = 1 exponent is held tighter

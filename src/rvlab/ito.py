@@ -11,9 +11,9 @@ pathwise through the change-of-variable formula
 time weight integrated exactly cell by cell against right-endpoint samples;
 d = 1 is the scalar case X_t = int_0^t F'(B_s) dB_s.  Every replication draws
 its path through :class:`rvlab.fbm.PathJob`.  The admissible integrands form
-a fixed whitelist (registered below with finite-difference validation of the
-supplied derivatives); the Hoelder-regularity hypotheses behind the limit
-theorems are analytic facts about those integrands, not runtime checks.
+a fixed whitelist, the literal table :data:`INTEGRANDS`; the
+Hoelder-regularity hypotheses behind the limit theorems are analytic facts
+about those integrands, not runtime checks.
 
 Each variation experiment is a pair: a process X = int u dB and its
 integrand u.  Its runner (:func:`fbm_variation`, :func:`divergence_variation`,
@@ -50,9 +50,10 @@ from .report import (
     ConvergenceReport,
     Report,
     aggregate,
+    check_xi_draws,
     loglog_fit,
 )
-from .variation import e_H, variation_Vnq
+from .variation import chi_moment, e_H, variation_Vnq
 
 if TYPE_CHECKING:
     from .harness import ExperimentConfig
@@ -60,7 +61,6 @@ if TYPE_CHECKING:
 __all__ = [
     "IntegrandSpec",
     "INTEGRANDS",
-    "register_integrand",
     "divergence_reading",
     "divergence_via_ito",
     "divergence_via_ito_multi",
@@ -80,58 +80,19 @@ DEFAULT_XI_DRAWS = 1024
 # its two pairs x nodes work arrays 2/d times that
 _XI_BLOCK_NORMALS = 2**16
 
-_FD_TOL = 1e-4
-
 
 @dataclass(frozen=True)
 class IntegrandSpec:
     """Potential F on R^d with gradient and Laplacian (sum of second
     partials), each acting on the last axis; d = 1 is the scalar case, with
-    integrand u = F'.  Validated by finite differences at registration."""
+    integrand u = F'.  The whitelist's specs hold module-level functions,
+    which pool workers pickle; the test suite checks their derivatives by
+    finite differences."""
 
     f: Callable
     gradient: Callable
     laplacian: Callable
     label: str
-
-
-def _validate(spec: IntegrandSpec) -> None:
-    """Finite-difference check of gradient and Laplacian at d = 1 and d = 3,
-    so a spec wrong in only one of them is caught; probes are evaluated as
-    one batch along the leading axes, as on a path."""
-    rng = np.random.default_rng(20240917)
-    d1, d2 = 1e-6, 1e-4
-    for d in (1, 3):
-        x = np.vstack([np.zeros(d), rng.uniform(-2, 2, size=(4, d))])
-        shift = np.eye(d)  # x[:, None] +- h * shift: one probe per coordinate
-        fx = np.asarray(spec.f(x), dtype=float)[:, None]
-        up1, down1 = (np.asarray(spec.f(x[:, None] + sign * d1 * shift)) for sign in (1, -1))
-        up2, down2 = (np.asarray(spec.f(x[:, None] + sign * d2 * shift)) for sign in (1, -1))
-        checks = (
-            ("gradient", spec.gradient(x), (up1 - down1) / (2 * d1)),
-            ("laplacian", spec.laplacian(x), np.sum(up2 - 2 * fx + down2, axis=1) / d2**2),
-        )
-        for name, got, want in checks:
-            got = np.asarray(got, dtype=float)
-            if got.shape != want.shape or not np.all(
-                np.abs(got - want) <= _FD_TOL * np.maximum(1.0, np.abs(want))
-            ):
-                raise ConfigError(
-                    f"integrand {spec.label!r}: {name} disagrees with finite "
-                    f"differences at d = {d}"
-                )
-
-
-INTEGRANDS: dict[str, IntegrandSpec] = {}
-
-
-def register_integrand(spec: IntegrandSpec) -> IntegrandSpec:
-    """Validate and add an integrand spec to the whitelist."""
-    if spec.label in INTEGRANDS:
-        raise ConfigError(f"integrand label {spec.label!r} already registered")
-    _validate(spec)
-    INTEGRANDS[spec.label] = spec
-    return spec
 
 
 def _F_linear(x):
@@ -185,12 +146,18 @@ def _F_cubic_lap(x):
 # Hoelder and Malliavin-derivative regularity the limit theorems assume.  The
 # paired labels (sum of x_i; |x|^2 / 2) name one potential each, so configs
 # and reports keep the name they were given.
-register_integrand(IntegrandSpec(_F_linear, _ones, _no_laplacian, "identity"))
-register_integrand(IntegrandSpec(_F_linear, _ones, _no_laplacian, "linear_sum"))
-register_integrand(IntegrandSpec(_F_radial, _as_float, _dimension, "quadratic"))
-register_integrand(IntegrandSpec(_F_radial, _as_float, _dimension, "radial_quadratic"))
-register_integrand(IntegrandSpec(_F_cubic, _squares, _F_cubic_lap, "cubic"))
-register_integrand(IntegrandSpec(_F_one, _zeros, _no_laplacian, "constant"))
+INTEGRANDS: dict[str, IntegrandSpec] = {
+    spec.label: spec
+    for spec in (
+        IntegrandSpec(_F_linear, _ones, _no_laplacian, "identity"),
+        IntegrandSpec(_F_linear, _ones, _no_laplacian, "linear_sum"),
+        IntegrandSpec(_F_radial, _as_float, _dimension, "quadratic"),
+        IntegrandSpec(_F_radial, _as_float, _dimension, "radial_quadratic"),
+        IntegrandSpec(_F_cubic, _squares, _F_cubic_lap, "cubic"),
+        IntegrandSpec(_F_one, _zeros, _no_laplacian, "constant"),
+    )
+}
+
 
 def _lookup(label: str):
     if label not in INTEGRANDS:
@@ -262,12 +229,10 @@ def xi_mc_target(
     and every pair carries the same value.  Returns (estimate, standard
     error across pairs).
     """
-    if draws < 4 or draws % 2:  # the bound of report.check_shape
-        raise ConfigError(f"xi_draws must be an even count >= 4, got {draws}")
+    check_xi_draws(draws)
     pairs = draws // 2
     nodes, d = u_nodes.shape
-    # E|xi|^p = 2^{p/2} Gamma((d + p)/2) / Gamma(d/2) for xi ~ N(0, I_d)
-    c_p = math.exp(0.5 * p * math.log(2.0) + math.lgamma(0.5 * (d + p)) - math.lgamma(0.5 * d))
+    c_p = chi_moment(d, p)
     # c_p * dt = weight * 2^k, the 2^k applied only to the mean and s.e.: a
     # pair value may pass the largest double although the target does not
     m_c, k_c = math.frexp(c_p)

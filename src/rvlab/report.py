@@ -20,7 +20,7 @@ from . import __version__
 from .core import MAX_PATH_ENTRIES
 from .errors import ConfigError, DomainError
 
-__all__ = ["aggregate", "check_shape", "loglog_fit", "write_text", "Report", "ConvergenceReport", "CONVERGENCE_COLUMNS", "build_id"]
+__all__ = ["aggregate", "check_shape", "check_xi_draws", "loglog_fit", "write_text", "Report", "ConvergenceReport", "CONVERGENCE_COLUMNS", "build_id"]
 
 CONVERGENCE_COLUMNS = ("n", "estimate", "target", "abs_err", "rel_err", "stderr")
 
@@ -71,10 +71,9 @@ def check_shape(
 ) -> None:
     """The one grid and replication rule of every experiment.
 
-    A standard error needs at least 2 replications, and the xi target's
-    standard error at least 2 antithetic pairs, so xi draws are an even count
-    >= 4, and at most twice the float64 entries numpy can hold; grid sizes,
-    where an experiment has them, are strictly increasing positive integers.
+    A standard error needs at least 2 replications; grid sizes, where an
+    experiment has them, are strictly increasing positive integers, and xi
+    draws follow :func:`check_xi_draws`.
     """
     if grid_sizes is not None and (
         not grid_sizes or min(grid_sizes) < 1 or list(grid_sizes) != sorted(set(grid_sizes))
@@ -82,9 +81,17 @@ def check_shape(
         raise ConfigError("grid_sizes must be strictly increasing positive integers")
     if replications < 2:
         raise ConfigError("need at least 2 replications for standard errors")
-    if xi_draws is not None and (xi_draws < 4 or xi_draws % 2):
+    if xi_draws is not None:
+        check_xi_draws(xi_draws)
+
+
+def check_xi_draws(xi_draws: int) -> None:
+    """The one xi_draws rule: the xi target's standard error needs at least 2
+    antithetic pairs, so the draws are an even count >= 4, and at most twice
+    the float64 entries numpy can hold (a value per pair)."""
+    if xi_draws < 4 or xi_draws % 2:
         raise ConfigError(f"xi_draws must be an even count >= 4, got {xi_draws}")
-    if xi_draws is not None and xi_draws // 2 > MAX_PATH_ENTRIES:  # a float64 per pair
+    if xi_draws // 2 > MAX_PATH_ENTRIES:
         raise ConfigError(f"xi_draws must not exceed {2 * MAX_PATH_ENTRIES}, got {xi_draws}")
 
 

@@ -1,11 +1,12 @@
-"""q-variation statistics and the Gaussian moment constant e_H.
+"""q-variation statistics and the Gaussian moments E||Z_d||^p.
 
 The q-variation of a process sampled on a grid is the finite sum of q-th
 powers of the absolute increments of its node values.  For fBm with q = 1/H it
 converges in L^1 to e_H * T, where e_H is the absolute 1/H-moment of a
 standard Gaussian; :func:`rvlab.ito.fbm_variation` measures that
-convergence grid by grid.  Both are plain floats; e_H takes log-Gamma from
-``math.lgamma``, so the variation experiments load no scipy module.
+convergence grid by grid.  e_H, the xi target's c_p and the Bessel K_q are
+all moments E||Z_d||^p of one chi law, computed in one place
+(:func:`chi_moment`) from ``math.lgamma``, so no scipy module is loaded.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from .errors import DomainError, NumericalError
 
 __all__ = [
     "variation_Vnq",
+    "chi_moment",
     "e_H",
 ]
 
@@ -43,10 +45,22 @@ def variation_Vnq(values: np.ndarray, q: float) -> float:
     return total
 
 
-def e_H(hurst: float) -> float:
-    """e_H = E|Z|^{1/H} = 2^{1/(2H)} Gamma((1/H + 1)/2) / Gamma(1/2), via ``math.lgamma``."""
-    p = 1.0 / check_hurst(hurst)
+def chi_moment(d: int, p: float) -> float:
+    """E||Z||^p = 2^{p/2} Gamma((d + p)/2) / Gamma(d/2) for Z ~ N(0, I_d) and
+    p > -d, via ``math.lgamma``; a value that is not a positive finite
+    double is a numerical failure."""
     try:
-        return math.exp(0.5 * p * math.log(2.0) + math.lgamma(0.5 * (p + 1)) - math.lgamma(0.5))
-    except OverflowError:  # for H below about 0.00332
-        raise NumericalError(f"e_H = E|Z|^(1/H) overflows a double at H = {hurst}") from None
+        value = math.exp(
+            0.5 * p * math.log(2.0) + math.lgamma(0.5 * (d + p)) - math.lgamma(0.5 * d)
+        )
+    except OverflowError:
+        value = math.inf
+    if not 0 < value < math.inf:
+        way = "overflows a double" if value else "underflows to 0"
+        raise NumericalError(f"the Gaussian moment E||Z||^p at d = {d}, p = {p} {way}")
+    return value
+
+
+def e_H(hurst: float) -> float:
+    """e_H = E|Z|^{1/H}, the d = 1 case of :func:`chi_moment`."""
+    return chi_moment(1, 1.0 / check_hurst(hurst))

@@ -263,6 +263,47 @@ class TestExperimentCommands:
         )
         assert result.exception is None or isinstance(result.exception, SystemExit)
 
+    def test_xi_constant_overflow_exits_3(self, runner):
+        # e_H = E|Z|^{1/H} is finite at H 0.00333, but c_p = E||xi||^{1/H} at d = 3
+        # is not; it raised a raw OverflowError from xi_mc_target
+        result = runner.invoke(main, ["divergence-variation-multi", "--hurst", "0.00333",
+                                      "--dimension", "3", "--grid-sizes", "16",
+                                      "--replications", "2", "--xi-draws", "4",
+                                      "--workers", "1"])
+        assert result.exit_code == 3, result.output
+        assert result.output == (
+            "error: the Gaussian moment E||Z||^p at d = 3, p = 300.3003003003003 "
+            "overflows a double\n"
+        )
+        assert result.exception is None or isinstance(result.exception, SystemExit)
+
+    @pytest.mark.parametrize(
+        "q, t_list, error",
+        [
+            ("399.5", "0.5,1",
+             "the Gaussian moment E||Z||^p at d = 400, p = -399.5 underflows to 0"),
+            # K_q is 3.4e-279, but K_q 4^(-Hq) rounds to 0
+            ("228", "1,4",
+             "a target K_q t^(-Hq) over t_list [1.0, 4.0] is not a positive finite double"),
+        ],
+        ids=["k_q", "k_q-t^-Hq"],
+    )
+    def test_moment_target_underflow_exits_3_before_sampling(
+        self, runner, monkeypatch, q, t_list, error
+    ):
+        # every replication was sampled before abs_err / target raised a raw
+        # ZeroDivisionError
+        def sampled(*args, **kwargs):
+            raise AssertionError("sampled a path")
+
+        monkeypatch.setattr(fbm, "sample_fbm_circulant", sampled)
+        result = runner.invoke(main, ["negative-moments", "--hurst", "0.45", "--dimension", "400",
+                                      "--q", q, "--replications", "2", "--t-list", t_list,
+                                      "--workers", "1"])
+        assert result.exit_code == 3, result.output
+        assert result.output == f"error: {error}\n"
+        assert result.exception is None or isinstance(result.exception, SystemExit)
+
     @pytest.mark.parametrize(
         "args",
         [
@@ -592,9 +633,8 @@ def _scipy(modules: list[str]) -> list[str]:
     ids=["import", "help"],
 )
 def test_cold_start_loads_no_scipy(body):
-    # only self-similarity uses scipy, and loads it when its config is
-    # validated.  rvlab.kernel is still imported (the benchmark's span
-    # recorder finds it in sys.modules).
+    # only self-similarity uses scipy, and loads it when it runs.  rvlab.kernel
+    # is still imported (the benchmark's span recorder finds it in sys.modules).
     loaded = _loaded_after(body)
     assert _scipy(loaded) == []
     assert "rvlab.kernel" in loaded
@@ -620,12 +660,19 @@ def test_kernel_check_loads_no_scipy():
     assert "rvlab.kernel" in loaded
 
 
-@pytest.mark.parametrize(
-    "experiment, needs", [("self-similarity", {"scipy.stats"})], ids=["self-similarity"]
-)
-def test_validating_a_config_loads_its_scipy_modules(experiment, needs):
-    # in set-up, before run_experiment is called
+@pytest.mark.parametrize("experiment", registered_experiments())
+def test_validating_a_config_loads_no_scipy(experiment):
     loaded = _loaded_after(
         f"from rvlab.harness import ExperimentConfig\nExperimentConfig(experiment={experiment!r})"
     )
-    assert needs <= set(loaded)
+    assert _scipy(loaded) == []
+
+
+def test_self_similarity_run_loads_scipy_stats():
+    loaded = _loaded_after(
+        "from rvlab.harness import ExperimentConfig, run_experiment\n"
+        "config = ExperimentConfig(experiment='self-similarity', dimension=3, replications=8,\n"
+        "    params={'a_list': [2.0], 'grid_size': 16, 'control': False})\n"
+        "run_experiment(config, workers=1)"
+    )
+    assert "scipy.stats" in loaded

@@ -1,4 +1,7 @@
-"""Tests for q-variation statistics and the fBm variation experiment."""
+"""Tests for q-variation statistics, the Gaussian moments E||Z||^p and the
+fBm variation experiment."""
+
+import math
 
 import numpy as np
 import pytest
@@ -8,7 +11,7 @@ from rvlab.core import SeedSpec, UniformGrid
 from rvlab.errors import ConfigError, DomainError, NumericalError
 from rvlab.fbm import sample_fbm_circulant
 from rvlab.harness import ExperimentConfig, run_experiment
-from rvlab.variation import e_H, variation_Vnq
+from rvlab.variation import chi_moment, e_H, variation_Vnq
 
 
 def fbm_variation(hurst, grid_sizes, replications, master_seed):
@@ -105,6 +108,21 @@ class TestEHConstant:
     def test_strictly_decreasing_on_lattice(self):
         values = [e_H(h) for h in (0.25, 0.3, 0.4, 0.5)]
         assert all(b < a for a, b in zip(values, values[1:]))
+
+
+def _gamma_moment(d: int, p: float) -> float:
+    return 2 ** (p / 2) * math.gamma((d + p) / 2) / math.gamma(d / 2)
+
+
+class TestChiMoment:
+    @pytest.mark.parametrize("d", [1, 2, 3, 7])
+    @pytest.mark.parametrize(
+        "p_of", [lambda d: 1 / 0.45, lambda d: 7.5, lambda d: -0.5, lambda d: 0.25 - d],
+        ids=["1/0.45", "7.5", "-0.5", "0.25-d"],
+    )
+    def test_against_math_gamma(self, d, p_of):
+        p = p_of(d)
+        assert chi_moment(d, p) == pytest.approx(_gamma_moment(d, p), rel=1e-13)
 
 
 class TestVariationExperiment:
