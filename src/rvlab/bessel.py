@@ -35,7 +35,6 @@ from .core import (
 )
 from .errors import ConfigError, DomainError, GateError, NumericalError
 from .fbm import PathJob
-from .parallel import replication_map
 from .report import Report, aggregate, loglog_fit
 from .variation import chi_moment
 
@@ -111,8 +110,8 @@ def _moment_grid(t_list: list[float], max_n: int = 4096) -> tuple[UniformGrid, t
     raise ConfigError(f"t_list {t_list} does not fit a uniform grid with n <= {max_n}")
 
 
-def _moment_rep(paths: PathJob, q: float, indices: tuple, r: int) -> list[float]:
-    radii = np.linalg.norm(paths.sample(r).values, axis=1)[list(indices)]
+def _moment_rep(q: float, indices: tuple, path: MultiPath) -> list[float]:
+    radii = np.linalg.norm(path.values, axis=1)[list(indices)]
     if np.any(radii == 0.0):
         raise NumericalError("degenerate Bessel path: R = 0 at a requested time")
     return [float(rad ** (-q)) for rad in radii]
@@ -141,12 +140,10 @@ def negative_moment_experiment(config: ExperimentConfig, workers: int) -> Report
         raise NumericalError(f"a target K_q t^(-Hq) over t_list {t_list} is not a positive "
                              "finite double")
     paths = PathJob(h, d, grid.horizon, grid.n, SeedSpec(config.master_seed))
-    per_rep = replication_map(
-        functools.partial(_moment_rep, paths, q, indices), replications, workers
-    )
+    columns = zip(*paths.map(functools.partial(_moment_rep, q, indices), replications, workers))
     rows = []
-    for k, (t, target) in enumerate(zip(t_list, targets)):
-        est, stderr = aggregate([per_rep[r][k] for r in range(replications)])
+    for t, target, column in zip(t_list, targets, columns):
+        est, stderr = aggregate(column)
         abs_err = abs(est - target)
         rows.append((t, est, target, abs_err, abs_err / target, stderr))
     slope, intercept, r2 = loglog_fit(t_list, [row[1] for row in rows])
@@ -171,8 +168,8 @@ def negative_moment_experiment(config: ExperimentConfig, workers: int) -> Report
     )
 
 
-def _theta_terminal_rep(paths: PathJob, r: int) -> float:
-    return float(theta_path(paths.sample(r), paths.hurst)[-1])
+def _theta_terminal_rep(h: float, path: MultiPath) -> float:
+    return float(theta_path(path, h)[-1])
 
 
 def self_similarity_suite(config: ExperimentConfig, workers: int) -> Report:
@@ -212,14 +209,14 @@ def self_similarity_suite(config: ExperimentConfig, workers: int) -> Report:
             raise ConfigError("a power control at a = 1 is never rejected: a^-H = a^-2H there")
         cases.append((max(a_list), "a^-2H", -2 * h))
     threshold = level / len(a_list)
+    rep = functools.partial(_theta_terminal_rep, h)
     rows = []
     for k, (a, scaling, exponent) in enumerate(cases):
         arm_seed = seed.replicate(2 * k * replications)
         arms = []
         for horizon, arm in ((a * t, arm_seed), (t, arm_seed.replicate(replications))):
             paths = PathJob(h, d, horizon, grid_size, arm)
-            rep = functools.partial(_theta_terminal_rep, paths)
-            arms.append(np.array(replication_map(rep, replications, workers)))
+            arms.append(np.array(paths.map(rep, replications, workers)))
         stat, p_value = (float(x) for x in ks_2samp(arms[0] * a**exponent, arms[1]))
         ok = p_value < threshold if scaling == "a^-2H" else p_value > threshold
         rows.append((a, t, scaling, replications, stat, p_value, threshold, ok))

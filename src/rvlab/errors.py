@@ -33,6 +33,9 @@ class EmbeddingError(NumericalError):
         super().__init__(message)
         self.min_eigenvalue = min_eigenvalue
 
+    def __reduce__(self):  # a pool worker's error reaches the parent pickled
+        return type(self), (self.args[0], self.min_eigenvalue)
+
 
 class FactorizationError(NumericalError):
     """Covariance matrix could not be Cholesky-factorized."""
@@ -44,6 +47,9 @@ class QuadratureError(NumericalError):
     def __init__(self, message: str, achieved: float):
         super().__init__(message)
         self.achieved = achieved
+
+    def __reduce__(self):
+        return type(self), (self.args[0], self.achieved)
 
 
 class DegenerateInputError(RvlabError, ValueError):

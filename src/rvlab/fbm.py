@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import functools
 import logging
-from typing import TYPE_CHECKING, NamedTuple
+from typing import TYPE_CHECKING, Callable, NamedTuple
 
 import numpy as np
 import numpy.fft  # numpy loads it lazily; here, not in every forked pool worker
@@ -235,7 +235,8 @@ def sample_fbm_multi(
 class PathJob(NamedTuple):
     """What replication r of an experiment draws: d independent fBm
     components on the n-cell grid of [0, horizon] from ``seed.replicate(r)``,
-    by circulant embedding unless ``method`` names another sampler."""
+    by circulant embedding unless ``method`` names another sampler.
+    :meth:`map` is the one place that draws replications."""
 
     hurst: float
     dimension: int
@@ -250,9 +251,19 @@ class PathJob(NamedTuple):
             self.hurst, self.dimension, grid, self.seed.replicate(r), self.method
         )
 
+    def map(self, statistic: Callable, replications: int, workers: int = 1) -> list:
+        """``statistic(self.sample(r))`` for r = 0 .. replications-1, in index
+        order, over ``workers`` processes; ``statistic`` must be picklable."""
+        job = functools.partial(_statistic_of_sample, statistic, self)
+        return replication_map(job, replications, workers)
 
-def _cov_rep(paths: PathJob, r: int) -> np.ndarray:
-    return paths.sample(r).values[1:, 0]
+
+def _statistic_of_sample(statistic: Callable, paths: PathJob, r: int):
+    return statistic(paths.sample(r))
+
+
+def _cov_rep(path: MultiPath) -> np.ndarray:
+    return path.values[1:, 0]
 
 
 def covariance_check_experiment(config: ExperimentConfig, workers: int) -> Report:
@@ -275,8 +286,7 @@ def covariance_check_experiment(config: ExperimentConfig, workers: int) -> Repor
     empirical = {}
     for arm, method in enumerate(("cholesky", "circulant")):
         paths = PathJob(h, 1, config.horizon, n, SeedSpec(config.master_seed, arm * m), method)
-        draws = replication_map(functools.partial(_cov_rep, paths), m, workers)
-        x = np.asarray(draws)
+        x = np.asarray(paths.map(_cov_rep, m, workers))
         empirical[method] = x.T @ x / m
     rows = []
     flags = {}

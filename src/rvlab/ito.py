@@ -9,8 +9,8 @@ pathwise through the change-of-variable formula
 
 (:func:`rvlab.core.ito_representation`, shared with Theta) with the singular
 time weight integrated exactly cell by cell against right-endpoint samples;
-d = 1 is the scalar case X_t = int_0^t F'(B_s) dB_s.  Every replication draws
-its path through :class:`rvlab.fbm.PathJob`.  The admissible integrands form
+d = 1 is the scalar case X_t = int_0^t F'(B_s) dB_s.  Every statistic reads
+its paths from :meth:`rvlab.fbm.PathJob.map`.  The admissible integrands form
 a fixed whitelist, the literal table :data:`INTEGRANDS`; the
 Hoelder-regularity hypotheses behind the limit theorems are analytic facts
 about those integrands, not runtime checks.
@@ -44,7 +44,6 @@ from .core import (
 from .bessel import require_bessel_dimension, require_variation_gate, theta_path
 from .errors import ConfigError, DegenerateInputError, NumericalError
 from .fbm import PathJob
-from .parallel import replication_map
 from .report import (
     CONVERGENCE_COLUMNS,
     ConvergenceReport,
@@ -317,14 +316,12 @@ def _path_target(u: np.ndarray, h: float, dt: float) -> float:
 
 
 def _variation_rep(
-    paths: PathJob, transform: Callable, u_of: Callable | None, label: str | None, r: int
+    h: float, transform: Callable, u_of: Callable | None, label: str | None, path: MultiPath
 ) -> tuple[float, float, float]:
-    """One replication: (V_n^{1/H}(X), target, |V - target|), X = transform(path, H)."""
-    h = paths.hurst
-    path = paths.sample(r)
+    """(V_n^{1/H}(X), target, |V - target|) on one path, X = transform(path, H)."""
     v = variation_Vnq(transform(path, h), 1.0 / h)
     if u_of is None:
-        target = e_H(h) * paths.horizon
+        target = e_H(h) * path.grid.horizon
     else:
         u = u_of(path)
         target = _path_target(u, h, path.grid.dt)
@@ -373,21 +370,21 @@ def _variation(
         meta["xi_draws"] = xi_draws = config.param("xi_draws")
         finest = PathJob(h, config.dimension, horizon, config.grid_sizes[-1], seed)
         extra = _nu_check(finest, xi_u, xi_draws)
+    rep = functools.partial(_variation_rep, h, transform, u_of, label)
     rows = []
     for n in config.grid_sizes:
         paths = PathJob(h, config.dimension, horizon, n, seed)
-        rep = functools.partial(_variation_rep, paths, transform, u_of, label)
-        per_rep = replication_map(rep, replications, workers)
-        est, _ = aggregate([v for v, _, _ in per_rep])
+        values, targets, deviations = zip(*paths.map(rep, replications, workers))
+        est, _ = aggregate(values)
         if u_of is None:
             target = horizon * e_H(h)
         else:
-            target, _ = aggregate([t for _, t, _ in per_rep])
+            target, _ = aggregate(targets)
             if target == 0.0:
                 raise DegenerateInputError(
                     f"integrand {label!r} has an identically zero variation target"
                 )
-        abs_err, stderr = aggregate([dev for _, _, dev in per_rep])
+        abs_err, stderr = aggregate(deviations)
         rows.append((n, est, target, abs_err, abs_err / abs(target), stderr))
     rel_err = [row[4] for row in rows]
     flags = {"monotone_decreasing": all(b < a for a, b in zip(rel_err, rel_err[1:]))}
@@ -437,10 +434,9 @@ def default_interval_pairs(horizon: float) -> list[tuple[float, float]]:
     return [(a, a + horizon / k) for k in (16, 32, 64, 128, 256)]
 
 
-def _lp_rep(paths: PathJob, label: str, index_pairs: tuple, r: int) -> list[float]:
-    x = divergence_via_ito_multi(INTEGRANDS[label], paths.sample(r), paths.hurst)
-    p = 1.0 / paths.hurst
-    return [float(np.abs(x[ib] - x[ia]) ** p) for ia, ib in index_pairs]
+def _lp_rep(h: float, label: str, index_pairs: tuple, path: MultiPath) -> list[float]:
+    x = divergence_via_ito_multi(INTEGRANDS[label], path, h)
+    return [float(np.abs(x[ib] - x[ia]) ** (1.0 / h)) for ia, ib in index_pairs]
 
 
 def lp_scaling_experiment(config: ExperimentConfig, workers: int) -> Report:
@@ -465,14 +461,10 @@ def lp_scaling_experiment(config: ExperimentConfig, workers: int) -> Report:
     widths = [b - a for a, b in interval_pairs]
     index_pairs = [(grid.index_of(a), grid.index_of(b)) for a, b in interval_pairs]
     paths = PathJob(h, 1, horizon, grid_size, SeedSpec(config.master_seed))
-    rep = functools.partial(_lp_rep, paths, spec.label, tuple(index_pairs))
-    per_rep = replication_map(rep, replications, workers)
-    rows = []
-    means = []
-    for k, width in enumerate(widths):
-        mean, stderr = aggregate([per_rep[r][k] for r in range(replications)])
-        rows.append((width, mean, stderr))
-        means.append(mean)
+    rep = functools.partial(_lp_rep, h, spec.label, tuple(index_pairs))
+    columns = zip(*paths.map(rep, replications, workers))
+    rows = [(width, *aggregate(column)) for width, column in zip(widths, columns)]
+    means = [mean for _, mean, _ in rows]
     if any(m <= 0 for m in means):
         raise DegenerateInputError(
             "all sampled moments vanish for some interval; the integrand is "

@@ -1,9 +1,10 @@
 """Deterministic replication-level parallelism.
 
-Replications are sharded by index modulo the worker count and executed in
-separate processes; results are buffered and handed back in replication
-order, so any reduction over them is independent of scheduling.  Worker
-callables must be picklable (module-level functions, optionally wrapped in
+Replications run in contiguous chunks of indices, at most one per worker,
+in separate processes; the executor hands results back in replication
+order, so any reduction over them, and the first error raised, is
+independent of scheduling and worker count.  Worker callables must be
+picklable (module-level functions, optionally wrapped in
 ``functools.partial`` with picklable arguments).
 """
 
@@ -47,29 +48,21 @@ def _blas_threads(count: int | None = None) -> int | None:
     return previous
 
 
-def _run_shard(fn: Callable[[int], T], indices: list[int]) -> list[tuple[int, T]]:
-    return [(i, fn(i)) for i in indices]
-
-
 def replication_map(fn: Callable[[int], T], replications: int, workers: int = 1) -> list[T]:
     """Evaluate ``fn(i)`` for i in 0..replications-1, in index order.
 
-    With ``workers`` > 1 the index classes i mod workers run in parallel
-    processes, at most one per logical core, each with one BLAS thread; the
-    returned list is always ordered by replication index.
+    With ``workers`` > 1, contiguous chunks of ceil(replications / workers)
+    indices run in parallel processes, at most one per logical core, each
+    with one BLAS thread; the list, and any error raised, are those of a
+    sequential run.
     """
     if replications < 0:
         raise ValueError("replications must be nonnegative")
     if workers <= 1 or replications <= 1:
         return [fn(i) for i in range(replications)]
-    shards = [list(range(w, replications, workers)) for w in range(workers)]
-    shards = [s for s in shards if s]
-    out: list = [None] * replications
-    processes = min(len(shards), default_workers())
+    chunk = -(-replications // workers)
+    processes = min(-(-replications // chunk), default_workers())
     # one BLAS thread per worker, so that workers x BLAS threads stay within the cores
     one_thread = functools.partial(_blas_threads, 1)
     with ProcessPoolExecutor(max_workers=processes, initializer=one_thread) as pool:
-        for pairs in pool.map(_run_shard, [fn] * len(shards), shards):
-            for i, value in pairs:
-                out[i] = value
-    return out
+        return list(pool.map(fn, range(replications), chunksize=chunk))

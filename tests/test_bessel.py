@@ -1,12 +1,14 @@
 """Tests for the fractional Bessel process, Theta, and its experiments."""
 
+import functools
+
 import numpy as np
 import pytest
 
 from rvlab.core import MultiPath, SeedSpec, UniformGrid
 from rvlab.errors import ConfigError, DomainError, GateError, NumericalError
-from rvlab.bessel import k_q, require_variation_gate, theta_path
-from rvlab.fbm import sample_fbm_multi
+from rvlab.bessel import _theta_terminal_rep, k_q, require_variation_gate, theta_path
+from rvlab.fbm import PathJob, sample_fbm_multi
 from rvlab.harness import ExperimentConfig, run_experiment
 from rvlab.variation import e_H
 
@@ -74,11 +76,8 @@ class TestThetaPath:
         # (~K_1 dt^H, about 0.019 at n = 4096), so the grid must be fine
         # enough for the Monte Carlo band to cover it.
         h, d, m = 0.45, 3, 4000
-        grid = UniformGrid(1.0, 4096)
-        samples = np.array(
-            [theta_path(sample_fbm_multi(h, d, grid, SeedSpec(73, r)), h)[-1]
-             for r in range(m)]
-        )
+        job = PathJob(h, d, 1.0, 4096, SeedSpec(73))
+        samples = np.array(job.map(functools.partial(_theta_terminal_rep, h), m, workers=2))
         se = samples.std(ddof=1) / np.sqrt(m)
         assert abs(samples.mean()) < 3 * se
 

@@ -4,6 +4,7 @@ import dataclasses
 import json
 import os
 import pathlib
+import pickle
 import subprocess
 import sys
 
@@ -11,7 +12,7 @@ import pytest
 from click.testing import CliRunner
 
 import rvlab
-from rvlab import fbm
+from rvlab import errors, fbm
 from rvlab.cli import _exit_code, main
 from rvlab.errors import ConfigError, GateError, NumericalError
 from rvlab.harness import ExperimentConfig, declared, registered_experiments
@@ -547,7 +548,38 @@ def test_exit_code_mapping():
     assert _exit_code(NumericalError("x")) == 3
 
 
+ERRORS = [c for c in vars(errors).values() if isinstance(c, type) and issubclass(c, Exception)]
+ATTRIBUTES = {errors.EmbeddingError: {"min_eigenvalue": -6.49e-14},
+              errors.QuadratureError: {"achieved": 3.2e-7}}
+
+
+@pytest.mark.parametrize("cls", ERRORS, ids=lambda cls: cls.__name__)
+def test_errors_survive_a_pickle_round_trip(cls):
+    # a pool worker's error reaches the parent pickled; one that does not
+    # unpickle breaks the pool
+    error = cls("went wrong", **ATTRIBUTES.get(cls, {}))
+    copy = pickle.loads(pickle.dumps(error))
+    assert type(copy) is cls
+    assert str(copy) == "went wrong"
+    assert vars(copy) == vars(error) == ATTRIBUTES.get(cls, {})
+
+
 class TestResourceErrors:
+    def test_pool_worker_error_exits_3_as_a_sequential_run_does(self, runner):
+        # at workers 2 the EmbeddingError raised in a pool worker could not be
+        # unpickled: BrokenProcessPool, a raw traceback and exit 1
+        outputs = set()
+        for workers in ("1", "2"):
+            result = runner.invoke(main, ["fbm-variation", "--hurst", "0.99999",
+                                          "--grid-sizes", "65536", "--replications", "2",
+                                          "--workers", workers])
+            assert result.exit_code == 3, result.output
+            assert result.exception is None or isinstance(result.exception, SystemExit)
+            outputs.add(result.output)
+        (output,) = outputs
+        assert output.startswith("error: circulant embedding for H=0.99999, n=65536 has eigenvalue")
+        assert len(output.splitlines()) == 1
+
     # numpy rejects both sizes before it allocates anything: 1e20 passes its
     # largest dimension, and 2^60 points of the 2n complex embedding row its
     # largest array in bytes

@@ -293,3 +293,16 @@ class TestMultiSampler:
             sample_fbm_multi(0.3, 0, grid, SeedSpec(0))
         with pytest.raises(ConfigError, match="euler"):
             sample_fbm_multi(0.3, 2, grid, SeedSpec(0), method="euler")
+
+
+def _terminal(path):
+    return path.values[-1]
+
+
+class TestPathJobMap:
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_map_is_the_statistic_of_each_sample(self, workers):
+        job = PathJob(0.3, 2, 1.0, 16, SeedSpec(7))
+        mapped = job.map(_terminal, 7, workers)
+        direct = [_terminal(job.sample(r)) for r in range(7)]
+        assert np.asarray(mapped).tobytes() == np.asarray(direct).tobytes()

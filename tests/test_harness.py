@@ -10,7 +10,7 @@ import pathlib
 import numpy as np
 import pytest
 
-from rvlab import bessel, fbm, harness, ito, parallel
+from rvlab import fbm, harness, parallel
 from rvlab.errors import ConfigError, DomainError, GateError, NumericalError
 from rvlab.harness import ExperimentConfig, registered_experiments, run_experiment
 from rvlab.parallel import replication_map
@@ -54,16 +54,21 @@ class TestReplicationMap:
 
     def test_worker_count_does_not_change_result(self):
         sequential = replication_map(_cube, 13, workers=1)
-        sharded = replication_map(_cube, 13, workers=4)
-        assert sequential == sharded
+        pooled = replication_map(_cube, 13, workers=4)
+        assert sequential == pooled
 
-    def test_pool_is_capped_at_cpu_count_but_keeps_shards(self, monkeypatch):
+    def test_pool_is_capped_at_cpu_count_but_keeps_chunks(self, monkeypatch):
         pools = []
         monkeypatch.setattr(parallel, "ProcessPoolExecutor", lambda max_workers, initializer:
                             _InlinePool(max_workers, pools))
         monkeypatch.setattr(parallel.os, "cpu_count", lambda: 3)
         assert replication_map(_cube, 20, workers=8) == [i**3 for i in range(20)]
-        assert pools == [(3, 8)]  # 8 index-mod-8 shards on 3 processes
+        assert pools == [(3, 3)]  # 7 contiguous chunks of ceil(20 / 8) on 3 processes
+
+    @pytest.mark.parametrize("workers", [1, 2, 4])
+    def test_first_failing_replication_raises_at_every_worker_count(self, workers):
+        with pytest.raises(ValueError, match="^replication 3$"):
+            replication_map(_fail_at_3_and_4, 8, workers)
 
     def test_pool_workers_run_one_blas_thread(self):
         if _blas_threads(0) is None:
@@ -77,12 +82,18 @@ def _cube(i: int) -> int:
     return i**3
 
 
+def _fail_at_3_and_4(i: int) -> int:
+    if i in (3, 4):
+        raise ValueError(f"replication {i}")
+    return i
+
+
 def _blas_threads(i: int) -> int | None:
     return parallel._blas_threads()
 
 
 class _InlinePool:
-    """Stands in for a process pool: records (max_workers, shards), runs inline."""
+    """Stands in for a process pool: records (max_workers, chunksize), runs inline."""
 
     def __init__(self, max_workers, log):
         self.max_workers, self.log = max_workers, log
@@ -93,10 +104,9 @@ class _InlinePool:
     def __exit__(self, *exc):
         return False
 
-    def map(self, fn, *iterables):
-        shards = list(iterables[-1])
-        self.log.append((self.max_workers, len(shards)))
-        return map(fn, *iterables[:-1], shards)
+    def map(self, fn, indices, chunksize):
+        self.log.append((self.max_workers, chunksize))
+        return map(fn, indices)
 
 
 class TestExperimentConfig:
@@ -213,8 +223,7 @@ def no_work(monkeypatch):
     def no_work(*args, **kwargs):
         raise AssertionError("replications ran before the input was rejected")
 
-    for module in (fbm, ito, bessel):
-        monkeypatch.setattr(module, "replication_map", no_work)
+    monkeypatch.setattr(fbm, "replication_map", no_work)
 
 
 @pytest.mark.parametrize(
@@ -542,6 +551,18 @@ def test_only_the_registry_names_experiments():
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
             if isinstance(node, ast.Constant) and node.value in names:
                 found.append(f"{path.name}:{node.lineno}: {node.value!r}")
+    assert not found, found
+
+
+def test_only_fbm_draws_replications():
+    # experiments hand PathJob.map a statistic of a path; it alone calls the pool
+    found = []
+    for path in sorted(pathlib.Path(harness.__file__).parent.glob("*.py")):
+        if path.name in ("parallel.py", "fbm.py"):
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if "replication_map" in (getattr(node, key, None) for key in ("id", "attr", "name")):
+                found.append(f"{path.name}:{node.lineno}")
     assert not found, found
 
 
