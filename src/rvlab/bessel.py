@@ -14,8 +14,8 @@ undefined; the true integrand behaves like s^{H-1}, which is integrable, so
 the first-cell bias vanishes under refinement).
 
 K_q is the Gaussian moment :func:`rvlab.variation.chi_moment` at p = -q.
-The self-similarity test imports ``scipy.stats`` when it starts, before it
-samples; nothing else here uses scipy.
+Self-similarity is checked as the exact pathwise identity it is under one
+seed, not as a test between samples of two laws.
 """
 
 from __future__ import annotations
@@ -168,64 +168,57 @@ def negative_moment_experiment(config: ExperimentConfig, workers: int) -> Report
     )
 
 
-def _theta_terminal_rep(h: float, path: MultiPath) -> float:
-    return float(theta_path(path, h)[-1])
-
-
 def self_similarity_suite(config: ExperimentConfig, workers: int) -> Report:
-    """KS comparison of a^{-H} Theta_{at} against an independent Theta_t for
-    every a in ``a_list`` at time ``t``, with a power control.
+    """Pathwise check of a^{-H} Theta_{at} = Theta_t for every a in ``a_list``
+    on [0, ``t``], with a power control.
 
-    Self-similarity is tested one marginal at a time: the processes are equal
-    in law, and the marginal two-sample KS statistic is the falsifiable
-    desk-scale projection of that statement.  Case k draws its two arms from
-    disjoint replication ranges of the master seed, ``2 k m`` and
-    ``(2 k + 1) m`` onwards.  The pass threshold is Bonferroni-corrected
-    across the proper pairs (p > level / #pairs each).  With ``control`` a
-    last case repeats the largest a with the wrong exponent a^{-2H} and must
-    be *rejected* at the same corrected threshold, demonstrating the test has
-    power at this sample size.
+    Theta is H-self-similar because B is, and the circulant sampler makes
+    that exact pathwise: from one seed, the path on [0, a t] is a^H times the
+    path on [0, t], up to rounding.  Each arm maps the replications of the
+    master seed on its horizon; a row reports the largest, over
+    replications, of sup_i |a^{-H} Theta_{at}(t_i) - Theta_t(t_i)| /
+    sup_i |Theta_t(t_i)| against ``max_rel_dev``.  The control rescales the
+    largest a's arm by a^{-2H} instead and must exceed the tolerance.
     """
-    from scipy.stats import ks_2samp  # the one scipy import of the package
-
     d, h, replications = config.dimension, config.hurst, config.replications
-    seed = SeedSpec(config.master_seed)
-    a_list, t, level = config.param("a_list"), config.param("t"), config.param("level")
-    grid_size = config.param("grid_size")
+    a_list, t, grid_size = config.param("a_list"), config.param("t"), config.param("grid_size")
+    tolerance = config.param("max_rel_dev", "tolerances")
     require_bessel_dimension(d)
-    if not 0 < level < 1:
-        raise ConfigError(f"KS level must lie in (0, 1), got {level}")
-    if not t > 0:
-        raise DomainError(f"time t must be positive, got {t}")
-    for a in a_list:  # every scale before the first arm runs
+    for a in a_list:  # every scaled grid before the first arm runs
         if not a > 0:
             raise DomainError(f"scale factor a must be positive, got {a}")
         if not 0 < a * t < math.inf:
             raise DomainError(f"the scaled time a * t must be positive and finite, got {a} * {t}")
-    control = config.param("control")
-    cases = [(a, "a^-H", -h) for a in a_list]
-    if control:
-        if max(a_list) == 1:
-            raise ConfigError("a power control at a = 1 is never rejected: a^-H = a^-2H there")
-        cases.append((max(a_list), "a^-2H", -2 * h))
-    threshold = level / len(a_list)
-    rep = functools.partial(_theta_terminal_rep, h)
-    rows = []
-    for k, (a, scaling, exponent) in enumerate(cases):
-        arm_seed = seed.replicate(2 * k * replications)
-        arms = []
-        for horizon, arm in ((a * t, arm_seed), (t, arm_seed.replicate(replications))):
-            paths = PathJob(h, d, horizon, grid_size, arm)
-            arms.append(np.array(paths.map(rep, replications, workers)))
-        stat, p_value = (float(x) for x in ks_2samp(arms[0] * a**exponent, arms[1]))
-        ok = p_value < threshold if scaling == "a^-2H" else p_value > threshold
-        rows.append((a, t, scaling, replications, stat, p_value, threshold, ok))
-    flags = {"marginals_match": all(row[-1] for row in rows[: len(a_list)])}
-    if control:
-        flags["control_rejected"] = rows[-1][-1]
+        UniformGrid(a * t, grid_size)
+    top = max(a_list)
+    try:
+        wrong = top ** (-2 * h)
+    except OverflowError:
+        raise DomainError(f"the control scaling a^-2H at a = {top} passes the largest double")
+    if top**-h == wrong:
+        raise ConfigError(f"the control at a = {top} is never rejected: a^-H = a^-2H at H = {h}")
+
+    def arm(horizon: float) -> np.ndarray:
+        paths = PathJob(h, d, horizon, grid_size, SeedSpec(config.master_seed))
+        return np.array(paths.map(functools.partial(theta_path, hurst=h), replications, workers))
+
+    base = arm(t)
+    sup = np.max(np.abs(base), axis=1)
+
+    def row(a: float, scaling: str, factor: float, scaled: np.ndarray) -> tuple:
+        dev = float(np.max(np.max(np.abs(factor * scaled - base), axis=1) / sup))
+        ok = dev > tolerance if scaling == "a^-2H" else dev <= tolerance
+        return (a, t, scaling, replications, dev, tolerance, ok)
+
+    rows, control = [], None
+    for a in a_list:
+        scaled = arm(a * t)
+        rows.append(row(a, "a^-H", a**-h, scaled))
+        if control is None and a == top:
+            control = row(a, "a^-2H", wrong, scaled)
     return Report(
-        columns=("a", "t", "scaling", "m", "ks_stat", "p_value", "threshold", "ok"),
-        rows=rows,
-        flags=flags,
-        meta={"grid_size": grid_size, "level": level},
+        columns=("a", "t", "scaling", "m", "max_rel_dev", "tolerance", "ok"),
+        rows=[*rows, control],
+        flags={"scale_covariant": all(r[-1] for r in rows), "control_rejected": control[-1]},
+        meta={"grid_size": grid_size},
     )

@@ -109,9 +109,7 @@ def _option(key: str, default) -> click.Option:
     """The option of field or param ``key``, typed by its registry ``default``."""
     flag = "--seed" if key == "master_seed" else "--" + key.replace("_", "-")
     decls, kind, metavar = [flag, key], type(default), None
-    if isinstance(default, bool):
-        decls[0], kind = f"{flag}/--no-{flag[2:]}", None
-    elif isinstance(default, (list, tuple)):
+    if isinstance(default, (list, tuple)):
         kind, metavar = str, "ITEM,..."
     elif key == "integrand":
         kind = click.Choice(sorted(INTEGRANDS))

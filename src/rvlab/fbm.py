@@ -19,7 +19,7 @@ import numpy as np
 import numpy.fft  # numpy loads it lazily; here, not in every forked pool worker
 
 from .core import MultiPath, SeedSpec, UniformGrid, check_hurst, check_path_size
-from .errors import ConfigError, DomainError, EmbeddingError, FactorizationError
+from .errors import ConfigError, DomainError, EmbeddingError, FactorizationError, NumericalError
 from .parallel import _blas_threads, replication_map
 from .report import Report
 
@@ -280,8 +280,13 @@ def covariance_check_experiment(config: ExperimentConfig, workers: int) -> Repor
     n = config.grid_sizes[0]
     m = config.replications
     t = np.arange(1, n + 1) * (config.horizon / n)
-    exact = covariance(h, t[:, None], t[None, :])
-    se = np.sqrt((np.outer(np.diag(exact), np.diag(exact)) + exact**2) / m)
+    with np.errstate(over="ignore", invalid="ignore"):
+        exact = covariance(h, t[:, None], t[None, :])
+        se = np.sqrt((np.outer(np.diag(exact), np.diag(exact)) + exact**2) / m)
+    # a z-score of 0 or inf decides nothing; a finite R_H^2 keeps x.T @ x finite too
+    if not np.all((se > 0) & (se < np.inf)):
+        raise NumericalError(f"the standard errors of R_H at horizon {config.horizon} "
+                             "are not positive finite doubles")
     threshold = config.param("max_z", "tolerances")
     empirical = {}
     for arm, method in enumerate(("cholesky", "circulant")):

@@ -43,16 +43,15 @@ EXIT_TOLERANCE = 1
 EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
 
-_KINDS = {bool: "true or false", int: "an integer", float: "a finite number", str: "a string",
-          dict: "an object"}
+_KINDS = {int: "an integer", float: "a finite number", str: "a string", dict: "an object"}
 
 
 def _typed(name: str, value, like):
     """``value`` checked against the JSON type of ``like``.
 
     An int takes an int but not a bool, a float a finite int or float
-    (returned as a float), a bool only a bool, and a list a non-empty list
-    or tuple whose elements match ``like[0]`` (returned as the type of
+    (returned as a float) but not a bool, and a list a non-empty list or
+    tuple whose elements match ``like[0]`` (returned as the type of
     ``like``).
     """
     if isinstance(like, (list, tuple)):
@@ -64,7 +63,7 @@ def _typed(name: str, value, like):
         ok = abs(value) <= sys.float_info.max
     else:
         ok = isinstance(value, kind)
-    if not ok or isinstance(value, bool) != (kind is bool):
+    if not ok or isinstance(value, bool):
         raise ConfigError(f"{name} must be {_KINDS[kind]}, got {value!r}")
     return float(value) if kind is float else value
 
@@ -128,6 +127,9 @@ class ExperimentConfig:
                 for key, value in given.items()
             }
             object.__setattr__(self, group, typed)
+        for key, bound in self.tolerances.items():  # no run meets a bound of 0 or less
+            if not bound > 0:
+                raise ConfigError(f"tolerances.{key} must be positive, got {bound}")
         if self.output_path is not None:
             if not isinstance(self.output_path, str):
                 raise ConfigError(f"output_path must be a string, got {self.output_path!r}")
@@ -218,8 +220,8 @@ _register("negative-moments", bessel.negative_moment_experiment, ("dimension", "
           params={"q": 1.0, "t_list": [0.25, 0.5, 1.0, 2.0]},
           tolerances={"slope_tol": 0.02, "intercept_tol": 0.05})
 _register("self-similarity", bessel.self_similarity_suite, ("dimension", "replications"),
-          params={"t": 0.5, "a_list": [2.0, 4.0], "grid_size": 1024, "level": 0.01,
-                  "control": True})
+          params={"t": 0.5, "a_list": [2.0, 4.0], "grid_size": 1024},
+          tolerances={"max_rel_dev": 1e-9})
 _register("lp-scaling", ito.lp_scaling_experiment, ("horizon", "replications"),
           params={"integrand": "identity", "grid_size": 4096},
           # criterion 09's bounds: the u = 1 exponent is held tighter

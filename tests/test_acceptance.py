@@ -144,11 +144,11 @@ def test_criterion_08_self_similarity_with_power_control():
         master_seed=107, params={"a_list": [2.0, 4.0], "t": 0.5, "grid_size": 1024},
     )
     report = run_experiment(config, workers=WORKERS)
-    proper = [row for row in report.rows if row[2] == "a^-H"]
-    control = [row for row in report.rows if row[2] == "a^-2H"]
-    detail = ", ".join(f"a={row[0]} p={row[5]:.3f}" for row in proper)
-    detail += f"; control a={control[0][0]} p={control[0][5]:.2e} rejected"
-    announce(8, report.passed, f"KS marginals pass Bonferroni level ({detail})")
+    *proper, control = report.rows
+    ok = report.passed and all(row[4] <= 1e-9 for row in proper) and control[4] > 1e-9
+    detail = ", ".join(f"a={row[0]} dev={row[4]:.1e}" for row in proper)
+    detail += f"; control a={control[0]} a^-2H dev={control[4]:.3f} rejected"
+    announce(8, ok, f"a^-H Theta_at = Theta_t pathwise within 1e-9 ({detail})")
 
 
 def test_criterion_09_lp_scaling_exponent():

@@ -5,9 +5,13 @@ import functools
 import numpy as np
 import pytest
 
+from click.testing import CliRunner
+
+from rvlab import bessel, fbm
+from rvlab.cli import main
 from rvlab.core import MultiPath, SeedSpec, UniformGrid
 from rvlab.errors import ConfigError, DomainError, GateError, NumericalError
-from rvlab.bessel import _theta_terminal_rep, k_q, require_variation_gate, theta_path
+from rvlab.bessel import k_q, require_variation_gate, theta_path
 from rvlab.fbm import PathJob, sample_fbm_multi
 from rvlab.harness import ExperimentConfig, run_experiment
 from rvlab.variation import e_H
@@ -20,6 +24,10 @@ def _multipath(values):
 
 def _radius(path):
     return np.linalg.norm(path.values, axis=1)
+
+
+def _theta_terminal(h, path):
+    return float(theta_path(path, h)[-1])
 
 
 class TestBesselProcess:
@@ -77,7 +85,7 @@ class TestThetaPath:
         # enough for the Monte Carlo band to cover it.
         h, d, m = 0.45, 3, 4000
         job = PathJob(h, d, 1.0, 4096, SeedSpec(73))
-        samples = np.array(job.map(functools.partial(_theta_terminal_rep, h), m, workers=2))
+        samples = np.array(job.map(functools.partial(_theta_terminal, h), m, workers=2))
         se = samples.std(ddof=1) / np.sqrt(m)
         assert abs(samples.mean()) < 3 * se
 
@@ -184,38 +192,57 @@ class TestNegativeMoments:
             negative_moments(1.0, [0.5, 0.5, 1.0], 16, 0)
 
 
-def self_similarity(a_list, replications, master_seed, **params):
+def self_similarity(a_list, replications, master_seed, grid_size=256):
     return run_experiment(ExperimentConfig(
         experiment="self-similarity", hurst=0.45, dimension=3, replications=replications,
-        master_seed=master_seed, params={"a_list": a_list, "t": 0.5, "grid_size": 256, **params},
+        master_seed=master_seed, params={"a_list": a_list, "t": 0.5, "grid_size": grid_size},
     ))
 
 
 class TestSelfSimilarity:
     def test_identity_scale_passes(self):
-        report = self_similarity([1.0], 400, 81, control=False)
-        (row,) = report.rows
-        assert row[5] > 0.01
-        assert row[2] == "a^-H"
-        assert report.flags == {"marginals_match": True}
+        report = self_similarity([0.5, 2.0, 3.7], 16, 81)
+        assert [row[:3] for row in report.rows] == [
+            (0.5, 0.5, "a^-H"), (2.0, 0.5, "a^-H"), (3.7, 0.5, "a^-H"), (3.7, 0.5, "a^-2H"),
+        ]
+        assert all(row[4] <= row[5] == 1e-9 for row in report.rows[:3])
+        assert report.flags == {"scale_covariant": True, "control_rejected": True}
 
     def test_wrong_scaling_detected(self):
-        # the control row of a_list [4.0]: its arms start at replication 2 * 800
-        control_row = self_similarity([4.0], 800, 82).rows[-1]
-        assert control_row[5] < 0.01
+        # the golden's config: 32 replications on a 32-cell grid
+        control_row = self_similarity([2.0], 32, 5, grid_size=32).rows[-1]
         assert control_row[2] == "a^-2H"
+        assert control_row[4] > 1e-9
+        assert control_row[-1] is True
 
-    def test_suite_applies_bonferroni_and_control(self):
-        report = run_experiment(ExperimentConfig(
-            experiment="self-similarity", hurst=0.45, dimension=3, replications=300,
-            master_seed=83, params={"a_list": [2.0, 4.0], "t": 0.5, "grid_size": 128},
-        ))
-        assert len(report.rows) == 3  # two pairs plus control
-        threshold = report.rows[0][6]
-        assert threshold == pytest.approx(0.005)
-        control_row = report.rows[-1]
-        assert control_row[2] == "a^-2H"
-        assert set(report.flags) == {"marginals_match", "control_rejected"}
+    def test_broken_scale_covariance_fails(self, monkeypatch):
+        def shifted(path, hurst):  # Theta_t + t is not H-self-similar
+            return theta_path(path, hurst) + path.grid.nodes()
+
+        monkeypatch.setattr(bessel, "theta_path", shifted)
+        report = self_similarity([2.0], 8, 81)
+        assert report.rows[0][4] > 1e-3
+        assert report.flags == {"scale_covariant": False, "control_rejected": True}
+
+    @pytest.mark.parametrize(
+        "hurst, a_list, error",
+        [
+            # a^-H and a^-2H both round to 1: the control could never be rejected
+            ("5e-324", "2,4", "the control at a = 4.0 is never rejected"),
+            # (1e-200)^-1.8 passes the largest double
+            ("0.9", "1e-200", "the control scaling a^-2H at a = 1e-200 passes"),
+        ],
+        ids=["tiny-hurst", "control-overflow"],
+    )
+    def test_undecidable_control_exits_2_before_sampling(self, monkeypatch, hurst, a_list, error):
+        def sampled(*args, **kwargs):
+            raise AssertionError("sampled a path")
+
+        monkeypatch.setattr(fbm, "sample_fbm_circulant", sampled)
+        result = CliRunner().invoke(main, ["self-similarity", "--hurst", hurst, "--a-list", a_list,
+                                           "--dimension", "3", "--workers", "1"])
+        assert result.exit_code == 2, result.output
+        assert result.output.startswith(f"error: {error}")
 
     def test_parameter_validation(self):
         with pytest.raises(GateError):

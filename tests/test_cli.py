@@ -1,11 +1,10 @@
 """CLI tests through click's runner: subcommands, options and exit codes."""
 
+import ast
 import dataclasses
 import json
-import os
 import pathlib
 import pickle
-import subprocess
 import sys
 
 import pytest
@@ -221,17 +220,6 @@ class TestExperimentCommands:
         assert result.exit_code == 2, result.output
         assert "No such option" in result.output and args[1] in result.output
 
-    def test_bool_param_takes_no_flag(self, runner):
-        result = runner.invoke(
-            main,
-            ["self-similarity", "--no-control", "--hurst", "0.45",
-             "--dimension", "3", "--replications", "8", "--grid-size", "16", "--workers", "1",
-             "--format", "json"],
-        )
-        assert result.exit_code in (0, 1), result.output
-        doc = json.loads(result.stdout)
-        assert doc["meta"]["config"]["params"] == {"control": False, "grid_size": 16}
-
     @pytest.mark.parametrize(
         "args",
         [
@@ -363,9 +351,7 @@ def _argv(config: ExperimentConfig) -> list[str]:
     argv = [config.experiment, "--workers", "1"]
     for key, value in {**values, **config.params}.items():
         flag = "--seed" if key == "master_seed" else "--" + key.replace("_", "-")
-        if isinstance(value, bool):
-            argv.append(flag if value else f"--no-{flag[2:]}")
-        elif isinstance(value, (list, tuple)):
+        if isinstance(value, (list, tuple)):
             argv += [flag, json.dumps(list(value))[1:-1]]
         else:
             argv += [flag, str(value)]
@@ -509,10 +495,16 @@ class TestRunCommand:
             ({"experiment": "divergence-variation-multi", "hurst": 0.45, "dimension": 3,
               "horizon": 5e307, "grid_sizes": [16], "replications": 8,
               "params": {"integrand": "linear_sum", "xi_draws": 200}}, 3),
+            # R_H^2 overflows, so every standard error was inf and every z-score 0;
+            # at H 0.99 R_H itself is inf - inf, and at 1e-300 R_H^2 underflows to 0
+            *(({"experiment": "covariance-check", "hurst": hurst, "horizon": horizon,
+                "grid_sizes": [4], "replications": 20}, 3)
+              for hurst, horizon in ((0.3, 1e300), (0.99, 1e300), (0.3, 1e-300))),
         ],
         ids=[
             "selfsim-control-at-1", "kernel-quadrature-failure", "target-underflow",
             "constant-integrand", "variation-overflow", "xi-mean-overflow",
+            "covariance-se-overflow", "covariance-se-nan", "covariance-se-underflow",
         ],
     )
     def test_run_that_cannot_decide_exits_without_report(self, runner, tmp_path, config, code):
@@ -639,72 +631,53 @@ class TestResourceErrors:
         assert result.exception is None or isinstance(result.exception, SystemExit)
 
 
-def _loaded_after(body: str) -> list[str]:
-    """The scipy and rvlab modules a fresh interpreter holds after running ``body``."""
-    probe = (
-        f"{body}\nimport json, sys\n"
-        "print(json.dumps([m for m in sys.modules if m.startswith(('scipy', 'rvlab.'))]))"
-    )
-    env = {**os.environ, "PYTHONPATH": str(pathlib.Path(rvlab.__file__).parents[1])}
-    done = subprocess.run(
-        [sys.executable, "-c", probe], capture_output=True, text=True, env=env, check=True,
-    )
-    return json.loads(done.stdout.splitlines()[-1])
+def test_no_module_imports_scipy():
+    # scipy is a test dependency only
+    found = []
+    for path in sorted(pathlib.Path(rvlab.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                modules = [node.module or ""]
+            else:
+                continue
+            found += [f"{path.name}:{node.lineno}" for m in modules if m.split(".")[0] == "scipy"]
+    assert not found, found
 
 
-def _scipy(modules: list[str]) -> list[str]:
-    return [m for m in modules if m == "scipy" or m.startswith("scipy.")]
+def _step(scipy_blocked, name):
+    done = scipy_blocked[name]
+    assert done["error"] is None, done["error"]
+    return done
 
 
-@pytest.mark.parametrize(
-    "body",
-    [
-        "import rvlab.harness, rvlab.cli",
-        "from rvlab.cli import main\ntry:\n    main(['--help'])\nexcept SystemExit:\n    pass",
-    ],
-    ids=["import", "help"],
-)
-def test_cold_start_loads_no_scipy(body):
-    # only self-similarity uses scipy, and loads it when it runs.  rvlab.kernel
-    # is still imported (the benchmark's span recorder finds it in sys.modules).
-    loaded = _loaded_after(body)
-    assert _scipy(loaded) == []
-    assert "rvlab.kernel" in loaded
+@pytest.mark.parametrize("step", ["import", "help"])
+def test_cold_start_loads_no_scipy(scipy_blocked, step):
+    # rvlab.kernel is still imported: the benchmark's span recorder finds it
+    # in sys.modules
+    assert _step(scipy_blocked, step)["kernel_loaded"]
 
 
-def test_theta_variation_loads_no_scipy():
-    loaded = _loaded_after(
-        "from rvlab.harness import ExperimentConfig, run_experiment\n"
-        "config = ExperimentConfig(experiment='theta-variation', hurst=0.45, dimension=3,\n"
-        "    grid_sizes=[16], replications=4, params={'xi_draws': 8})\n"
-        "run_experiment(config, workers=1)"
-    )
-    assert _scipy(loaded) == []
+def test_theta_variation_loads_no_scipy(scipy_blocked):
+    _step(scipy_blocked, "run theta-variation")
 
 
-def test_kernel_check_loads_no_scipy():
-    loaded = _loaded_after(
-        "from rvlab.harness import ExperimentConfig, run_experiment\n"
-        "config = ExperimentConfig(experiment='kernel-check', hurst=0.3, params={'lattice': 2})\n"
-        "assert run_experiment(config).passed"
-    )
-    assert _scipy(loaded) == []
-    assert "rvlab.kernel" in loaded
+def test_kernel_check_loads_no_scipy(scipy_blocked):
+    done = _step(scipy_blocked, "run kernel-check")
+    assert done["value"] is True
+    assert done["kernel_loaded"]
 
 
 @pytest.mark.parametrize("experiment", registered_experiments())
-def test_validating_a_config_loads_no_scipy(experiment):
-    loaded = _loaded_after(
-        f"from rvlab.harness import ExperimentConfig\nExperimentConfig(experiment={experiment!r})"
-    )
-    assert _scipy(loaded) == []
+def test_validating_a_config_loads_no_scipy(scipy_blocked, experiment):
+    _step(scipy_blocked, f"validate {experiment}")
 
 
-def test_self_similarity_run_loads_scipy_stats():
-    loaded = _loaded_after(
-        "from rvlab.harness import ExperimentConfig, run_experiment\n"
-        "config = ExperimentConfig(experiment='self-similarity', dimension=3, replications=8,\n"
-        "    params={'a_list': [2.0], 'grid_size': 16, 'control': False})\n"
-        "run_experiment(config, workers=1)"
-    )
-    assert "scipy.stats" in loaded
+def test_everything_runs_with_scipy_blocked(scipy_blocked):
+    # an install without scipy: help, every default config, the kernel entry
+    # points and every experiment at criterion 10's configs
+    names = {f"run {name}" for name in registered_experiments()}
+    assert names <= scipy_blocked.keys()
+    failed = {name: done["error"] for name, done in scipy_blocked.items() if done["error"]}
+    assert failed == {}

@@ -178,7 +178,7 @@ BAD_CONFIGS = [
     ("covariance-check", {"dimension": 4}),
     # xi_paths is not a param: the nu-integral check reads one path
     ("divergence-variation-multi", {"params": {"xi_paths": 0}}),
-    ("self-similarity", {"params": {"control": "false"}}),
+    ("self-similarity", {"params": {"t": "false"}}),
     ("negative-moments", {"params": {"q": "1"}}),
     ("fbm-variation", {"horizon": float("inf")}),  # JSON 1e999
     ("theta-variation", {"dimension": 3, "params": {"xi_paths": 6}}),
@@ -259,11 +259,11 @@ def test_read_fields_unread_defaults_and_master_seed_accepted(experiment):
         ("lp-scaling", {"intervals": [[0.25, 0.5, 0.75]]}),
         # the interval ends T/4 + T/k, k = 16 .. 256, are nodes only of such grids
         ("lp-scaling", {"grid_size": 100}),
-        # a KS level outside (0, 1), and a power control at a = 1, where
-        # a^-H = a^-2H, decide no gate
-        ("self-similarity", {"level": 5.0}),
-        ("self-similarity", {"level": 0.0}),
+        # a power control at a = 1, where a^-H = a^-2H, decides no gate
         ("self-similarity", {"a_list": [1.0]}),
+        ("self-similarity", {"t": 0.0}),
+        # a cell width of a * t that underflows failed after the base arm ran
+        ("self-similarity", {"a_list": [1e-321]}),
         # the a = 2 arms ran before the a = -1 DomainError
         ("self-similarity", {"a_list": [2.0, -1.0]}),
         # a * t = inf failed in a worker, naming a horizon never set
@@ -281,6 +281,22 @@ def test_bad_driver_input_rejected_before_work(experiment, params, no_work):
             dimension=3 if experiment == "self-similarity" else 1,
         )
         run_experiment(config)
+
+
+@pytest.mark.parametrize(
+    "experiment, key, bound",
+    [
+        (experiment, key, bound)
+        for experiment in registered_experiments()
+        for key in harness._REGISTRY[experiment].tolerances
+        for bound in (0.0, -1.0)
+    ],
+    ids=str,
+)
+def test_non_positive_tolerance_rejected(experiment, key, bound):
+    # no run meets such a bound: it exited 1 after the whole run
+    with pytest.raises(ConfigError, match=f"tolerances.{key} must be positive, got {bound}"):
+        ExperimentConfig(experiment=experiment, tolerances={key: bound})
 
 
 def test_unwritable_output_path_rejected_before_work(tmp_path):

@@ -10,17 +10,12 @@ and by the closed-form covariance.  scipy is imported here only: the code
 under test uses numpy and math.
 """
 
-import os
-import pathlib
-import subprocess
-import sys
-
 import numpy as np
 import pytest
 from scipy.integrate import quad
 from scipy.special import beta, betainc, betaincc
 
-import rvlab
+from conftest import KERNEL_CALLS
 from rvlab.errors import DomainError, QuadratureError
 from rvlab.fbm import covariance
 from rvlab.harness import ExperimentConfig, run_experiment
@@ -291,26 +286,9 @@ def test_mass_beyond_the_last_node_is_a_quadrature_error():
     assert 1e-4 < err.value.achieved < 1e-2
 
 
-@pytest.mark.parametrize(
-    "call",
-    [
-        "kernel_K(0.3, 1.0, 0.5)",
-        "constant_cH(0.3)",
-        "covariance_via_kernel(0.3, 1.0, 0.5)",
-        "_inner_integral(0.3, 1.0, 0.5, 0.5)",
-    ],
-    ids=lambda call: call.split("(")[0],
-)
-def test_entry_point_loads_no_scipy(call):
-    # the first call of a fresh interpreter, no config validated
-    probe = (
-        f"import sys\nfrom rvlab.kernel import {call.split('(')[0]}\nprint(float({call}))\n"
-        "print([m for m in sys.modules if m.split('.')[0] == 'scipy'])"
-    )
-    env = {**os.environ, "PYTHONPATH": str(pathlib.Path(rvlab.__file__).parents[1])}
-    done = subprocess.run(
-        [sys.executable, "-c", probe], capture_output=True, text=True, env=env, check=True,
-    )
-    value, loaded = done.stdout.splitlines()
-    assert float(value) > 0
-    assert loaded == "[]"
+@pytest.mark.parametrize("entry", [entry for entry, _ in KERNEL_CALLS])
+def test_entry_point_loads_no_scipy(scipy_blocked, entry):
+    # the probe is shared with test_cli.py; see conftest.py
+    done = scipy_blocked[f"call {entry}"]
+    assert done["error"] is None, done["error"]
+    assert done["value"] > 0
