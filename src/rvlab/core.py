@@ -11,13 +11,14 @@ and threads.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import TextIO
 
 import numpy as np
 import numpy.random  # SeedSpec's; numpy loads it lazily, so here, not in a run or pool worker
 
-from .errors import DomainError
+from .errors import DomainError, NumericalError
 
 __all__ = [
     "UniformGrid",
@@ -173,10 +174,20 @@ class SeedSpec:
         return SeedSpec(self.master_seed, self.replication_index + index)
 
 
+@functools.lru_cache(maxsize=16)
 def _cell_weights(grid: UniformGrid, h: float) -> np.ndarray:
-    """Exact cell integrals of s^{2H-1}: (t_{i+1}^{2H} - t_i^{2H}) / (2H)."""
+    """Exact cell integrals of s^{2H-1}: (t_{i+1}^{2H} - t_i^{2H}) / (2H),
+    read-only and computed once per (grid, H); NumericalError if one is not
+    a finite double, as at an H so small that 2H underflows."""
     nodes = grid.nodes()
-    return (nodes[1:] ** (2 * h) - nodes[:-1] ** (2 * h)) / (2 * h)
+    with np.errstate(all="ignore"):  # caught below as non-finite
+        weights = (nodes[1:] ** (2 * h) - nodes[:-1] ** (2 * h)) / (2 * h)
+    if not np.all(np.isfinite(weights)):
+        raise NumericalError(
+            f"the cell integrals of s^(2H-1) are not finite doubles at H = {h!r}"
+        )
+    weights.setflags(write=False)
+    return weights
 
 
 def weighted_cumulative(values: np.ndarray, grid: UniformGrid, h: float) -> np.ndarray:

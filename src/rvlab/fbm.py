@@ -251,11 +251,15 @@ class PathJob(NamedTuple):
             self.hurst, self.dimension, grid, self.seed.replicate(r), self.method
         )
 
-    def map(self, statistic: Callable, replications: int, workers: int = 1) -> list:
+    def map(
+        self, statistic: Callable, replications: int, workers: int = 1,
+        head: Callable | None = None,
+    ) -> list:
         """``statistic(self.sample(r))`` for r = 0 .. replications-1, in index
-        order, over ``workers`` processes; ``statistic`` must be picklable."""
+        order, over ``workers`` processes, led by ``head()`` when given (see
+        :func:`rvlab.parallel.replication_map`); both must be picklable."""
         job = functools.partial(_statistic_of_sample, statistic, self)
-        return replication_map(job, replications, workers)
+        return replication_map(job, replications, workers, head)
 
 
 def _statistic_of_sample(statistic: Callable, paths: PathJob, r: int):

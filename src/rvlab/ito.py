@@ -21,7 +21,8 @@ integrand u.  Its runner (:func:`fbm_variation`, :func:`divergence_variation`,
 nodes (or none, for the unit-norm closed form e_H * T) and whether the limit's
 nu-integral form int sum_i |<u_i, xi>|^{1/H} dt N(0, I)(dxi) is checked, once
 per config: Monte Carlo over xi on one path (:func:`xi_mc_target`) against
-its closed form e_H sum_i |u_i|^{1/H} dt.  One engine runs them all.
+its closed form e_H sum_i |u_i|^{1/H} dt, as the first task of the
+replication pool.  One engine runs them all.
 """
 
 from __future__ import annotations
@@ -358,23 +359,30 @@ def _variation(
     checked once, on one path at the finest n, against Monte Carlo over xi
     (:func:`_nu_check`; the two agree because <u, xi> is N(0, ||u||^2) under
     the Gaussian xi-measure); the check goes in ``extra`` and a disagreement
-    beyond 3 standard errors (at d = 1, beyond rounding) aborts.  ``meta``
-    holds the runner's own report keys; its ``integrand`` names u in errors.
+    beyond 3 standard errors (at d = 1, beyond rounding) aborts.  It is the
+    head of the first grid size's map, so at workers > 1 one pool process
+    runs it beside the replications, and its error, if any, comes first.
+    ``meta`` holds the runner's own report keys; its ``integrand`` names u
+    in errors.
     """
     h, horizon, replications = config.hurst, config.horizon, config.replications
     seed = SeedSpec(config.master_seed)
     label = meta.get("integrand")
     meta = {"horizon": horizon, **meta}
-    extra = {}
+    extra, head = {}, None
     if xi_u is not None:
         meta["xi_draws"] = xi_draws = config.param("xi_draws")
         finest = PathJob(h, config.dimension, horizon, config.grid_sizes[-1], seed)
-        extra = _nu_check(finest, xi_u, xi_draws)
+        head = functools.partial(_nu_check, finest, xi_u, xi_draws)
     rep = functools.partial(_variation_rep, h, transform, u_of, label)
     rows = []
     for n in config.grid_sizes:
         paths = PathJob(h, config.dimension, horizon, n, seed)
-        values, targets, deviations = zip(*paths.map(rep, replications, workers))
+        results = paths.map(rep, replications, workers, head)
+        if head is not None:
+            extra, *results = results
+            head = None
+        values, targets, deviations = zip(*results)
         est, _ = aggregate(values)
         if u_of is None:
             target = horizon * e_H(h)
@@ -435,8 +443,22 @@ def default_interval_pairs(horizon: float) -> list[tuple[float, float]]:
 
 
 def _lp_rep(h: float, label: str, index_pairs: tuple, path: MultiPath) -> list[float]:
+    """|X_b - X_a|^{1/H} on each interval; NumericalError where the power
+    passes the largest double or underflows to 0 although X_b != X_a."""
     x = divergence_via_ito_multi(INTEGRANDS[label], path, h)
-    return [float(np.abs(x[ib] - x[ia]) ** (1.0 / h)) for ia, ib in index_pairs]
+    moments = []
+    for ia, ib in index_pairs:
+        increment = np.abs(x[ib] - x[ia])
+        with np.errstate(over="ignore", under="ignore"):  # caught below
+            moment = float(increment ** (1.0 / h))
+        if not math.isfinite(moment) or (moment == 0.0 and increment > 0):
+            raise NumericalError(
+                f"|X_b - X_a|^(1/H) = {moment} at H = {h!r} on [{path.grid.node(ia)}, "
+                f"{path.grid.node(ib)}], where |X_b - X_a| = {float(increment)}: "
+                "the power over- or underflows a double"
+            )
+        moments.append(moment)
+    return moments
 
 
 def lp_scaling_experiment(config: ExperimentConfig, workers: int) -> Report:

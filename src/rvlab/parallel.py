@@ -3,9 +3,12 @@
 Replications run in contiguous chunks of indices, at most one per worker,
 in separate processes; the executor hands results back in replication
 order, so any reduction over them, and the first error raised, is
-independent of scheduling and worker count.  Worker callables must be
-picklable (module-level functions, optionally wrapped in
-``functools.partial`` with picklable arguments).
+independent of scheduling and worker count.  A map may carry one ``head``,
+a task of its own that leads the results: in the pool it is submitted ahead
+of the chunks, so one process runs it while the others start on the
+replications (the nu-integral check of :mod:`rvlab.ito` runs this way).
+Worker callables must be picklable (module-level functions, optionally
+wrapped in ``functools.partial`` with picklable arguments).
 """
 
 from __future__ import annotations
@@ -14,9 +17,7 @@ import ctypes
 import functools
 import os
 from concurrent.futures import ProcessPoolExecutor
-from typing import Callable, TypeVar
-
-T = TypeVar("T")
+from typing import Callable
 
 __all__ = ["replication_map", "default_workers"]
 
@@ -48,21 +49,31 @@ def _blas_threads(count: int | None = None) -> int | None:
     return previous
 
 
-def replication_map(fn: Callable[[int], T], replications: int, workers: int = 1) -> list[T]:
-    """Evaluate ``fn(i)`` for i in 0..replications-1, in index order.
+def replication_map(
+    fn: Callable[[int], object], replications: int, workers: int = 1,
+    head: Callable[[], object] | None = None,
+) -> list:
+    """Evaluate ``fn(i)`` for i in 0..replications-1, in index order, led by
+    ``head()`` when a zero-argument ``head`` is given.
 
     With ``workers`` > 1, contiguous chunks of ceil(replications / workers)
     indices run in parallel processes, at most one per logical core, each
-    with one BLAS thread; the list, and any error raised, are those of a
-    sequential run.
+    with one BLAS thread, and ``head`` is submitted ahead of them, so that it
+    overlaps the chunks; otherwise ``head()`` runs in-process before
+    replication 0.  The list, and any error raised, are those of a
+    sequential run: ``[head(), fn(0), ..., fn(replications - 1)]``.
     """
     if replications < 0:
         raise ValueError("replications must be nonnegative")
     if workers <= 1 or replications <= 1:
-        return [fn(i) for i in range(replications)]
+        lead = [] if head is None else [head()]
+        return lead + [fn(i) for i in range(replications)]
     chunk = -(-replications // workers)
     processes = min(-(-replications // chunk), default_workers())
     # one BLAS thread per worker, so that workers x BLAS threads stay within the cores
     one_thread = functools.partial(_blas_threads, 1)
     with ProcessPoolExecutor(max_workers=processes, initializer=one_thread) as pool:
-        return list(pool.map(fn, range(replications), chunksize=chunk))
+        lead = [] if head is None else [pool.submit(head)]
+        results = pool.map(fn, range(replications), chunksize=chunk)
+        # the head's result, or its error, is collected before any replication's
+        return [future.result() for future in lead] + list(results)

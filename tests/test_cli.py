@@ -6,6 +6,7 @@ import json
 import pathlib
 import pickle
 import sys
+import warnings
 
 import pytest
 from click.testing import CliRunner
@@ -265,6 +266,40 @@ class TestExperimentCommands:
             "overflows a double\n"
         )
         assert result.exception is None or isinstance(result.exception, SystemExit)
+
+    @pytest.mark.parametrize(
+        "args, error",
+        [
+            # 2H underflows: the first cell integral of s^(2H-1) is 1 / 1e-323 = inf;
+            # lp-scaling printed NaN rows and exited 1, both leaked numpy warnings
+            (["lp-scaling", "--hurst", "5e-324", "--grid-size", "256"],
+             "the cell integrals of s^(2H-1) are not finite doubles at H = 5e-324"),
+            (["fbm-variation", "--hurst", "5e-324", "--grid-sizes", "16"],
+             "the cell integrals of s^(2H-1) are not finite doubles at H = 5e-324"),
+            # |X_b - X_a|^(1e300) overflows; it was diagnosed as a constant potential
+            (["lp-scaling", "--hurst", "1e-300", "--grid-size", "256"],
+             "|X_b - X_a|^(1/H) = inf at H = 1e-300 on [0.25, 0.3125]"),
+        ],
+        ids=["lp-scaling-5e-324", "fbm-variation-5e-324", "lp-scaling-1e-300"],
+    )
+    def test_tiny_hurst_exits_3_without_warnings(self, runner, args, error):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            result = runner.invoke(main, [*args, "--replications", "2", "--workers", "1"])
+        assert [str(w.message) for w in caught] == []
+        assert result.exit_code == 3, result.output
+        assert len(result.output.splitlines()) == 1
+        assert result.output.startswith(f"error: {error}")
+        assert result.exception is None or isinstance(result.exception, SystemExit)
+
+    def test_constant_potential_is_still_degenerate(self, runner):
+        result = runner.invoke(main, ["lp-scaling", "--integrand", "constant", "--grid-size",
+                                      "256", "--replications", "2", "--workers", "1"])
+        assert result.exit_code == 2, result.output
+        assert result.output == (
+            "error: all sampled moments vanish for some interval; the integrand is "
+            "degenerate (constant potential?)\n"
+        )
 
     @pytest.mark.parametrize(
         "q, t_list, error",

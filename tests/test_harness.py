@@ -2,9 +2,11 @@
 report serialization and worker-count determinism."""
 
 import ast
+import concurrent.futures
 import dataclasses
 import json
 import math
+import os
 import pathlib
 
 import numpy as np
@@ -62,13 +64,38 @@ class TestReplicationMap:
         monkeypatch.setattr(parallel, "ProcessPoolExecutor", lambda max_workers, initializer:
                             _InlinePool(max_workers, pools))
         monkeypatch.setattr(parallel.os, "cpu_count", lambda: 3)
-        assert replication_map(_cube, 20, workers=8) == [i**3 for i in range(20)]
-        assert pools == [(3, 3)]  # 7 contiguous chunks of ceil(20 / 8) on 3 processes
+        assert replication_map(_cube, 20, workers=8, head=_head) == ["head"] + [
+            i**3 for i in range(20)
+        ]
+        # 7 contiguous chunks of ceil(20 / 8) on 3 processes; the head is one more task
+        assert pools == [(3, 3)]
 
     @pytest.mark.parametrize("workers", [1, 2, 4])
     def test_first_failing_replication_raises_at_every_worker_count(self, workers):
         with pytest.raises(ValueError, match="^replication 3$"):
             replication_map(_fail_at_3_and_4, 8, workers)
+
+    @pytest.mark.parametrize("workers", [1, 2, 4])
+    def test_head_leads_the_list(self, workers):
+        assert replication_map(_cube, 9, workers, head=_head) == ["head"] + [
+            i**3 for i in range(9)
+        ]
+
+    @pytest.mark.parametrize("replications", [0, 1])
+    def test_head_runs_without_a_pool_below_two_replications(self, replications):
+        assert replication_map(_cube, replications, workers=2, head=os.getpid) == [
+            os.getpid(), *[0] * replications
+        ]
+
+    @pytest.mark.parametrize("workers", [1, 2, 4])
+    def test_failing_head_raises_before_the_replications(self, workers):
+        with pytest.raises(ValueError, match="^head$"):
+            replication_map(_fail_at_3_and_4, 8, workers, head=_failing_head)
+
+    def test_head_runs_in_a_pool_process_beside_the_chunks(self):
+        pid, *cubes = replication_map(_cube, 6, workers=2, head=os.getpid)
+        assert pid != os.getpid()
+        assert cubes == [i**3 for i in range(6)]
 
     def test_pool_workers_run_one_blas_thread(self):
         if _blas_threads(0) is None:
@@ -88,6 +115,14 @@ def _fail_at_3_and_4(i: int) -> int:
     return i
 
 
+def _head() -> str:
+    return "head"
+
+
+def _failing_head() -> str:
+    raise ValueError("head")
+
+
 def _blas_threads(i: int) -> int | None:
     return parallel._blas_threads()
 
@@ -103,6 +138,11 @@ class _InlinePool:
 
     def __exit__(self, *exc):
         return False
+
+    def submit(self, fn):
+        future = concurrent.futures.Future()
+        future.set_result(fn())
+        return future
 
     def map(self, fn, indices, chunksize):
         self.log.append((self.max_workers, chunksize))
@@ -571,14 +611,21 @@ def test_only_the_registry_names_experiments():
 
 
 def test_only_fbm_draws_replications():
-    # experiments hand PathJob.map a statistic of a path; it alone calls the pool
+    # experiments hand PathJob.map a statistic of a path; it alone calls the
+    # pool, and only the pool module names the executor, so work that overlaps
+    # the replications goes in as the map's head
+    owners = {
+        "replication_map": ("parallel.py", "fbm.py"),
+        "ProcessPoolExecutor": ("parallel.py",),
+    }
     found = []
     for path in sorted(pathlib.Path(harness.__file__).parent.glob("*.py")):
-        if path.name in ("parallel.py", "fbm.py"):
-            continue
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-            if "replication_map" in (getattr(node, key, None) for key in ("id", "attr", "name")):
-                found.append(f"{path.name}:{node.lineno}")
+            for name in owners:
+                if path.name not in owners[name] and name in (
+                    getattr(node, key, None) for key in ("id", "attr", "name")
+                ):
+                    found.append(f"{path.name}:{node.lineno}: {name}")
     assert not found, found
 
 

@@ -437,7 +437,9 @@ class TestMultiDivergenceVariation:
         assert check["xi_check_estimate"] == pytest.approx(closed, rel=1e-12)
         assert check["xi_check_se"] <= 1e-12 * closed
 
-    def test_dimension_one_xi_target_off_by_1e9_exits_3(self, monkeypatch, tmp_path):
+    # at workers 2 the check runs in a pool process: its error comes back pickled
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_dimension_one_xi_target_off_by_1e9_exits_3(self, monkeypatch, tmp_path, workers):
         exact = ito.xi_mc_target
 
         def off(*args, **kwargs):
@@ -450,7 +452,7 @@ class TestMultiDivergenceVariation:
             "experiment": "divergence-variation-multi", "hurst": 0.4, "dimension": 1,
             "grid_sizes": [64], "replications": 4, "params": {"integrand": "quadratic"},
         }))
-        result = CliRunner().invoke(main, ["run", "--config", str(config), "--workers", "1"])
+        result = CliRunner().invoke(main, ["run", "--config", str(config), "--workers", workers])
         assert result.exit_code == 3, result.output
         assert "disagree" in result.output
 
