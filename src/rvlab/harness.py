@@ -18,7 +18,6 @@ import functools
 import json
 import os
 import sys
-import time
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
 
@@ -253,9 +252,8 @@ def run_experiment(config: ExperimentConfig, workers: int = 1) -> Report:
     of an experiment that reads them.
 
     The returned report (and any file written) is a pure function of the
-    config; wall time is kept in memory only.
+    config.
     """
-    started = time.perf_counter()
     spec = _REGISTRY[config.experiment]
     report = spec.runner(config, workers)
     # a run without replications draws nothing, so it reports no seed
@@ -265,8 +263,6 @@ def run_experiment(config: ExperimentConfig, workers: int = 1) -> Report:
                        **{key: getattr(config, key) for key in copied})
     report.meta["config"] = config.echo()
     report.meta["build"] = build_id()
-    report.meta["wall_time_s"] = time.perf_counter() - started
-    report.meta["workers"] = workers
     if config.output_path:
         report.write(config.output_path, config.output_format)
     return report

@@ -287,11 +287,12 @@ def _cross_check(closed: float, estimate: float, se: float, n: int, dimension: i
     Given the path the xi target's mean is the closed form, so the two must
     agree within 3 standard errors, and at d = 1, where theta = +-1 leaves
     the xi target no noise, to a relative 1e-12.  The margin is that bound
-    less their distance; a negative or NaN margin aborts the experiment.
+    less their distance: at d >= 2 a negative one fails the report's flag,
+    at d = 1 it aborts, as a margin or s.e. that is not finite does at any d.
     """
     bound = 1e-12 * max(abs(closed), abs(estimate)) if dimension == 1 else 3 * se
     margin = bound - abs(estimate - closed)
-    if not (margin >= 0 and math.isfinite(se)):  # a NaN anywhere aborts too
+    if not (math.isfinite(margin) and math.isfinite(se)) or (dimension == 1 and margin < 0):
         label = "relative 1e-12" if dimension == 1 else f"3 s.e. = {bound:.2e}"
         raise NumericalError(
             f"closed-form and xi-Monte-Carlo targets disagree at n={n}: "
@@ -358,8 +359,9 @@ def _variation(
     target is the closed form e_H * T.  With ``xi_u``, the u it gives is
     checked once, on one path at the finest n, against Monte Carlo over xi
     (:func:`_nu_check`; the two agree because <u, xi> is N(0, ||u||^2) under
-    the Gaussian xi-measure); the check goes in ``extra`` and a disagreement
-    beyond 3 standard errors (at d = 1, beyond rounding) aborts.  It is the
+    the Gaussian xi-measure); the check goes in ``extra``, a disagreement
+    beyond 3 standard errors fails ``targets_agree_3se``, and one beyond
+    rounding at d = 1 aborts.  It is the
     head of the first grid size's map, so at workers > 1 one pool process
     runs it beside the replications, and its error, if any, comes first.
     ``meta`` holds the runner's own report keys; its ``integrand`` names u
@@ -397,7 +399,7 @@ def _variation(
     rel_err = [row[4] for row in rows]
     flags = {"monotone_decreasing": all(b < a for a, b in zip(rel_err, rel_err[1:]))}
     if extra:
-        flags["targets_agree_3se"] = True  # enforced by _cross_check; a violation raises
+        flags["targets_agree_3se"] = extra["xi_check_margin"] >= 0
     flags["rel_err_final_ok"] = rel_err[-1] < config.param("rel_err_final", "tolerances")
     return ConvergenceReport(
         columns=CONVERGENCE_COLUMNS, rows=rows, extra=extra, flags=flags, meta=meta

@@ -7,10 +7,10 @@ identity, and the registered reproduction check built on it.
 The kernel's inner integral int_s^t u^{H-3/2} (u-s)^{H-1/2} du is an
 incomplete Beta function (substitute u = s/v), evaluated by its continued
 fraction, so K_H itself needs no quadrature.  The one quadrature left is the
-L^2 integral of the kernel product in ``covariance_via_kernel``: a tanh-sinh
-(double-exponential) rule, which takes the integrand's algebraic endpoint
-singularities to full precision (Takahasi & Mori 1974).  The module needs
-numpy and math only; it imports no scipy.
+L^2 integral of the kernel product in ``covariance_via_kernel``, scaled to
+[0, 1] by min(t, s): a tanh-sinh (double-exponential) rule, which takes the
+integrand's algebraic endpoint singularities to full precision (Takahasi &
+Mori 1974).  The module needs numpy and math only; it imports no scipy.
 """
 
 from __future__ import annotations
@@ -134,46 +134,43 @@ def kernel_K(hurst: float, t, s, gap=None):
     return float(k) if k.ndim == 0 else k
 
 
-# tanh-sinh nodes u = m / (1 + exp(-pi sinh tau)), |tau| <= tau_max(m), reach
-# within _END_GAP of either end of [0, m].  Level k has 2 * 6 * 2^k + 1 nodes
-# a limit; they are evaluated in blocks of at most _BLOCK (limit, node)
-# entries, so memory does not grow with the number of limits.
+# tanh-sinh nodes u = 1 / (1 + exp(-pi sinh tau)), |tau| <= _TAU_MAX, reach
+# within _END_GAP of either end of [0, 1].  Level k has 2 * 6 * 2^k + 1 nodes;
+# they are evaluated in blocks of at most _BLOCK (value, node) entries, so
+# memory does not grow with the number of integrals.
 _END_GAP = 4 * np.finfo(float).tiny
+_TAU_MAX = math.asinh(math.log(1 / _END_GAP) / math.pi)
 _COARSE_NODES = 6
 _MAX_LEVEL = 12
 _BLOCK = 1 << 16
 
 
-def _tanh_sinh(integrand, upper, rtol: float) -> np.ndarray:
-    """int_0^m f(u) du for every upper limit m in ``upper``, by the tanh-sinh rule.
+def _tanh_sinh(integrand, shape, rtol: float) -> np.ndarray:
+    """int_0^1 f(u) du by the tanh-sinh rule, for an f with values of ``shape`` at each u.
 
-    ``integrand(u, g)`` gets nodes u and their distances g = m - u, each of
-    shape ``upper.shape + (nodes,)``; both come from the transform, not from
-    a subtraction, so nodes reach within 1e-307 of either end.  The step
-    halves until, for every limit, the change from the previous level plus
-    the tail beyond the outermost nodes is at most ``rtol`` times the value.
-    The tail is extrapolated from the decay between the outermost node and
-    the one a step inside it.  Raises QuadratureError at the level cap or on
-    a value that is not finite.
+    ``integrand(u, g)`` gets nodes u and their distances g = 1 - u, each of
+    shape ``(nodes,)``, and returns ``shape + (nodes,)``; u and g both come
+    from the transform, not from a subtraction, so nodes reach within 1e-307
+    of either end.  The step halves until, for every value, the change from
+    the previous level plus the tail beyond the outermost nodes is at most
+    ``rtol`` times the value.  The tail is extrapolated from the decay
+    between the outermost node and the one a step inside it.  Raises
+    QuadratureError at the level cap or on a value that is not finite.
     """
-    m = np.asarray(upper, float)[..., None]
-    if not np.all(m > _END_GAP):
-        raise QuadratureError(f"no tanh-sinh node fits in [0, {np.min(m):.6g}]", achieved=math.inf)
-    tau_max = np.arcsinh(np.log(m / _END_GAP) / math.pi)
-    block = max(1, _BLOCK // m.size)
+    block = max(1, _BLOCK // max(1, math.prod(shape)))
 
     def level_sum(j, step):
         """Sum of the terms w(tau) f(u(tau)) at tau = j step, and the first and last term."""
-        part = np.zeros(m.shape[:-1])
+        part = np.zeros(shape)
         for start in range(0, j.size, block):
             tau = j[start:start + block] * step
             grow = np.exp(math.pi * np.sinh(tau))
             lo, hi = 1 / (1 + grow), grow / (1 + grow)
             with np.errstate(all="ignore"):  # checked below
-                terms = math.pi * np.cosh(tau) * lo * hi * m * integrand(m * hi, m * lo)
+                terms = math.pi * np.cosh(tau) * lo * hi * integrand(hi, lo)
             if not np.all(np.isfinite(terms)):
                 raise QuadratureError(
-                    f"tanh-sinh quadrature on [0, {np.max(m):.6g}] met a value that is not finite",
+                    "tanh-sinh quadrature on [0, 1] met a value that is not finite",
                     achieved=math.inf,
                 )
             part += terms.sum(axis=-1)
@@ -181,15 +178,15 @@ def _tanh_sinh(integrand, upper, rtol: float) -> np.ndarray:
                 first = terms[..., 0]
         return part, np.abs(np.stack([first, terms[..., -1]], axis=-1))
 
-    step = tau_max / _COARSE_NODES
+    step = _TAU_MAX / _COARSE_NODES
     total, ends = level_sum(np.arange(-_COARSE_NODES, _COARSE_NODES + 1), step)
-    total *= step[..., 0]
+    total *= step
     for level in range(1, _MAX_LEVEL + 1):
         count = _COARSE_NODES << level
-        step = tau_max / count
+        step = _TAU_MAX / count
         part, inner = level_sum(np.arange(1 - count, count, 2), step)
-        previous, total = total, 0.5 * total + step[..., 0] * part
-        # the terms decay double-exponentially beyond +-tau_max: the tail is
+        previous, total = total, 0.5 * total + step * part
+        # the terms decay double-exponentially beyond +-_TAU_MAX: the tail is
         # about the end term over its decay rate, a conservative one here
         with np.errstate(divide="ignore", invalid="ignore"):
             rate = np.log(inner / ends) / step
@@ -200,7 +197,7 @@ def _tanh_sinh(integrand, upper, rtol: float) -> np.ndarray:
     with np.errstate(divide="ignore", invalid="ignore"):
         achieved = float(np.max(np.where(error > 0, error / np.abs(total), 0.0)))
     raise QuadratureError(
-        f"tanh-sinh quadrature on [0, {np.max(m):.6g}] did not reach rtol={rtol} in "
+        f"tanh-sinh quadrature on [0, 1] did not reach rtol={rtol} in "
         f"{_MAX_LEVEL} halvings: achieved relative error estimate {achieved:.3e}",
         achieved=achieved,
     )
@@ -211,24 +208,23 @@ def covariance_via_kernel(hurst: float, t, s, rtol: float = DEFAULT_L2_TOL):
 
     Elementwise over broadcast arrays t and s, in one quadrature.  The
     integrand has integrable power singularities at u = 0 and at the upper
-    limit min(t, s).  K_H(ct, cs) = c^{H-1/2} K_H(t, s), so the integral is
-    taken with t and s divided by max(t, s) and scaled back by max(t, s)^{2H}:
-    every horizon integrates on the unit scale.
+    limit m = min(t, s).  K_H(ct, cs) = c^{H-1/2} K_H(t, s), so the integral
+    is m^{2H} int_0^1 K_H(1, v) K_H(r, v) dv with r = max(t, s)/m, a finite
+    double: every pair integrates on [0, 1], sharing the factor K_H(1, .).
     """
     h = check_hurst(hurst, "the H-space inner product")
     t, s = np.broadcast_arrays(np.asarray(t, float), np.asarray(s, float))
-    scale = np.maximum(t, s)
-    if not (np.all(np.minimum(t, s) > 0) and np.all(np.isfinite(scale))):
-        raise DomainError(f"covariance_via_kernel requires finite t, s > 0, got t={t}, s={s}")
-    t, s = t / scale, s / scale
-    upper = np.minimum(t, s)
-    t_past, s_past = (t - upper)[..., None], (s - upper)[..., None]
-    t, s = t[..., None], s[..., None]
+    low = np.minimum(t, s)
+    with np.errstate(all="ignore"):  # checked below
+        r = (np.maximum(t, s) / low)[..., None]
+    if not (np.all(low > 0) and np.all(np.isfinite(r))):
+        raise DomainError(f"covariance_via_kernel requires t, s > 0 and a finite double "
+                          f"max(t, s)/min(t, s), got t={t}, s={s}")
 
     def product(u, g):
-        return kernel_K(h, t, u, t_past + g) * kernel_K(h, s, u, s_past + g)
+        return kernel_K(h, 1.0, u, g) * kernel_K(h, r, u, r - 1 + g)
 
-    value = _tanh_sinh(product, upper, rtol) * scale ** (2 * h)
+    value = _tanh_sinh(product, low.shape, rtol) * low ** (2 * h)
     return float(value) if value.ndim == 0 else value
 
 

@@ -7,6 +7,7 @@ independent of scheduling and worker count.  A map may carry one ``head``,
 a task of its own that leads the results: in the pool it is submitted ahead
 of the chunks, so one process runs it while the others start on the
 replications (the nu-integral check of :mod:`rvlab.ito` runs this way).
+After the first error the pool skips the replications it has not begun.
 Worker callables must be picklable (module-level functions, optionally
 wrapped in ``functools.partial`` with picklable arguments).
 """
@@ -15,6 +16,7 @@ from __future__ import annotations
 
 import ctypes
 import functools
+import multiprocessing
 import os
 from concurrent.futures import ProcessPoolExecutor
 from typing import Callable
@@ -49,6 +51,21 @@ def _blas_threads(count: int | None = None) -> int | None:
     return previous
 
 
+_stop = None  # a pool worker's copy of the event its map sets on the first error
+
+
+def _start_worker(stop) -> None:
+    """Pool initializer: keep the stop event, and run one BLAS thread so
+    that workers x BLAS threads stay within the cores."""
+    global _stop
+    _stop = stop
+    _blas_threads(1)
+
+
+def _unless_stopped(fn: Callable[[int], object], i: int) -> object:
+    return None if _stop.is_set() else fn(i)  # skipped once the parent met an error
+
+
 def replication_map(
     fn: Callable[[int], object], replications: int, workers: int = 1,
     head: Callable[[], object] | None = None,
@@ -70,10 +87,13 @@ def replication_map(
         return lead + [fn(i) for i in range(replications)]
     chunk = -(-replications // workers)
     processes = min(-(-replications // chunk), default_workers())
-    # one BLAS thread per worker, so that workers x BLAS threads stay within the cores
-    one_thread = functools.partial(_blas_threads, 1)
-    with ProcessPoolExecutor(max_workers=processes, initializer=one_thread) as pool:
+    stop = multiprocessing.Event()
+    with ProcessPoolExecutor(processes, initializer=_start_worker, initargs=(stop,)) as pool:
         lead = [] if head is None else [pool.submit(head)]
-        results = pool.map(fn, range(replications), chunksize=chunk)
-        # the head's result, or its error, is collected before any replication's
-        return [future.result() for future in lead] + list(results)
+        guarded = functools.partial(_unless_stopped, fn)
+        results = pool.map(guarded, range(replications), chunksize=chunk)
+        try:  # the head's result, or its error, is collected before any replication's
+            return [future.result() for future in lead] + list(results)
+        except BaseException:
+            stop.set()  # the chunks still running skip what is left of them
+            raise

@@ -3,8 +3,7 @@ deterministic CSV/JSON serialization.
 
 Serialized reports are a pure function of (config, build): floats are
 written with ``repr`` so ``float()`` of an emitted CSV cell gives back the
-in-memory value exactly, and volatile metadata (wall time) is kept in
-memory only.
+in-memory value exactly.
 """
 
 from __future__ import annotations
@@ -23,10 +22,6 @@ from .errors import ConfigError, DomainError
 __all__ = ["aggregate", "check_shape", "check_xi_draws", "loglog_fit", "write_text", "Report", "ConvergenceReport", "CONVERGENCE_COLUMNS", "build_id"]
 
 CONVERGENCE_COLUMNS = ("n", "estimate", "target", "abs_err", "rel_err", "stderr")
-
-# Metadata keys that vary between runs of the same config; excluded from the
-# serialized artifact so reports stay byte-identical across worker counts.
-_VOLATILE_META = ("wall_time_s", "workers")
 
 
 def build_id() -> str:
@@ -107,8 +102,7 @@ def write_text(path: str, text: str) -> None:
 
 def loglog_fit(x: Sequence[float], y: Sequence[float]) -> tuple[float, float, float]:
     """Least-squares line through (log x, log y): (slope, intercept, R^2)."""
-    log_x = np.log(x)
-    log_y = np.log(y)
+    log_x, log_y = np.log(x), np.log(y)
     design = np.vstack([log_x, np.ones_like(log_x)]).T
     (slope, intercept), *_ = np.linalg.lstsq(design, log_y, rcond=None)
     fitted = design @ np.array([slope, intercept])
@@ -154,34 +148,24 @@ class Report:
     def __post_init__(self):
         for row in self.rows:
             if len(row) != len(self.columns):
-                raise ConfigError(
-                    f"row {row!r} does not match columns {self.columns!r}"
-                )
+                raise ConfigError(f"row {row!r} does not match columns {self.columns!r}")
 
     @property
     def passed(self) -> bool:
         return all(self.flags.values())
 
-    def _serializable_meta(self) -> dict:
-        return {k: v for k, v in self.meta.items() if k not in _VOLATILE_META}
-
     def to_csv(self) -> str:
         lines = [f"# {build_id()}"]
-        for key, payload in (
-            ("meta", self._serializable_meta()),
-            ("extra", self.extra),
-            ("flags", self.flags),
-        ):
+        for key, payload in (("meta", self.meta), ("extra", self.extra), ("flags", self.flags)):
             lines.append(f"# {key}: {_dumps(payload)}")
         lines.append(",".join(self.columns))
-        for row in self.rows:
-            lines.append(",".join(_fmt(v) for v in row))
+        lines += [",".join(_fmt(v) for v in row) for row in self.rows]
         return "\n".join(lines) + "\n"
 
     def to_json(self) -> str:
         doc = {
             "build": build_id(),
-            "meta": self._serializable_meta(),
+            "meta": self.meta,
             "extra": self.extra,
             "flags": self.flags,
             "columns": list(self.columns),

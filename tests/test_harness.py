@@ -4,10 +4,12 @@ report serialization and worker-count determinism."""
 import ast
 import concurrent.futures
 import dataclasses
+import functools
 import json
 import math
 import os
 import pathlib
+import time
 
 import numpy as np
 import pytest
@@ -61,9 +63,13 @@ class TestReplicationMap:
 
     def test_pool_is_capped_at_cpu_count_but_keeps_chunks(self, monkeypatch):
         pools = []
-        monkeypatch.setattr(parallel, "ProcessPoolExecutor", lambda max_workers, initializer:
-                            _InlinePool(max_workers, pools))
+        monkeypatch.setattr(parallel, "ProcessPoolExecutor",
+                            functools.partial(_InlinePool, log=pools))
         monkeypatch.setattr(parallel.os, "cpu_count", lambda: 3)
+        # the initializer runs in this process: leave its BLAS threads alone,
+        # and restore the stop event afterwards
+        monkeypatch.setattr(parallel, "_blas_threads", lambda count=None: None)
+        monkeypatch.setattr(parallel, "_stop", None)
         assert replication_map(_cube, 20, workers=8, head=_head) == ["head"] + [
             i**3 for i in range(20)
         ]
@@ -97,6 +103,16 @@ class TestReplicationMap:
         assert pid != os.getpid()
         assert cubes == [i**3 for i in range(6)]
 
+    @pytest.mark.parametrize("failing", ["replication 0", "head"])
+    def test_pool_stops_early_after_a_failure(self, tmp_path, failing):
+        # replication 0 fails, or the head does; each replication leaves a
+        # file and takes 10 ms, so the chunk of 100..199 alone would take 1 s
+        run = functools.partial(_record_and_fail_at_0, tmp_path)
+        head = _failing_head if failing == "head" else None
+        with pytest.raises(ValueError, match=f"^{failing}$"):
+            replication_map(run, 200, workers=2, head=head)
+        assert len(list(tmp_path.iterdir())) < 100
+
     def test_pool_workers_run_one_blas_thread(self):
         if _blas_threads(0) is None:
             pytest.skip("numpy has no bundled OpenBLAS with a thread setter")
@@ -115,6 +131,14 @@ def _fail_at_3_and_4(i: int) -> int:
     return i
 
 
+def _record_and_fail_at_0(directory: pathlib.Path, i: int) -> int:
+    (directory / str(i)).touch()
+    if i == 0:
+        raise ValueError("replication 0")
+    time.sleep(0.01)
+    return i
+
+
 def _head() -> str:
     return "head"
 
@@ -130,8 +154,9 @@ def _blas_threads(i: int) -> int | None:
 class _InlinePool:
     """Stands in for a process pool: records (max_workers, chunksize), runs inline."""
 
-    def __init__(self, max_workers, log):
+    def __init__(self, max_workers, initializer, initargs, log):
         self.max_workers, self.log = max_workers, log
+        initializer(*initargs)
 
     def __enter__(self):
         return self
@@ -474,11 +499,6 @@ class TestReports:
         assert doc["meta"] == {"ok": 2.5}
         for line in report.to_csv().splitlines()[1:4]:
             json.loads(line.split(": ", 1)[1], parse_constant=reject)
-
-    def test_wall_time_not_serialized(self):
-        report = Report(columns=("x",), rows=[(1,)], meta={"wall_time_s": 0.5, "k": 1})
-        assert "wall_time_s" not in report.to_csv()
-        assert '"k": 1' in report.to_csv()
 
     def test_convergence_report_validation(self):
         with pytest.raises(ConfigError, match="sorted"):

@@ -237,8 +237,9 @@ def test_kernel_check_table_small():
 @pytest.mark.parametrize("h", [0.02, 0.05, 0.1, 0.2, 0.3, 0.4, 0.45, 0.49])
 @pytest.mark.parametrize("rtol", [1e-6, 1e-9, 1e-12])
 def test_covariance_via_kernel_against_closed_form(h, rtol):
-    # one call for every pair and horizon; the rule integrates on the unit
-    # scale, so a horizon near either end of the doubles costs nothing
+    # one call for every pair and horizon; every pair integrates on [0, 1]
+    # after division by min(t, s), so a horizon near either end of the
+    # doubles costs nothing
     horizon = np.array([1e-306, 1e-150, 1.0, 1e150, 1e307])[:, None]
     t = horizon * np.array([1.0, 1.0, 0.5, 1.0, 2 / 7, 1 / 7])
     s = horizon * np.array([1.0, 0.5, 0.5, 1 / 7, 1 / 7, 2 / 7])
@@ -253,29 +254,60 @@ def test_array_calls_match_scalar_calls():
     np.testing.assert_allclose(kernel_K(0.3, t, s), scalar, rtol=1e-14, atol=0)
     scalar = [covariance_via_kernel(0.3, ti, si, 1e-10) for ti, si in zip(t, s)]
     np.testing.assert_allclose(covariance_via_kernel(0.3, t, s, 1e-10), scalar, rtol=1e-13)
+    assert covariance_via_kernel(0.3, t[:0], s[:0]).shape == (0,)  # no pairs, no integrals
 
 
 def test_tanh_sinh_reaches_full_precision_at_endpoint_singularities():
-    # int_0^m u^{-1/2} du = 2 sqrt(m); the log singularity gives m (log m - 1)
-    m = np.array([1.0, 4.0, 1e-150])
-    np.testing.assert_allclose(_tanh_sinh(lambda u, g: u ** -0.5, m, 1e-12), 2 * np.sqrt(m),
-                               rtol=1e-14)
-    value = _tanh_sinh(lambda u, g: np.log(g), 2.0, 1e-12)
-    assert value == pytest.approx(2.0 * (np.log(2.0) - 1), rel=1e-14)
+    # int_0^1 u^{-1/2} du = 2 and int_0^1 log(1 - u) du = -1, at either end
+    assert _tanh_sinh(lambda u, g: u ** -0.5, (), 1e-12) == pytest.approx(2.0, rel=1e-14)
+    assert _tanh_sinh(lambda u, g: np.log(g), (), 1e-12) == pytest.approx(-1.0, rel=1e-14)
 
 
 def test_nonconvergent_quadrature_reports_achieved_error():
     # the level cap cannot resolve a fast oscillation at this tolerance, and
     # the failure counts however small the integral is
     for scale in (1.0, 1e-20):
-        with pytest.raises(QuadratureError, match="did not reach rtol") as err:
-            _tanh_sinh(lambda u, g: scale * np.sin(1e6 * u * u), 1.0, rtol=1e-12)
+        with pytest.raises(QuadratureError, match=r"on \[0, 1\] did not reach rtol") as err:
+            _tanh_sinh(lambda u, g: scale * np.sin(1e6 * u * u), (), rtol=1e-12)
         assert err.value.achieved > 1e-12
 
 
 def test_overflowing_integrand_is_a_quadrature_error():
-    with pytest.raises(QuadratureError, match="not finite"):
-        _tanh_sinh(lambda u, g: 10.0 ** (400 * u), 1.0, rtol=1e-7)
+    with pytest.raises(QuadratureError, match=r"on \[0, 1\] met a value that is not finite"):
+        _tanh_sinh(lambda u, g: 10.0 ** (400 * u), (), rtol=1e-7)
+
+
+@pytest.mark.parametrize("h", [0.02, 0.3, 0.49])
+@pytest.mark.parametrize("s", [1e-300, 1e-100])
+def test_covariance_via_kernel_at_tiny_ratios(h, s):
+    # min/max near the smallest doubles: the limit stays 1, and the closed
+    # form 1/2 (s^{2H} + 1 - (1 - s)^{2H}) is taken without cancellation
+    expected = 0.5 * (s ** (2 * h) - np.expm1(2 * h * np.log1p(-s)))
+    assert covariance_via_kernel(h, 1.0, s) == pytest.approx(expected, rel=1e-10)
+    assert covariance_via_kernel(h, s, 1.0) == pytest.approx(expected, rel=1e-10)
+
+
+def test_ratio_that_overflows_is_a_domain_error():
+    # 1e308 / 5e-324 is no double: refused before the incomplete Beta sees it
+    with pytest.raises(DomainError, match=r"finite double max\(t, s\)/min\(t, s\)"):
+        covariance_via_kernel(0.3, np.array([1.0, 1e308]), 5e-324)
+
+
+def test_covariance_via_kernel_goes_through_kernel_K(monkeypatch):
+    # the benchmark's kernel layer wraps the module-level name kernel_K, so
+    # both factors of the product, the shared K_H(1, .) with its scalar t and
+    # the per-pair K_H(r, .), must be looked up through it
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return kernel_K(*args)
+
+    expected = covariance_via_kernel(0.3, 1.0, 0.5)
+    monkeypatch.setattr("rvlab.kernel.kernel_K", counting)
+    assert covariance_via_kernel(0.3, 1.0, 0.5) == expected
+    shared = [args for args in calls if np.ndim(args[1]) == 0]
+    assert calls and 2 * len(shared) == len(calls)
 
 
 def test_mass_beyond_the_last_node_is_a_quadrature_error():
