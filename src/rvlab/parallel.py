@@ -3,10 +3,11 @@
 Replications run in contiguous chunks of indices, at most one per worker,
 in separate processes; the executor hands results back in replication
 order, so any reduction over them, and the first error raised, is
-independent of scheduling and worker count.  A map may carry one ``head``,
-a task of its own that leads the results: in the pool it is submitted ahead
-of the chunks, so one process runs it while the others start on the
-replications (the nu-integral check of :mod:`rvlab.ito` runs this way).
+independent of scheduling and worker count.  A map may carry ``heads``,
+tasks of its own whose results lead the list: in the pool they are
+submitted ahead of the chunks, so the processes run them beside the
+replications (the two halves of the nu-integral check of :mod:`rvlab.ito`
+run this way).
 After the first error the pool skips the replications it has not begun.
 Worker callables must be picklable (module-level functions, optionally
 wrapped in ``functools.partial`` with picklable arguments).
@@ -19,7 +20,7 @@ import functools
 import multiprocessing
 import os
 from concurrent.futures import ProcessPoolExecutor
-from typing import Callable
+from typing import Callable, Sequence
 
 __all__ = ["replication_map", "default_workers"]
 
@@ -68,31 +69,30 @@ def _unless_stopped(fn: Callable[[int], object], i: int) -> object:
 
 def replication_map(
     fn: Callable[[int], object], replications: int, workers: int = 1,
-    head: Callable[[], object] | None = None,
+    heads: Sequence[Callable[[], object]] = (),
 ) -> list:
     """Evaluate ``fn(i)`` for i in 0..replications-1, in index order, led by
-    ``head()`` when a zero-argument ``head`` is given.
+    the results of the zero-argument tasks ``heads``, in their order.
 
     With ``workers`` > 1, contiguous chunks of ceil(replications / workers)
     indices run in parallel processes, at most one per logical core, each
-    with one BLAS thread, and ``head`` is submitted ahead of them, so that it
-    overlaps the chunks; otherwise ``head()`` runs in-process before
+    with one BLAS thread, and every head is submitted ahead of them, so that
+    the heads overlap the chunks; otherwise the heads run in-process before
     replication 0.  The list, and any error raised, are those of a
-    sequential run: ``[head(), fn(0), ..., fn(replications - 1)]``.
+    sequential run: ``[*(h() for h in heads), fn(0), ..., fn(replications - 1)]``.
     """
     if replications < 0:
         raise ValueError("replications must be nonnegative")
     if workers <= 1 or replications <= 1:
-        lead = [] if head is None else [head()]
-        return lead + [fn(i) for i in range(replications)]
+        return [head() for head in heads] + [fn(i) for i in range(replications)]
     chunk = -(-replications // workers)
     processes = min(-(-replications // chunk), default_workers())
     stop = multiprocessing.Event()
     with ProcessPoolExecutor(processes, initializer=_start_worker, initargs=(stop,)) as pool:
-        lead = [] if head is None else [pool.submit(head)]
+        lead = [pool.submit(head) for head in heads]
         guarded = functools.partial(_unless_stopped, fn)
         results = pool.map(guarded, range(replications), chunksize=chunk)
-        try:  # the head's result, or its error, is collected before any replication's
+        try:  # the heads' results, or their first error, come before any replication's
             return [future.result() for future in lead] + list(results)
         except BaseException:
             stop.set()  # the chunks still running skip what is left of them

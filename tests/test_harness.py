@@ -70,10 +70,10 @@ class TestReplicationMap:
         # and restore the stop event afterwards
         monkeypatch.setattr(parallel, "_blas_threads", lambda count=None: None)
         monkeypatch.setattr(parallel, "_stop", None)
-        assert replication_map(_cube, 20, workers=8, head=_head) == ["head"] + [
-            i**3 for i in range(20)
+        assert replication_map(_cube, 20, workers=8, heads=[_head, _second_head]) == [
+            "head", "second head", *(i**3 for i in range(20))
         ]
-        # 7 contiguous chunks of ceil(20 / 8) on 3 processes; the head is one more task
+        # 7 contiguous chunks of ceil(20 / 8) on 3 processes; the heads are two more tasks
         assert pools == [(3, 3)]
 
     @pytest.mark.parametrize("workers", [1, 2, 4])
@@ -83,34 +83,36 @@ class TestReplicationMap:
 
     @pytest.mark.parametrize("workers", [1, 2, 4])
     def test_head_leads_the_list(self, workers):
-        assert replication_map(_cube, 9, workers, head=_head) == ["head"] + [
-            i**3 for i in range(9)
+        # the heads lead in their own order
+        assert replication_map(_cube, 9, workers, heads=[_second_head, _head]) == [
+            "second head", "head", *(i**3 for i in range(9))
         ]
 
     @pytest.mark.parametrize("replications", [0, 1])
     def test_head_runs_without_a_pool_below_two_replications(self, replications):
-        assert replication_map(_cube, replications, workers=2, head=os.getpid) == [
+        assert replication_map(_cube, replications, workers=2, heads=[os.getpid]) == [
             os.getpid(), *[0] * replications
         ]
 
     @pytest.mark.parametrize("workers", [1, 2, 4])
     def test_failing_head_raises_before_the_replications(self, workers):
+        # the second head fails, and so do replications 3 and 4: its error comes first
         with pytest.raises(ValueError, match="^head$"):
-            replication_map(_fail_at_3_and_4, 8, workers, head=_failing_head)
+            replication_map(_fail_at_3_and_4, 8, workers, heads=[_head, _failing_head])
 
     def test_head_runs_in_a_pool_process_beside_the_chunks(self):
-        pid, *cubes = replication_map(_cube, 6, workers=2, head=os.getpid)
-        assert pid != os.getpid()
+        first, second, *cubes = replication_map(_cube, 6, workers=2, heads=[os.getpid] * 2)
+        assert os.getpid() not in (first, second)
         assert cubes == [i**3 for i in range(6)]
 
     @pytest.mark.parametrize("failing", ["replication 0", "head"])
     def test_pool_stops_early_after_a_failure(self, tmp_path, failing):
-        # replication 0 fails, or the head does; each replication leaves a
-        # file and takes 10 ms, so the chunk of 100..199 alone would take 1 s
+        # replication 0 fails, or the second head does; each replication leaves
+        # a file and takes 10 ms, so the chunk of 100..199 alone would take 1 s
         run = functools.partial(_record_and_fail_at_0, tmp_path)
-        head = _failing_head if failing == "head" else None
+        heads = [_head, _failing_head] if failing == "head" else []
         with pytest.raises(ValueError, match=f"^{failing}$"):
-            replication_map(run, 200, workers=2, head=head)
+            replication_map(run, 200, workers=2, heads=heads)
         assert len(list(tmp_path.iterdir())) < 100
 
     def test_pool_workers_run_one_blas_thread(self):
@@ -141,6 +143,10 @@ def _record_and_fail_at_0(directory: pathlib.Path, i: int) -> int:
 
 def _head() -> str:
     return "head"
+
+
+def _second_head() -> str:
+    return "second head"
 
 
 def _failing_head() -> str:

@@ -1,6 +1,8 @@
 """Tests for weighted time integrals, divergence representations and the
 variation/scaling experiments on whitelisted integrands."""
 
+import functools
+import hashlib
 import json
 import math
 import tracemalloc
@@ -11,9 +13,9 @@ from click.testing import CliRunner
 
 from rvlab import ito
 from rvlab.cli import main
-from rvlab.core import SeedSpec, UniformGrid, weighted_cumulative
+from rvlab.core import LANE_XI, SeedSpec, UniformGrid, weighted_cumulative
 from rvlab.errors import ConfigError, DegenerateInputError, NumericalError
-from rvlab.fbm import sample_fbm_circulant, sample_fbm_multi
+from rvlab.fbm import PathJob, sample_fbm_circulant, sample_fbm_multi
 from rvlab.ito import (
     INTEGRANDS,
     IntegrandSpec,
@@ -498,6 +500,8 @@ class TestMultiDivergenceVariation:
         u = np.ones((8, 1))
         with pytest.raises(ConfigError, match="xi_draws must be an even count >= 4"):
             xi_mc_target(u, 1.0 / 8, 1.0 / 0.45, SeedSpec(77).stream(lane=1), draws)
+        with pytest.raises(ConfigError, match="xi_draws must be an even count >= 4"):
+            ito._xi_split(draws)  # checked before the draws are split into tasks
 
     def test_xi_draws_numpy_cannot_hold_rejected(self):
         # 2^61 pair values pass numpy's largest array: numpy's raw ValueError before
@@ -593,14 +597,15 @@ class TestNuCheckPower:
         report = run_experiment(_criterion_config(experiment))
         assert not report.flags["targets_agree_3se"] and report.extra["xi_check_margin"] < 0
 
-    def test_one_xi_target_per_config(self, monkeypatch, tmp_path):
+    def test_two_xi_targets_per_config(self, monkeypatch, tmp_path):
         # pool workers are forked with the wrapper, so a call there is logged too
         exact, log = ito.xi_mc_target, tmp_path / "calls"
 
-        def logged(u, *args, **kwargs):
+        def logged(u, dt, p, stream, draws):
             with open(log, "a") as fh:
-                fh.write(f"{len(u)}\n")
-            return exact(u, *args, **kwargs)
+                key = stream.bit_generator.seed_seq.spawn_key
+                fh.write(f"{len(u)} {draws} {key} {_digest(u)}\n")
+            return exact(u, dt, p, stream, draws)
 
         monkeypatch.setattr(ito, "xi_mc_target", logged)
         for experiment in sorted(_CRITERIA):
@@ -610,7 +615,64 @@ class TestNuCheckPower:
                 replications=6, params={"xi_draws": 8},
             )
             assert run_experiment(config, workers=2).flags["targets_agree_3se"]
-            assert log.read_text().split() == ["32"], experiment
+            # replication 0's path at the finest n, one xi sub-stream per task
+            u = _xi_u(config)(PathJob(0.45, 3, 1.0, 32, SeedSpec(config.master_seed)).sample(0))
+            assert sorted(log.read_text().splitlines()) == [
+                f"32 4 (0, 1, {task}) {_digest(u)}" for task in (0, 1)
+            ], experiment
+
+
+def _digest(u: np.ndarray) -> str:
+    return hashlib.sha256(np.ascontiguousarray(u).tobytes()).hexdigest()
+
+
+def _xi_u(config: ExperimentConfig):
+    """The integrand u whose nu-integral the experiment checks."""
+    if config.experiment == "theta-variation":
+        return ito._directions
+    return functools.partial(ito._gradient_nodes, INTEGRANDS[config.param("integrand")])
+
+
+class TestNuCheckSplit:
+    @pytest.mark.parametrize("draws, split", [
+        (4, [4]), (6, [6]), (8, [4, 4]), (10, [6, 4]), (1000, [500, 500]), (1024, [512, 512]),
+    ])
+    def test_split_rule(self, draws, split):
+        assert ito._xi_split(draws) == split and sum(split) == draws
+
+    @pytest.mark.parametrize("experiment", sorted(_CRITERIA))
+    def test_report_bytes_do_not_depend_on_workers(self, experiment):
+        config = ExperimentConfig(
+            experiment=experiment, hurst=0.45, dimension=3, grid_sizes=[16, 64],
+            replications=5, master_seed=7,
+        )
+        assert config.param("xi_draws") == ito.DEFAULT_XI_DRAWS
+        reports = {run_experiment(config, workers).to_csv() for workers in (1, 2, 3)}
+        assert len(reports) == 1
+
+    @pytest.mark.parametrize("draws", [4, 6])
+    @pytest.mark.parametrize("experiment", sorted(_CRITERIA))
+    def test_one_task_is_one_call_on_the_xi_stream(self, experiment, draws):
+        config = ExperimentConfig(
+            experiment=experiment, hurst=0.45, dimension=3, grid_sizes=[16, 32],
+            replications=3, master_seed=11, params={"xi_draws": draws},
+        )
+        seed = SeedSpec(config.master_seed)
+        u = _xi_u(config)(PathJob(0.45, 3, 1.0, 32, seed).sample(0))
+        estimate, se = xi_mc_target(u, 1.0 / 32, 1.0 / 0.45, seed.stream(lane=LANE_XI), draws)
+        check = run_experiment(config, workers=2).extra
+        assert (check["xi_check_estimate"], check["xi_check_se"]) == (estimate, se)
+
+    def test_dimension_one_tasks_agree_to_rounding(self):
+        config = ExperimentConfig(
+            experiment="divergence-variation-multi", hurst=0.4, grid_sizes=[64, 256],
+            replications=4, master_seed=41, dimension=1, params={"integrand": "cubic"},
+        )
+        check = run_experiment(config, workers=2).extra
+        closed = check["xi_check_closed_form"]
+        assert check["xi_check_estimate"] == pytest.approx(closed, rel=1e-12)
+        # every pair carries the same value: only the rounding of each task's mean is left
+        assert check["xi_check_se"] <= 1e-15 * closed
 
 
 class TestLpScaling:
