@@ -140,6 +140,11 @@ class MultiPath:
 # draws of nu-integral Monte Carlo (the component is the check's task).
 LANE_PATH = 0
 LANE_XI = 1
+# Each lane's bit generator, by its name in numpy.random (which numpy loads
+# lazily, see rvlab.harness).  Paths use counter-based Philox, whose streams
+# can be advanced; xi streams are one per task and never advanced, so they
+# use SFC64, whose normals take about 70% of Philox's time.
+_LANE_BIT_GENERATORS = {LANE_PATH: "Philox", LANE_XI: "SFC64"}
 
 
 @dataclass(frozen=True)
@@ -148,8 +153,8 @@ class SeedSpec:
 
     Streams are pure functions of (master_seed, replication_index, lane,
     component): the derivation hashes the tuple through numpy's
-    ``SeedSequence`` and feeds a counter-based Philox generator, so results
-    never depend on scheduling or worker count.
+    ``SeedSequence`` and feeds the lane's bit generator (Philox for paths,
+    SFC64 for xi), so results never depend on scheduling or worker count.
     """
 
     master_seed: int
@@ -166,7 +171,8 @@ class SeedSpec:
             entropy=int(self.master_seed),
             spawn_key=(int(self.replication_index), int(lane), int(component)),
         )
-        return np.random.Generator(np.random.Philox(seq))
+        bit_generator = getattr(np.random, _LANE_BIT_GENERATORS[lane])
+        return np.random.Generator(bit_generator(seq))
 
     def replicate(self, index: int) -> "SeedSpec":
         """The spec for replication ``base + index`` of the same master seed."""

@@ -231,9 +231,14 @@ def xi_mc_target(
     their variances add.  The radius is integrated out exactly (conditional
     Monte Carlo on the spherical-radial split xi = |xi| theta, with
     |xi| ~ chi_d independent of theta): each pair evaluates
-    c_p sum_i |<u_i, theta_i>|^p dt, c_p = E|xi|^p.  At d = 1, theta = +-1
-    and every pair carries the same value.  Returns (estimate, standard
-    error across pairs).
+    c_p sum_i |<u_i, theta_i>|^p dt, c_p = E|xi|^p.  No theta is formed:
+    from the normals z_i of node i, |<u_i, theta_i>|^p is
+    (<u_i, z_i>^2 / |z_i|^2)^{p/2}.  Where p < 2 (H > 1/2), a term whose
+    square leaves the normal doubles (|<u_i, theta_i>| beyond about 1e154
+    or below about 1e-154) is therefore non-finite, inexact or 0 although
+    its p-th power is a normal double.  At d = 1 the square is u_i^2
+    up to rounding, so every pair carries the same value up to a few ulps.
+    Returns (estimate, standard error across pairs).
     """
     check_xi_draws(draws)
     pairs = draws // 2
@@ -256,19 +261,19 @@ def xi_mc_target(
     with np.errstate(over="ignore", invalid="ignore"):  # caught below as non-finite
         while done < pairs:
             take = min(rows, pairs - done)
-            xi, acc, tmp = block[:take], work[0, :take], work[1, :take]
-            stream.standard_normal(out=xi)
-            np.multiply(xi[:, 0], xi[:, 0], out=acc)
+            z, s, a = block[:take], work[0, :take], work[1, :take]
+            stream.standard_normal(out=z)
+            # a = <u, z> with s as scratch, then s = |z|^2, squaring z in place
+            np.multiply(z[:, 0], u[0], out=a)
             for c in range(1, d):
-                acc += np.multiply(xi[:, c], xi[:, c], out=tmp)
-            np.sqrt(acc, out=acc)
-            xi /= acc[:, None]  # theta; exactly +-1 at d = 1
-            np.multiply(xi[:, 0], u[0], out=acc)
+                a += np.multiply(z[:, c], u[c], out=s)
+            np.square(z[:, 0], out=s)
             for c in range(1, d):
-                acc += np.multiply(xi[:, c], u[c], out=tmp)
-            np.abs(acc, out=acc)
-            np.power(acc, p, out=acc)
-            values[done : done + take] = acc.sum(axis=1) * weight
+                s += np.square(z[:, c], out=z[:, c])
+            np.square(a, out=a)
+            a /= s
+            np.power(a, 0.5 * p, out=a)
+            values[done : done + take] = a.sum(axis=1) * weight
             done += take
     if not np.all(np.isfinite(values)):
         raise NumericalError(
@@ -320,7 +325,7 @@ def _directions(path: MultiPath) -> np.ndarray:
 
 def _path_target(u: np.ndarray, h: float, dt: float) -> float:
     """The closed-form limit e_H sum_i |u_i|^{1/H} dt on one path."""
-    return e_H(h) * math.fsum(np.linalg.norm(u, axis=1) ** (1.0 / h)) * dt
+    return e_H(h) * math.fsum(memoryview(np.linalg.norm(u, axis=1) ** (1.0 / h))) * dt
 
 
 def _variation_rep(

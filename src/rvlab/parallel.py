@@ -15,6 +15,7 @@ wrapped in ``functools.partial`` with picklable arguments).
 
 from __future__ import annotations
 
+import contextlib
 import ctypes
 import functools
 import multiprocessing
@@ -29,17 +30,24 @@ def default_workers() -> int:
     return os.cpu_count() or 1
 
 
-def _blas_threads(count: int | None = None) -> int | None:
-    """Set the thread count of the OpenBLAS bundled with the numpy wheel to
-    ``count``, when given, through ctypes, and return the count before, as
-    ``np.seterr`` does; None, and nothing set, without that library or its
-    symbols."""
-    import glob
-
+def _openblas() -> ctypes.CDLL | None:
+    """The OpenBLAS bundled with the numpy wheel, through ctypes; None
+    without it.  Found by listing the directory: the parent calls this
+    before each pool it forks, and ``glob``'s pattern matching raised the
+    parent's peak RSS by about 0.2 MB."""
     import numpy
 
-    pattern = os.path.dirname(numpy.__file__) + ".libs/libscipy_openblas64_*.so"
-    lib = next((ctypes.CDLL(path) for path in glob.glob(pattern)), None)
+    libs = os.path.dirname(numpy.__file__) + ".libs"
+    names = os.listdir(libs) if os.path.isdir(libs) else []
+    return next((ctypes.CDLL(os.path.join(libs, name)) for name in names
+                 if name.startswith("libscipy_openblas64_") and name.endswith(".so")), None)
+
+
+def _blas_threads(count: int | None = None) -> int | None:
+    """Set the thread count of the bundled OpenBLAS to ``count``, when given
+    and different, and return the count before, as ``np.seterr`` does; None,
+    and nothing set, without that library or its symbols."""
+    lib = _openblas()
     getter = getattr(lib, "scipy_openblas_get_num_threads64_", None)
     setter = getattr(lib, "scipy_openblas_set_num_threads64_", None)
     if getter is None or setter is None:
@@ -47,9 +55,31 @@ def _blas_threads(count: int | None = None) -> int | None:
     getter.argtypes, getter.restype = [], ctypes.c_int
     setter.argtypes, setter.restype = [ctypes.c_int], None
     previous = getter()
-    if count is not None:
+    if count is not None and count != previous:
         setter(count)
     return previous
+
+
+@contextlib.contextmanager
+def _one_blas_thread_to_fork():
+    """Within, the bundled OpenBLAS runs one thread, so that processes forked
+    there inherit one and start no thread server of their own (OpenBLAS stops
+    the server at a fork and starts it again only for a threaded call or a
+    call of its setter, whose server thread then spins a core for about
+    0.1 s).  The count is written to and restored in the library's
+    ``blas_cpu_number`` rather than through the setter, which, after the
+    fork, would start that spinning thread in this process; nothing changes
+    without that symbol."""
+    try:
+        count = ctypes.c_int.in_dll(_openblas(), "blas_cpu_number")
+    except (AttributeError, ValueError):  # no library, or no such symbol
+        yield
+        return
+    previous, count.value = count.value, 1
+    try:
+        yield
+    finally:
+        count.value = previous
 
 
 _stop = None  # a pool worker's copy of the event its map sets on the first error
@@ -57,7 +87,9 @@ _stop = None  # a pool worker's copy of the event its map sets on the first erro
 
 def _start_worker(stop) -> None:
     """Pool initializer: keep the stop event, and run one BLAS thread so
-    that workers x BLAS threads stay within the cores."""
+    that workers x BLAS threads stay within the cores.  A forked worker
+    inherits one thread from :func:`_one_blas_thread_to_fork`, so no setter
+    is called there."""
     global _stop
     _stop = stop
     _blas_threads(1)
@@ -88,7 +120,9 @@ def replication_map(
     chunk = -(-replications // workers)
     processes = min(-(-replications // chunk), default_workers())
     stop = multiprocessing.Event()
-    with ProcessPoolExecutor(processes, initializer=_start_worker, initargs=(stop,)) as pool:
+    with _one_blas_thread_to_fork(), ProcessPoolExecutor(
+        processes, initializer=_start_worker, initargs=(stop,)
+    ) as pool:
         lead = [pool.submit(head) for head in heads]
         guarded = functools.partial(_unless_stopped, fn)
         results = pool.map(guarded, range(replications), chunksize=chunk)

@@ -36,8 +36,8 @@ def variation_Vnq(values: np.ndarray, q: float) -> float:
         raise DomainError(f"variation exponent must be positive, got {q}")
     with np.errstate(over="ignore"):
         powers = np.abs(np.diff(values)) ** q
-    try:
-        total = math.fsum(powers)
+    try:  # a memoryview hands fsum the doubles without numpy scalars
+        total = math.fsum(memoryview(powers))
     except OverflowError:  # fsum's partial sums of finite terms passed the largest double
         total = math.inf
     if not math.isfinite(total):

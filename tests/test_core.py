@@ -8,6 +8,8 @@ import numpy as np
 import pytest
 
 from rvlab.core import (
+    LANE_PATH,
+    LANE_XI,
     MAX_GRID_SIZE,
     MultiPath,
     SeedSpec,
@@ -177,6 +179,17 @@ class TestSeedSpec:
             SeedSpec(123, 4).stream(lane=1),
         ):
             assert not np.array_equal(base, other.standard_normal(8))
+
+    @pytest.mark.parametrize(
+        "lane, generator", [(LANE_PATH, np.random.Philox), (LANE_XI, np.random.SFC64)]
+    )
+    def test_each_lane_draws_from_its_bit_generator(self, lane, generator):
+        # paths on Philox, xi on SFC64, both keyed by (master, replication, lane, component)
+        bits = SeedSpec(123, 4).stream(2, lane).bit_generator
+        assert type(bits) is generator
+        assert bits.seed_seq.entropy == 123
+        assert bits.seed_seq.spawn_key == (4, lane, 2)
+        assert type(SeedSpec(123, 4).stream(2).bit_generator) is np.random.Philox
 
     def test_validation(self):
         with pytest.raises(DomainError):

@@ -9,6 +9,7 @@ import json
 import math
 import os
 import pathlib
+import threading
 import time
 
 import numpy as np
@@ -17,7 +18,7 @@ import pytest
 from rvlab import fbm, harness, parallel
 from rvlab.errors import ConfigError, DomainError, GateError, NumericalError
 from rvlab.harness import ExperimentConfig, registered_experiments, run_experiment
-from rvlab.parallel import replication_map
+from rvlab.parallel import default_workers, replication_map
 from rvlab.report import ConvergenceReport, Report, aggregate
 
 
@@ -121,6 +122,30 @@ class TestReplicationMap:
         before = _blas_threads(0)
         assert replication_map(_blas_threads, 4, workers=2) == [1] * 4
         assert _blas_threads(0) == before  # the parent keeps its own setting
+
+    def test_pool_workers_start_no_blas_thread_server(self):
+        # OpenBLAS's setter, called in a fresh fork, starts the library's
+        # thread server, whose thread spins a core beside the worker's
+        if not os.path.isdir("/proc/self/task") or default_workers() < 2:
+            pytest.skip("needs /proc and 2 cores")
+        before = parallel._blas_threads(2)
+        if before is None:
+            pytest.skip("numpy has no bundled OpenBLAS with a thread setter")
+        try:
+            assert replication_map(_os_threads, 4, workers=2) == [1] * 4
+            # nor does restoring the parent's count start one here, once the
+            # pool's own threads have left
+            deadline = time.monotonic() + 2
+            while _os_threads(0) > threading.active_count() and time.monotonic() < deadline:
+                time.sleep(0.01)
+            assert _os_threads(0) == threading.active_count()
+            assert parallel._blas_threads() == 2
+        finally:
+            parallel._blas_threads(before)
+
+
+def _os_threads(i: int) -> int:
+    return len(os.listdir("/proc/self/task"))
 
 
 def _cube(i: int) -> int:
@@ -639,10 +664,13 @@ def test_only_the_registry_names_experiments():
 def test_only_fbm_draws_replications():
     # experiments hand PathJob.map a statistic of a path; it alone calls the
     # pool, and only the pool module names the executor, so work that overlaps
-    # the replications goes in as the map's head
+    # the replications goes in as the map's head; streams come from
+    # SeedSpec alone, so only the core module names a bit generator or a seed
+    # sequence
     owners = {
         "replication_map": ("parallel.py", "fbm.py"),
         "ProcessPoolExecutor": ("parallel.py",),
+        **dict.fromkeys(("Philox", "SFC64", "SeedSequence"), ("core.py",)),
     }
     found = []
     for path in sorted(pathlib.Path(harness.__file__).parent.glob("*.py")):

@@ -509,6 +509,42 @@ class TestMultiDivergenceVariation:
             xi_mc_target(np.ones((8, 1)), 1 / 8, 1 / 0.45, SeedSpec(1).stream(lane=1), 2**62)
 
 
+class _RepeatedNormals:
+    """A stand-in xi stream whose every pair draws the same normals z
+    (d x nodes), so that the target is one pair value, with s.e. 0."""
+
+    def __init__(self, z: np.ndarray):
+        self.z = z
+
+    def standard_normal(self, out: np.ndarray) -> None:
+        out[...] = self.z
+
+
+class TestXiPairValue:
+    # a pair's value is formed from s = |z|^2 and a = <u, z> without theta:
+    # it must be c_p sum_i |<u_i, z_i / |z_i|>|^p dt, computed directly
+    @pytest.mark.parametrize("scale", [1e-100, 1.0, 1e100])
+    @pytest.mark.parametrize("h", [0.05, 0.45])
+    @pytest.mark.parametrize("d", [1, 2, 3, 5])
+    def test_matches_the_direct_value(self, d, h, scale):
+        n, p = 64, 1.0 / h
+        rng = np.random.default_rng(100 * d + int(100 * h))
+        u, z = scale * rng.standard_normal((n, d)), rng.standard_normal((d, n))
+        theta = z / np.linalg.norm(z, axis=0)
+        with np.errstate(over="ignore", under="ignore"):
+            direct = _c_p(d, p) / n * np.sum(np.abs(np.sum(u.T * theta, axis=0)) ** p)
+        if math.isinf(direct):
+            with pytest.raises(NumericalError, match="non-finite"):
+                xi_mc_target(u, 1.0 / n, p, _RepeatedNormals(z), 4)
+            return
+        estimate, se = xi_mc_target(u, 1.0 / n, p, _RepeatedNormals(z), 4)
+        assert se == 0.0
+        if direct == 0.0:  # every term underflows, fused or direct
+            assert estimate == 0.0
+        else:
+            assert estimate == pytest.approx(direct, rel=1e-13, abs=0.0)
+
+
 def _unit_rows(n: int, d: int) -> np.ndarray:
     v = np.random.default_rng(n).standard_normal((n, d))
     return v / np.linalg.norm(v, axis=1)[:, None]
